@@ -88,7 +88,13 @@ def estimate_conditional(
 
 
 def _records_to_cells(records: Iterable) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (trials, successes) arrays over the eight (x0, x1, y) cells."""
+    """Per-cell (trials, successes) arrays over the eight (x0, x1, y) cells.
+
+    ``records`` may instead be a tally whose ``cell_counts()`` returns them.
+    """
+    counts = getattr(records, "cell_counts", None)
+    if callable(counts):
+        return counts()
     trials = np.zeros(8, dtype=np.int64)
     successes = np.zeros(8, dtype=np.int64)
     index = getattr(records, "cell_index", None)
@@ -182,7 +188,7 @@ class BatteryResult:
 
 
 def _monobit(arr: np.ndarray, significance: float) -> BatteryResult:
-    s_obs = abs(float(np.sum(2 * arr.astype(np.int64) - 1))) / math.sqrt(arr.size)
+    s_obs = abs(float(2 * np.count_nonzero(arr) - arr.size)) / math.sqrt(arr.size)
     p = math.erfc(s_obs / math.sqrt(2.0))
     return BatteryResult("monobit", s_obs, p, p >= significance)
 

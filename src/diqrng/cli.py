@@ -37,6 +37,15 @@ _DEVICE_NAMES = {
     "input-guesser": "input_guesser",
 }
 
+# the values of each choice option, whether it comes from a flag or a config file
+_CHOICES = {
+    "game": sorted(_GAME_NAMES),
+    "protocol": ["P", "Q"],
+    "device": sorted(_DEVICE_NAMES),
+    "mode": ["test", "generate"],
+    "pair": sorted(_PAIR_NAMES) + ["all"],
+}
+
 SEED_ENV_VAR = "DIQRNG_SEED"
 
 
@@ -94,14 +103,28 @@ def serialize_report(results: dict) -> str:
 
 def write_bits(path: str | Path, bits: np.ndarray) -> None:
     """Dump bits as ASCII '0'/'1' lines of 64 (final line may be shorter)."""
-    text = "".join(str(int(b)) for b in bits)
-    lines = [text[i : i + 64] for i in range(0, len(text), 64)]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="ascii")
+    bits = np.asarray(bits)
+    rows, tail = divmod(bits.size, 64)
+    lines = np.empty((rows, 65), dtype=np.uint8)
+    lines[:, :64] = bits[: rows * 64].reshape(rows, 64)
+    lines[:, :64] += ord("0")
+    lines[:, 64] = ord("\n")
+    with Path(path).open("wb") as out:
+        out.write(lines.data)
+        if tail:
+            out.write((bits[rows * 64 :].astype(np.uint8) + ord("0")).tobytes() + b"\n")
 
 
 def read_bits(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text(encoding="ascii").replace("\n", "")
-    return analysis._as_bits(text)
+    """Parse a bit dump; line breaks may be LF, CRLF or CR."""
+    raw = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
+    keep = raw != ord("\n")
+    keep &= raw != ord("\r")
+    bits = raw[keep]
+    bits -= ord("0")
+    if np.any(bits > 1):
+        raise ValueError("bit strings may contain only '0' and '1'")
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -128,28 +151,28 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("play-game", help="exact and sampled scores of one game")
     common(p)
-    p.add_argument("--game", choices=sorted(_GAME_NAMES), default=None)
+    p.add_argument("--game", choices=_CHOICES["game"], default=None)
     p.add_argument("--rounds", type=int, default=None)
 
     p = sub.add_parser("run-protocol", help="run protocol P or Q and certify")
     common(p)
-    p.add_argument("--protocol", choices=["P", "Q"], default=None)
-    p.add_argument("--device", choices=sorted(_DEVICE_NAMES), default=None)
+    p.add_argument("--protocol", choices=_CHOICES["protocol"], default=None)
+    p.add_argument("--device", choices=_CHOICES["device"], default=None)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--delta", type=float, default=None, help="abort-band confidence parameter")
     p.add_argument("--gamma", type=float, default=None, help="tested fraction of the Rand bin (protocol Q)")
-    p.add_argument("--mode", choices=["test", "generate"], default=None)
+    p.add_argument("--mode", choices=_CHOICES["mode"], default=None)
     p.add_argument("--bits-out", type=str, default=None, help="write output bits to this path")
     p.add_argument("--coin-per-run", action="store_true", default=None,
                    help="draw the adversarial shared coin once per run instead of per round")
 
     p = sub.add_parser("bruteforce-classical", help="enumerate all deterministic strategies")
     common(p)
-    p.add_argument("--game", choices=sorted(_GAME_NAMES), default=None)
+    p.add_argument("--game", choices=_CHOICES["game"], default=None)
 
     p = sub.add_parser("equivalence-check", help="probability-equivalence checks between games")
     common(p)
-    p.add_argument("--pair", choices=sorted(_PAIR_NAMES) + ["all"], default=None)
+    p.add_argument("--pair", choices=_CHOICES["pair"], default=None)
 
     p = sub.add_parser("guessing-bounds", help="simulated no-signaling guessing bounds")
     common(p)
@@ -195,6 +218,9 @@ def _merge_options(args: argparse.Namespace) -> dict:
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
+    for key, allowed in _CHOICES.items():
+        if key in _DEFAULTS[args.command] and merged[key] not in allowed:
+            raise DiqrngError(f"invalid {key} {merged[key]!r} (choose from {', '.join(allowed)})")
     return merged
 
 
@@ -262,14 +288,21 @@ def _score_dict(score) -> dict:
 
 def _cmd_play_game(opts: dict, seed: int) -> tuple[dict, int]:
     game = _GAME_NAMES[opts["game"]]
+    n_rounds = int(opts["rounds"])
+    if n_rounds < 1:
+        raise DiqrngError(f"play-game needs at least one round, got {n_rounds}")
     strategy = games.paper_strategy(game)
     exact = games.exact_score(game, strategy)
     sampler = games.RoundSampler(game, strategy)
     rng = np.random.default_rng(seed)
-    rounds = sampler.sample_many(int(opts["rounds"]), rng)
+    rounds = sampler.sample_many(n_rounds, rng)
     if game is GameId.GAME_G2:
         even = [r for r in rounds if sum(r.inputs) % 2 == 0]
         odd = [r for r in rounds if sum(r.inputs) % 2 == 1]
+        if not even or not odd:
+            raise DiqrngError(
+                f"g2 scores need even- and odd-weight rounds; {n_rounds} round(s) drew only one kind"
+            )
         sampled = {
             "even_win": sum(games.winning_predicate(game, r) for r in even) / len(even),
             "odd_guess": sum(r.outputs[0] == r.inputs[1] for r in odd) / len(odd),

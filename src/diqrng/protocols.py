@@ -14,19 +14,27 @@ of which is spent testing Pr[b = x1] = 1/2 before the rest is released.
 Devices are stateless across rounds apart from an explicit shared-randomness
 coin; everything a run does is a pure function of (config, devices), so two
 runs with the same seed are bit-identical.
+
+A run streams its rounds in fixed-size chunks and keeps only what
+certification reads: a tally of rounds by (x, setting, b) and the Rand bin's
+output bits.  The per-round bin views are rebuilt on first access by replaying
+the same round stream.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
-from .games import ClassicalStrategy, GameId
+from .games import ClassicalStrategy, GameId, RoundIO, winning_predicate
 from .qcore import Gate1Q, PureState, QubitBasis
 
 A_STAR = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
@@ -305,19 +313,76 @@ class RoundBatch(Sequence):
         return cells, self._output.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class BinStore:
-    """The Check/Rand/False partition of a run's rounds."""
+# The bin of each (x, setting) cell, x = 2*x0 + x1: 0 Check, 1 Rand, 2 False.
+_CHECK, _RAND, _FALSE = 0, 1, 2
+_BIN_OF = {
+    "P": np.array([[0, 0, 2], [0, 0, 1], [0, 0, 1], [0, 0, 2]]),   # Rand/False only at y = 2
+    "Q": np.array([[0, 1], [1, 0], [1, 0], [0, 1]]),               # Check iff x0 + x1 + x2 is even
+}
 
-    check: RoundBatch
-    rand: RoundBatch
-    false_bin: RoundBatch | None = None
+
+def _win_table(game: GameId, n_settings: int) -> np.ndarray:
+    """The game's winning predicate as win[x, setting, b], x = 2*x0 + x1."""
+    win = np.zeros((4, n_settings, 2), dtype=bool)
+    for x, s, b in itertools.product(range(4), range(n_settings), range(2)):
+        win[x, s, b] = winning_predicate(game, RoundIO((x >> 1, x & 1, s), (b,)))
+    return win
+
+
+_P_CELL_WIN = _win_table(GameId.TAVAKOLI, 2)
+_Q_WIN = _win_table(GameId.GAME_G2, 2)       # on odd-weight rounds: b == x1
+_Q_EVEN_WIN = _Q_WIN & (_BIN_OF["Q"] == _CHECK)[:, :, None]
+
+
+@dataclass(frozen=True)
+class _Tally:
+    """A run's rounds counted by (x, setting, b): what certification reads besides the Rand bits."""
+
+    protocol: str
+    counts: np.ndarray          # [x, setting, b]
+
+    def bin_counts(self) -> dict[str, int]:
+        per_cell = self.counts.sum(axis=2)
+        bin_of = _BIN_OF[self.protocol]
+        names = ("check", "rand", "false") if self.protocol == "P" else ("check", "rand")
+        return {name: int(per_cell[bin_of == k].sum()) for k, name in enumerate(names)}
+
+    def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell (trials, successes) of protocol P's self-test, cell = 4*x0 + 2*x1 + y."""
+        check = self.counts[:, :2, :]
+        return check.sum(axis=2).reshape(8), (check * _P_CELL_WIN).sum(axis=2).reshape(8)
+
+
+class BinStore:
+    """The Check/Rand/False partition of a run's rounds.
+
+    The counts come from the run's tally.  The per-bin views hold every
+    round's index, inputs and output, so a run does not keep them: they are
+    rebuilt on first access by replaying the run's round stream.
+    """
+
+    def __init__(self, counts: dict[str, int], replay: Callable[[], tuple[RoundBatch, ...]]):
+        self._counts = counts
+        self._replay = replay
+
+    @functools.cached_property
+    def _views(self) -> tuple[RoundBatch, ...]:
+        return self._replay()
+
+    @property
+    def check(self) -> RoundBatch:
+        return self._views[_CHECK]
+
+    @property
+    def rand(self) -> RoundBatch:
+        return self._views[_RAND]
+
+    @property
+    def false_bin(self) -> RoundBatch | None:
+        return self._views[_FALSE] if "false" in self._counts else None
 
     def counts(self) -> dict[str, int]:
-        out = {"check": len(self.check), "rand": len(self.rand)}
-        if self.false_bin is not None:
-            out["false"] = len(self.false_bin)
-        return out
+        return dict(self._counts)
 
 
 def _draw_space(protocol: str, mode: str) -> tuple[tuple[int, int], ...]:
@@ -428,20 +493,24 @@ def _structural_condition(name: str, ok: bool) -> ConditionCheck:
     )
 
 
-def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore, CertificationVerdict]:
-    """Execute a full protocol run: sampling, binning, certification.
+_CHUNK_ROUNDS = 1 << 16
 
-    Deterministic given (config.seed, devices): inputs, the shared coin, and
-    the measurement randomness are drawn from three fixed substreams of the
-    seed, in round order.
+
+def _round_chunks(
+    config: ProtocolConfig, devices: DevicePair, table: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The run's rounds as (x, setting, b) column chunks in round order, x = 2*x0 + x1.
+
+    Inputs, the shared coin and the measurement randomness come from three
+    fixed substreams of the seed.  numpy's Generator draws the same values in
+    chunks as in one call, so the chunk size never shows in a run.  The
+    uniform input draw takes all n values of x before the first setting, so
+    settings come from a copy of the input stream moved past those n draws.
     """
-    if config.rounds < 1:
-        raise InsufficientRounds("a run needs at least one round")
-    table = devices.response_table(config.protocol)
-
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
-    n = config.rounds
+    full, rest = divmod(config.rounds, _CHUNK_ROUNDS)
+    sizes = [_CHUNK_ROUNDS] * full + ([rest] if rest else [])
 
     if config.input_weights is not None:
         space = _draw_space(config.protocol, config.mode)
@@ -449,83 +518,111 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
         for (x0, x1, s), w in config.input_weights.items():
             probs[space.index((2 * int(x0) + int(x1), int(s)))] += float(w)
         probs /= probs.sum()
-        drawn = input_rng.choice(len(space), size=n, p=probs)
         pairs = np.asarray(space, dtype=np.int64)
-        x = pairs[drawn, 0]
-        setting = pairs[drawn, 1]
-    elif config.protocol == "P":
-        if config.mode == "test":
-            x = input_rng.integers(0, 4, size=n)
-            setting = input_rng.integers(0, 3, size=n)
-        else:
-            x = input_rng.integers(1, 3, size=n)          # x in {01, 10}
-            setting = np.full(n, 2, dtype=np.int64)
+
+        def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
+            drawn = input_rng.choice(len(space), size=k, p=probs)
+            return pairs[drawn, 0], pairs[drawn, 1]
+    elif config.protocol == "P" and config.mode == "generate":
+        def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
+            return input_rng.integers(1, 3, size=k), np.full(k, 2, dtype=np.int64)   # x in {01, 10}
     else:
-        x = input_rng.integers(0, 4, size=n)
-        setting = input_rng.integers(0, 2, size=n)
+        n_settings = _SETTINGS[config.protocol]
+        setting_rng = copy.deepcopy(input_rng)
+        for k in sizes:
+            setting_rng.integers(0, 4, size=k)
 
-    if devices.uses_coin:
-        if devices.coin_per_round:
-            coin = coin_rng.integers(0, 2, size=n)
-        else:
-            coin = np.full(n, int(coin_rng.integers(0, 2)), dtype=np.int64)
-    else:
-        coin = np.zeros(n, dtype=np.int64)
+        def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
+            return input_rng.integers(0, 4, size=k), setting_rng.integers(0, n_settings, size=k)
 
-    p1 = table[coin, x, setting]
-    u = meas_rng.random(n)
-    b = (u >= 1.0 - p1).astype(np.int8)
+    coin = 0
+    if devices.uses_coin and not devices.coin_per_round:
+        coin = int(coin_rng.integers(0, 2))
+    for k in sizes:
+        x, setting = draw_inputs(k)
+        if devices.uses_coin and devices.coin_per_round:
+            coin = coin_rng.integers(0, 2, size=k)
+        p1 = table[coin, x, setting]
+        yield x, setting, (meas_rng.random(k) >= 1.0 - p1).view(np.uint8)
 
-    index = np.arange(n, dtype=np.int64)
-    x0 = (x >> 1).astype(np.int8)
-    x1 = (x & 1).astype(np.int8)
-    inputs = np.column_stack([x0, x1, setting.astype(np.int8)])
 
-    def batch(mask: np.ndarray) -> RoundBatch:
-        return RoundBatch(index[mask], inputs[mask], b[mask])
+def _bin_views(config: ProtocolConfig, devices: DevicePair, table: np.ndarray) -> tuple[RoundBatch, ...]:
+    """Replay the run's rounds into its Check, Rand and False bin views."""
+    bin_of = _BIN_OF[config.protocol]
+    pieces: list[list] = [[] for _ in range(bin_of.max() + 1)]
+    start = 0
+    for x, setting, b in _round_chunks(config, devices, table):
+        index = np.arange(start, start + x.size, dtype=np.int64)
+        start += x.size
+        inputs = np.column_stack([x >> 1, x & 1, setting]).astype(np.int8)
+        which = bin_of[x, setting]
+        for k, bin_pieces in enumerate(pieces):
+            mask = which == k
+            bin_pieces.append((index[mask], inputs[mask], b[mask]))
+    return tuple(RoundBatch(*(np.concatenate(column) for column in zip(*p))) for p in pieces)
 
+
+def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore, CertificationVerdict]:
+    """Execute a full protocol run: sampling, binning, certification.
+
+    Deterministic given (config.seed, devices): inputs, the shared coin, and
+    the measurement randomness are drawn from three fixed substreams of the
+    seed, in round order.  The rounds stream through in chunks; the run keeps
+    their tally, the Rand bin's bits and, for protocol Q's odd test, whether
+    each Rand bit matched x1.
+    """
+    if config.rounds < 1:
+        raise InsufficientRounds("a run needs at least one round")
+    table = devices.response_table(config.protocol)
+    n_settings = table.shape[2]
+    is_rand = np.repeat((_BIN_OF[config.protocol] == _RAND).ravel(), 2)   # by 2*cell + b
+    odd_test = config.protocol == "Q" and config.mode == "test"
+
+    counts = np.zeros(4 * n_settings * 2, dtype=np.int64)
+    rand_bits, odd_matches = [], []
+    for x, setting, b in _round_chunks(config, devices, table):
+        code = 2 * (x * n_settings + setting) + b
+        counts += np.bincount(code, minlength=counts.size)
+        rand = is_rand[code]
+        rand_bits.append(b[rand])
+        if odd_test:
+            odd_matches.append(_Q_WIN.ravel()[code[rand]])
+    bits = np.concatenate(rand_bits)
+    del rand_bits          # the chunk pieces; certification needs only the joined bits
+
+    tally = _Tally(config.protocol, counts.reshape(4, n_settings, 2))
+    bins = BinStore(tally.bin_counts(), lambda: _bin_views(config, devices, table))
     notes = (devices.caveat,) if devices.caveat else ()
-
-    if config.protocol == "P":
-        check_mask = setting < 2
-        rand_mask = (setting == 2) & ((x == 1) | (x == 2))
-        false_mask = (setting == 2) & ((x == 0) | (x == 3))
-        bins = BinStore(check=batch(check_mask), rand=batch(rand_mask), false_bin=batch(false_mask))
-        if config.mode == "generate":
-            verdict = _generate_verdict(bins.rand, notes)
-            return bins, verdict
-        verdict = _certify_p(bins, config, notes)
-        return bins, verdict
-
-    even_mask = (x0 + x1 + setting) % 2 == 0
-    bins = BinStore(check=batch(even_mask), rand=batch(~even_mask))
     if config.mode == "generate":
-        verdict = _generate_verdict(bins.rand, notes)
-        return bins, verdict
-    verdict = _certify_q(bins, config, notes)
+        verdict = _generate_verdict(bits, notes)
+    elif config.protocol == "P":
+        verdict = _certify_p(tally, bits, config, notes)
+    else:
+        verdict = _certify_q(tally, bits, np.concatenate(odd_matches), config, notes)
     return bins, verdict
 
 
-def _generate_verdict(rand: RoundBatch, notes: tuple[str, ...]) -> CertificationVerdict:
-    ok = len(rand) > 0
+def _generate_verdict(bits: np.ndarray, notes: tuple[str, ...]) -> CertificationVerdict:
+    ok = bits.size > 0
     condition = _structural_condition("rand_nonempty", ok)
     return CertificationVerdict(
         decision="PASS" if ok else "ABORT",
         conditions=(condition,),
-        output_bits=rand.output if ok else np.array([], dtype=np.uint8),
+        output_bits=bits if ok else np.array([], dtype=np.uint8),
         notes=notes,
     )
 
 
-def _certify_p(bins: BinStore, config: ProtocolConfig, notes: tuple[str, ...]) -> CertificationVerdict:
-    if len(bins.check) == 0:
+def _certify_p(tally: _Tally, bits: np.ndarray, config: ProtocolConfig, notes: tuple[str, ...]) -> CertificationVerdict:
+    n_check = tally.bin_counts()["check"]
+    if n_check == 0:
         raise InsufficientRounds("check bin is empty")
     try:
-        a_hat = analysis.statistic_A(bins.check, confidence=1.0 - config.delta)
+        a_hat = analysis.statistic_A(tally, confidence=1.0 - config.delta)
     except analysis.MissingCell as exc:
         raise InsufficientRounds(str(exc)) from exc
 
-    radius = analysis.hoeffding_radius(config.delta, len(bins.check))
+    radius = analysis.hoeffding_radius(config.delta, n_check)
     conditions = [
         ConditionCheck(
             name="A_statistic",
@@ -534,57 +631,49 @@ def _certify_p(bins: BinStore, config: ProtocolConfig, notes: tuple[str, ...]) -
             ci_high=a_hat.ci_high,
             target=A_STAR,
             satisfied=abs(a_hat.point - A_STAR) <= radius,
-            detail={"radius": radius, "trials": len(bins.check)},
+            detail={"radius": radius, "trials": n_check},
         )
     ]
 
-    false_x = 2 * bins.false_bin.inputs[:, 0] + bins.false_bin.inputs[:, 1]
-    for name, sel, want_bit in (
-        ("false_b0_given_x00", false_x == 0, 0),
-        ("false_b1_given_x11", false_x == 3, 1),
+    for name, x, want_bit in (
+        ("false_b0_given_x00", 0, 0),
+        ("false_b1_given_x11", 3, 1),
     ):
-        outputs = bins.false_bin.output[sel]
-        if outputs.size == 0:
+        trials = int(tally.counts[x, 2].sum())
+        if trials == 0:
             raise InsufficientRounds(f"false bin has no x={'00' if want_bit == 0 else '11'} rounds")
-        hits = int(np.count_nonzero(outputs == want_bit))
-        radius_f = analysis.hoeffding_radius(config.delta, int(outputs.size))
+        hits = int(tally.counts[x, 2, want_bit])
+        radius_f = analysis.hoeffding_radius(config.delta, trials)
         conditions.append(
             _condition_from_counts(
                 name,
                 hits,
-                int(outputs.size),
+                trials,
                 1.0,
-                hits / outputs.size >= 1.0 - radius_f,
+                hits / trials >= 1.0 - radius_f,
                 config.delta,
                 radius=radius_f,
-                exceptions=int(outputs.size) - hits,
+                exceptions=trials - hits,
             )
         )
 
-    conditions.append(_structural_condition("rand_nonempty", len(bins.rand) > 0))
+    conditions.append(_structural_condition("rand_nonempty", bits.size > 0))
     passed = all(c.satisfied for c in conditions)
     return CertificationVerdict(
         decision="PASS" if passed else "ABORT",
         conditions=tuple(conditions),
-        output_bits=bins.rand.output if passed else np.array([], dtype=np.uint8),
+        output_bits=bits if passed else np.array([], dtype=np.uint8),
         notes=notes,
     )
 
 
-def _q_even_wins(check: RoundBatch) -> np.ndarray:
-    x0 = check.inputs[:, 0].astype(np.int64)
-    x1 = check.inputs[:, 1].astype(np.int64)
-    x2 = check.inputs[:, 2].astype(np.int64)
-    b = check.output.astype(np.int64)
-    return (x0 + x1 + x2) // 2 == b + (x0 & (x0 ^ x1))
-
-
-def _certify_q(bins: BinStore, config: ProtocolConfig, notes: tuple[str, ...]) -> CertificationVerdict:
-    if len(bins.check) == 0:
+def _certify_q(
+    tally: _Tally, bits: np.ndarray, odd_matches: np.ndarray, config: ProtocolConfig, notes: tuple[str, ...]
+) -> CertificationVerdict:
+    n_check = tally.bin_counts()["check"]
+    if n_check == 0:
         raise InsufficientRounds("check bin is empty")
-    wins = _q_even_wins(bins.check)
-    n_check = len(bins.check)
-    win_count = int(np.count_nonzero(wins))
+    win_count = int(tally.counts[_Q_EVEN_WIN].sum())
     radius_even = analysis.hoeffding_radius(config.delta, n_check)
     conditions = [
         _condition_from_counts(
@@ -599,12 +688,10 @@ def _certify_q(bins: BinStore, config: ProtocolConfig, notes: tuple[str, ...]) -
         )
     ]
 
-    n_rand = len(bins.rand)
+    n_rand = bits.size
     test_len = math.ceil(config.gamma * n_rand)
     if test_len > 0:
-        head_b = bins.rand.output[:test_len].astype(np.int64)
-        head_x1 = bins.rand.inputs[:test_len, 1].astype(np.int64)
-        matches = int(np.count_nonzero(head_b == head_x1))
+        matches = int(np.count_nonzero(odd_matches[:test_len]))
         radius_odd = analysis.hoeffding_radius(config.delta, test_len)
         conditions.append(
             _condition_from_counts(
@@ -637,7 +724,7 @@ def _certify_q(bins: BinStore, config: ProtocolConfig, notes: tuple[str, ...]) -
     return CertificationVerdict(
         decision="PASS" if passed else "ABORT",
         conditions=tuple(conditions),
-        output_bits=bins.rand.output[test_len:] if passed else np.array([], dtype=np.uint8),
+        output_bits=bits[test_len:] if passed else np.array([], dtype=np.uint8),
         notes=notes,
     )
 

@@ -44,12 +44,26 @@ class PureState:
             raise BadDimension(f"amplitude vector must have length 2, 4 or 8, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise NonNormalizable("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
+        # the sum np.linalg.norm forms for a complex vector, without its dispatch
+        norm = math.sqrt(float(amps.real @ amps.real + amps.imag @ amps.imag))
         if abs(norm - 1.0) > NORM_TOL:
             raise NonNormalizable(f"state norm {norm} is not 1 within {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _unit(cls, amps: np.ndarray) -> "PureState":
+        """Adopt a freshly computed unit vector of valid length as is.
+
+        For states derived inside this module (a collapsed residual divided
+        by its own norm), where ``__post_init__``'s checks hold by
+        construction and its copy would be wasted.
+        """
+        state = object.__new__(cls)
+        amps.setflags(write=False)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
 
     @property
     def num_qubits(self) -> int:
@@ -128,6 +142,9 @@ def _check_target(state: PureState, target: int) -> None:
 def apply_gate(state: PureState, gate: Gate1Q, target: int) -> PureState:
     """Apply a one-qubit gate to the target qubit, returning a new state."""
     _check_target(state, target)
+    if target == 0:
+        # qubit 0 is already the leading axis: one (2, 2) x (2, k) product
+        return PureState(np.dot(gate.matrix, state.amplitudes.reshape(2, -1)).reshape(-1))
     n = state.num_qubits
     tensor = state.amplitudes.reshape([2] * n)
     tensor = np.tensordot(gate.matrix, tensor, axes=([1], [target]))
@@ -143,8 +160,11 @@ def _residuals(state: PureState, basis: "QubitBasis", target: int) -> np.ndarray
     target qubit onto basis vector i; for single-qubit states the rows are
     the scalars <v_i|state>.
     """
-    n = state.num_qubits
-    tensor = np.moveaxis(state.amplitudes.reshape([2] * n), target, 0).reshape(2, -1)
+    if target == 0:
+        tensor = state.amplitudes.reshape(2, -1)
+    else:
+        n = state.num_qubits
+        tensor = np.moveaxis(state.amplitudes.reshape([2] * n), target, 0).reshape(2, -1)
     return basis._vconj @ tensor
 
 
@@ -154,9 +174,17 @@ _PROB_SNAP = 1e-18
 # deterministic outcomes exactly deterministic
 
 
-def _branch_probabilities(residuals: np.ndarray) -> tuple[float, float]:
-    p0 = float(residuals[0].real @ residuals[0].real + residuals[0].imag @ residuals[0].imag)
-    p1 = float(residuals[1].real @ residuals[1].real + residuals[1].imag @ residuals[1].imag)
+def _squared_norms(residuals: np.ndarray) -> tuple[float, float]:
+    """Squared norms of both residual rows, summed as ``np.linalg.norm`` does."""
+    re, im = residuals.real, residuals.imag
+    return (
+        float(np.dot(re[0], re[0]) + np.dot(im[0], im[0])),
+        float(np.dot(re[1], re[1]) + np.dot(im[1], im[1])),
+    )
+
+
+def _branch_probabilities(p0: float, p1: float) -> tuple[float, float]:
+    """Normalise two unnormalised Born weights, snapping residues to 0."""
     total = p0 + p1
     p0, p1 = p0 / total, p1 / total
     if p0 < _PROB_SNAP:
@@ -177,7 +205,8 @@ def measurement_branches(
     """
     _check_target(state, target)
     residuals = _residuals(state, basis, target)
-    p0, p1 = _branch_probabilities(residuals)
+    squares = _squared_norms(residuals)
+    p0, p1 = _branch_probabilities(*squares)
     branches = []
     for outcome, prob in ((0, p0), (1, p1)):
         if prob <= 0.0:
@@ -185,15 +214,15 @@ def measurement_branches(
         elif state.num_qubits == 1:
             branches.append((prob, (basis.v0, basis.v1)[outcome]))
         else:
-            residual = residuals[outcome]
-            branches.append((prob, PureState(residual / np.linalg.norm(residual))))
+            # sqrt of the squared norm is exactly np.linalg.norm(residual)
+            branches.append((prob, PureState._unit(residuals[outcome] / math.sqrt(squares[outcome]))))
     return branches[0], branches[1]
 
 
 def outcome_distribution(state: PureState, basis: "QubitBasis", target: int) -> tuple[float, float]:
     """Exact Born probabilities of the two basis outcomes on the target qubit."""
     _check_target(state, target)
-    return _branch_probabilities(_residuals(state, basis, target))
+    return _branch_probabilities(*_squared_norms(_residuals(state, basis, target)))
 
 
 def collapse(state: PureState, basis: "QubitBasis", target: int, outcome: int) -> tuple[float, PureState]:

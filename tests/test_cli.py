@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,33 @@ class TestBitDumps:
         path = tmp_path / "dump.bits"
         write_bits(path, np.array([1, 0, 1], dtype=np.uint8))
         assert list(read_bits(path)) == [1, 0, 1]
+
+    def test_crlf_and_cr_line_breaks(self, tmp_path):
+        bits = np.arange(150) % 3 % 2
+        path = tmp_path / "dump.bits"
+        write_bits(path, bits)
+        lf = path.read_bytes()
+        for newline in (b"\r\n", b"\r"):
+            path.write_bytes(lf.replace(b"\n", newline))
+            assert np.array_equal(read_bits(path), bits)
+
+    @pytest.mark.parametrize("junk", [b"0120\n", b"01 0\n", b"01\t\n", b"\xff01\n"])
+    def test_other_bytes_rejected(self, tmp_path, junk):
+        path = tmp_path / "dump.bits"
+        path.write_bytes(junk)
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            read_bits(path)
+
+    def test_write_memory_is_one_byte_per_bit(self, tmp_path):
+        bits = np.random.default_rng(3).integers(0, 2, 2_000_000).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            write_bits(tmp_path / "dump.bits", bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file's bytes, 65 per 64 bits, and nothing per bit besides
+        assert peak <= 1.05 * bits.size + 2**16, f"{peak / bits.size:.2f} B/bit"
 
 
 class TestExitCodes:
@@ -117,6 +145,25 @@ class TestExitCodes:
     def test_runtime_error_is_one(self, capsys):
         code = main(["analyze", "--seed", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["play-game", "--game", "g2", "--rounds", "1"],
+            ["play-game", "--rounds", "0"],
+        ],
+    )
+    def test_play_game_too_few_rounds_is_one(self, capsys, argv):
+        code = main(argv + ["--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_with_unknown_choice_is_one(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"game": "nope"}))
+        code = main(["play-game", "--config", str(config), "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid game 'nope'")
 
 
 class TestDeterminism:

@@ -1,0 +1,218 @@
+"""Chunked protocol runs: identity with the single-draw run, and memory bounds."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from diqrng import analysis, protocols
+from diqrng.errors import InsufficientRounds, MissingCell
+from diqrng.protocols import (
+    A_STAR,
+    ConditionCheck,
+    ProtocolConfig,
+    RoundBatch,
+    adversarial_devices,
+    honest_devices,
+    run_protocol,
+)
+
+CHUNK = protocols._CHUNK_ROUNDS
+ROUNDS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17)
+
+P_WEIGHTS = {(0, 0, 0): 0.3, (0, 1, 2): 0.2, (1, 0, 1): 0.1, (1, 1, 2): 0.15, (0, 0, 2): 0.05, (1, 1, 0): 0.2}
+Q_WEIGHTS = {(0, 0, 0): 0.4, (0, 1, 0): 0.3, (1, 1, 1): 0.3}
+
+# name -> (ProtocolConfig keywords, device pair factory)
+CONFIGS = {
+    "P-test": ({"protocol": "P"}, lambda: honest_devices("P")),
+    "P-generate": ({"protocol": "P", "mode": "generate"}, lambda: honest_devices("P")),
+    "Q-test": ({"protocol": "Q", "gamma": 0.6}, lambda: honest_devices("Q")),
+    "Q-generate": ({"protocol": "Q", "mode": "generate"}, lambda: honest_devices("Q")),
+    "P-input-weights": ({"protocol": "P", "input_weights": P_WEIGHTS}, lambda: honest_devices("P")),
+    "Q-input-weights": ({"protocol": "Q", "input_weights": Q_WEIGHTS}, lambda: honest_devices("Q")),
+    "Q-mixed-coin-per-round": ({"protocol": "Q"}, lambda: adversarial_devices("mixed_perfect_even")),
+    "Q-mixed-coin-per-run": (
+        {"protocol": "Q"},
+        lambda: adversarial_devices("mixed_perfect_even", coin_per_round=False),
+    ),
+    "P-guesser-coin-per-round": ({"protocol": "P"}, lambda: adversarial_devices("input_guesser")),
+    "P-guesser-coin-per-run": (
+        {"protocol": "P"},
+        lambda: adversarial_devices("input_guesser", coin_per_round=False),
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# reference: the whole run drawn at once, binned by masks, certified per round
+# ---------------------------------------------------------------------------
+
+def reference_run(config, devices):
+    """Return (check, rand, false) RoundBatches, conditions and output bits."""
+    table = devices.response_table(config.protocol)
+    seq = np.random.SeedSequence(config.seed)
+    input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
+    n = config.rounds
+
+    if config.input_weights is not None:
+        space = protocols._draw_space(config.protocol, config.mode)
+        probs = np.zeros(len(space))
+        for (x0, x1, s), w in config.input_weights.items():
+            probs[space.index((2 * int(x0) + int(x1), int(s)))] += float(w)
+        probs /= probs.sum()
+        drawn = input_rng.choice(len(space), size=n, p=probs)
+        pairs = np.asarray(space, dtype=np.int64)
+        x, setting = pairs[drawn, 0], pairs[drawn, 1]
+    elif config.protocol == "P" and config.mode == "generate":
+        x = input_rng.integers(1, 3, size=n)
+        setting = np.full(n, 2, dtype=np.int64)
+    else:
+        x = input_rng.integers(0, 4, size=n)
+        setting = input_rng.integers(0, 3 if config.protocol == "P" else 2, size=n)
+
+    if devices.uses_coin and devices.coin_per_round:
+        coin = coin_rng.integers(0, 2, size=n)
+    elif devices.uses_coin:
+        coin = np.full(n, int(coin_rng.integers(0, 2)), dtype=np.int64)
+    else:
+        coin = np.zeros(n, dtype=np.int64)
+    b = (meas_rng.random(n) >= 1.0 - table[coin, x, setting]).astype(np.int8)
+
+    index = np.arange(n)
+    inputs = np.column_stack([x >> 1, x & 1, setting]).astype(np.int8)
+
+    def batch(mask):
+        return RoundBatch(index[mask], inputs[mask], b[mask])
+
+    if config.protocol == "P":
+        check = batch(setting < 2)
+        rand = batch((setting == 2) & ((x == 1) | (x == 2)))
+        false = batch((setting == 2) & ((x == 0) | (x == 3)))
+    else:
+        even = ((x >> 1) + (x & 1) + setting) % 2 == 0
+        check, rand, false = batch(even), batch(~even), None
+    bins = (check, rand, false)
+
+    if config.mode == "generate":
+        ok = len(rand) > 0
+        return bins, (protocols._structural_condition("rand_nonempty", ok),), rand.output
+    if config.protocol == "P":
+        return (bins,) + reference_certify_p(bins, config)
+    return (bins,) + reference_certify_q(bins, config)
+
+
+def reference_certify_p(bins, config):
+    check, rand, false = bins
+    if len(check) == 0:
+        raise InsufficientRounds("check bin is empty")
+    try:
+        a_hat = analysis.statistic_A(check, confidence=1.0 - config.delta)
+    except MissingCell as exc:
+        raise InsufficientRounds(str(exc)) from exc
+    radius = analysis.hoeffding_radius(config.delta, len(check))
+    conditions = [
+        ConditionCheck("A_statistic", a_hat.point, a_hat.ci_low, a_hat.ci_high, A_STAR,
+                       abs(a_hat.point - A_STAR) <= radius, {"radius": radius, "trials": len(check)})
+    ]
+    false_x = 2 * false.inputs[:, 0] + false.inputs[:, 1]
+    for name, x, want_bit in (("false_b0_given_x00", 0, 0), ("false_b1_given_x11", 3, 1)):
+        outputs = false.output[false_x == x]
+        if outputs.size == 0:
+            raise InsufficientRounds(f"false bin has no x={'00' if want_bit == 0 else '11'} rounds")
+        hits = int(np.count_nonzero(outputs == want_bit))
+        radius_f = analysis.hoeffding_radius(config.delta, outputs.size)
+        conditions.append(protocols._condition_from_counts(
+            name, hits, outputs.size, 1.0, hits / outputs.size >= 1.0 - radius_f, config.delta,
+            radius=radius_f, exceptions=outputs.size - hits,
+        ))
+    conditions.append(protocols._structural_condition("rand_nonempty", len(rand) > 0))
+    passed = all(c.satisfied for c in conditions)
+    return tuple(conditions), rand.output if passed else np.array([], dtype=np.uint8)
+
+
+def reference_certify_q(bins, config):
+    check, rand, _ = bins
+    if len(check) == 0:
+        raise InsufficientRounds("check bin is empty")
+    x0, x1, x2 = (check.inputs[:, k].astype(np.int64) for k in range(3))
+    wins = int(np.count_nonzero((x0 + x1 + x2) // 2 == check.output + (x0 & (x0 ^ x1))))
+    n_check = len(check)
+    radius_even = analysis.hoeffding_radius(config.delta, n_check)
+    conditions = [protocols._condition_from_counts(
+        "even_win", wins, n_check, 1.0, wins / n_check >= 1.0 - radius_even, config.delta,
+        radius=radius_even, exceptions=n_check - wins,
+    )]
+    test_len = math.ceil(config.gamma * len(rand))
+    if test_len > 0:
+        matches = int(np.count_nonzero(rand.output[:test_len] == rand.inputs[:test_len, 1]))
+        radius_odd = analysis.hoeffding_radius(config.delta, test_len)
+        conditions.append(protocols._condition_from_counts(
+            "odd_guess_half", matches, test_len, 0.5, abs(matches / test_len - 0.5) <= radius_odd,
+            config.delta, radius=radius_odd, gamma=config.gamma, test_portion=test_len,
+        ))
+    else:
+        conditions.append(ConditionCheck("odd_guess_half", 0.0, 0.0, 0.0, 0.5, False,
+                                         {"trials": 0, "gamma": config.gamma, "test_portion": 0}))
+    conditions.append(protocols._structural_condition("rand_nonempty", len(rand) > 0))
+    passed = all(c.satisfied for c in conditions)
+    return tuple(conditions), rand.output[test_len:] if passed else np.array([], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("rounds", ROUNDS)
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_chunked_run_matches_single_draw(name, rounds):
+    keywords, make_pair = CONFIGS[name]
+    config = ProtocolConfig(rounds=rounds, seed=20_000 + rounds, **keywords)
+    try:
+        want_bins, want_conditions, want_bits = reference_run(config, make_pair())
+    except InsufficientRounds as exc:
+        with pytest.raises(InsufficientRounds) as got:
+            run_protocol(config, make_pair())
+        assert str(got.value) == str(exc)
+        return
+
+    bins, verdict = run_protocol(config, make_pair())
+    for got, want in zip((bins.check, bins.rand, bins.false_bin), want_bins):
+        if want is None:
+            assert got is None
+            continue
+        for column in ("index", "inputs", "output"):
+            got_col, want_col = getattr(got, column), getattr(want, column)
+            assert got_col.dtype == want_col.dtype
+            assert np.array_equal(got_col, want_col)
+    assert bins.counts() == {
+        key: len(batch) for key, batch in zip(("check", "rand", "false"), want_bins) if batch is not None
+    }
+    assert verdict.conditions == want_conditions
+    assert np.array_equal(verdict.output_bits, want_bits.astype(np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# memory: a run keeps its Rand bits and one chunk of columns
+# ---------------------------------------------------------------------------
+
+# a chunk's columns and temporaries, at most ten 8-byte values per round
+CHUNK_BYTES = 80 * CHUNK
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("protocol,mode", [("P", "test"), ("Q", "test"), ("P", "generate")])
+def test_run_protocol_keeps_rand_bits_and_one_chunk(protocol, mode):
+    config = ProtocolConfig(protocol, 2_000_000, seed=5, mode=mode)
+    pair = honest_devices(protocol)
+    (bins, verdict), peak = traced_peak(lambda: run_protocol(config, pair))
+    assert verdict.decision == "PASS"
+    # per Rand round: its bit and Q's odd-test match, held in chunk pieces and
+    # then joined, so at most 3 bytes at once
+    n_rand = bins.counts()["rand"]
+    assert peak <= 3 * n_rand + CHUNK_BYTES, f"{peak / config.rounds:.1f} B/round"
