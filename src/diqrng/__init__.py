@@ -41,9 +41,11 @@ from .games import (
     exact_score,
     g2_deterministic_frontier,
     input_space,
+    outcome_tensor,
     paper_strategy,
     pt3_odd_extension_score,
     sample_round,
+    win_mask,
     winning_predicate,
 )
 from .protocols import (

@@ -117,11 +117,7 @@ def write_bits(path: str | Path, bits: np.ndarray) -> None:
 
 def read_bits(path: str | Path) -> np.ndarray:
     """Parse a bit dump; line breaks may be LF, CRLF or CR."""
-    raw = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
-    keep = raw != ord("\n")
-    keep &= raw != ord("\r")
-    bits = raw[keep]
-    bits -= ord("0")
+    bits = np.frombuffer(Path(path).read_bytes().translate(None, b"\r\n"), dtype=np.uint8) - ord("0")
     if np.any(bits > 1):
         raise ValueError("bit strings may contain only '0' and '1'")
     return bits
@@ -204,20 +200,40 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
+# the type of each option whose default is None; the others take their default's type
+_NULLABLE_TYPES = {"seed": int, "out": str, "bits_out": str, "bits_in": str}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _check_type(key: str, value, default) -> None:
+    if value is None and default is None:
+        return
+    want = _NULLABLE_TYPES[key] if default is None else type(default)
+    # JSON has one number type, so a float option also takes an integer; a bool is never a number
+    accepted = (int, float) if want is float else want
+    if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
+        raise DiqrngError(f"option {key} must be {_TYPE_NAMES[want]}, got {json.dumps(value)}")
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(_DEFAULTS[args.command])
-    merged.update({"seed": None, "out": None, "deterministic": False})
+    """defaults < config file < explicit flags, each value checked against its option."""
+    defaults = {**_DEFAULTS[args.command], "seed": None, "out": None, "deterministic": False}
+    merged = dict(defaults)
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise DiqrngError("config file must hold a JSON object")
         for key, value in loaded.items():
-            merged[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in defaults:
+                raise DiqrngError(f"unknown option {key} for {args.command} (known: {', '.join(defaults)})")
+            merged[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
+    for key, value in merged.items():
+        _check_type(key, value, defaults[key])
     for key, allowed in _CHOICES.items():
         if key in _DEFAULTS[args.command] and merged[key] not in allowed:
             raise DiqrngError(f"invalid {key} {merged[key]!r} (choose from {', '.join(allowed)})")

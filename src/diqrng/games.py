@@ -2,8 +2,11 @@
 
 Covers game definitions (winning predicates and valid input sets), the
 optimal quantum strategies, deterministic classical strategy spaces with
-exhaustive search, exact win-probability evaluation by branch enumeration,
-round sampling, and the empirical game-equivalence checks.
+exhaustive search, exact evaluation, round sampling, and the empirical
+game-equivalence checks.
+
+Every strategy compiles to one outcome tensor P[inputs..., outputs...] (see
+``outcome_tensor``); scoring, sampling and the classical search all read it.
 
 Game roster:
   * CHSH          two-party, win iff x & y == a ^ b, standard strategy;
@@ -24,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -127,7 +129,7 @@ def _check_io(game: GameId, io: RoundIO) -> None:
             raise ArityMismatch(
                 f"{game.value} expects {_OUTPUT_ARITY[game]} outputs, got {len(io.outputs)}"
             )
-    for v in io.inputs + io.outputs:  # a plain loop: this runs once per scored branch
+    for v in io.inputs + io.outputs:
         if v not in (0, 1):
             raise ArityMismatch("inputs and outputs must be bits")
 
@@ -183,6 +185,10 @@ class MeasureSpec:
     basis: QubitBasis
     gates: tuple[Gate1Q, ...] = ()
     outputs: tuple[int, int] = (0, 1)
+
+    def __post_init__(self) -> None:
+        if sorted(self.outputs) != [0, 1]:
+            raise ArityMismatch(f"outputs must relabel the two outcomes as 0 and 1, got {self.outputs}")
 
 
 @dataclass(frozen=True)
@@ -333,141 +339,168 @@ class ClassicalStrategy:
         )
 
 
-def _classical_outputs(strategy: ClassicalStrategy, inputs: tuple[int, ...]) -> tuple[int, ...]:
-    t = strategy.tables
-    game = strategy.game
-    if game in (GameId.CHSH, GameId.CHSH1):
-        x, y = inputs
-        return (t[0][x], t[1][y])
-    if game is GameId.GAME_G:
-        x0, x1, y = inputs
-        return (t[0][2 * x0 + x1], t[1][y])
-    if game is GameId.TAVAKOLI:
-        x0, x1, y = inputs
-        m = t[0][2 * x0 + x1]
-        return (t[1][2 * m + y],)
-    if game is GameId.GAME_G2:
-        x0, x1, x2 = inputs
-        m = t[0][2 * x0 + x1]
-        return (t[1][2 * m + x2],)
-    if game is GameId.PSEUDO_TELEPATHY3:
-        return tuple(t[i][inputs[i]] for i in range(3))
-    raise ArityMismatch(f"unknown game {game}")
+# ---------------------------------------------------------------------------
+# outcome tensors
+# ---------------------------------------------------------------------------
+
+Strategy = QuantumStrategy | ClassicalStrategy
+
+_BITS = (0, 1)
+_PAIRS = tuple(itertools.product(_BITS, repeat=2))
+_PREPARE_AND_MEASURE = (GameId.TAVAKOLI, GameId.GAME_G2)
+
+# How each game's operands contract to amplitudes.  Prepare-and-measure:
+# measurement rows [setting, b, i] against the preparations [x, i].
+# Entangled: one row stack [input, bit, i] per party against the shared
+# state.  A two-bit input x is 2*x0 + x1; the ellipsis carries a batch.
+_CONTRACTIONS = {
+    GameId.CHSH: "...xai,...ybj,...ij->...xyab",
+    GameId.CHSH1: "...xai,...ybj,...ij->...xyab",
+    GameId.GAME_G: "...xai,...ybj,...ij->...xyab",
+    GameId.TAVAKOLI: "...sbi,...xi->...xsb",
+    GameId.PSEUDO_TELEPATHY3: "...xai,...ybj,...zck,...ijk->...xyzabc",
+    GameId.GAME_G2: "...sbi,...xi->...xsb",
+}
+
+
+def _rows(spec: MeasureSpec) -> np.ndarray:
+    """Row b is the bra whose overlap with the qubit is the amplitude of reported bit b.
+
+    Outcome i's bra is <v_i| G_k ... G_1, with G_1 applied first; reported
+    bit outputs[i] takes row i (a swap of two rows is its own inverse).
+    """
+    rows = spec.basis._vconj
+    for gate in reversed(spec.gates):
+        rows = rows @ gate.matrix
+    return rows[list(spec.outputs)]
+
+
+def _quantum_operands(strategy: QuantumStrategy) -> list[np.ndarray]:
+    if (strategy.preparation is not None) != (strategy.game in _PREPARE_AND_MEASURE):
+        raise ArityMismatch(f"{strategy.game.value} strategy has the wrong shape for its game")
+    if strategy.preparation is not None:
+        rows = np.stack([_rows(strategy.measurement[s]) for s in _BITS])
+        return [rows, np.stack([strategy.preparation[x].amplitudes for x in _PAIRS])]
+    keys = (_PAIRS if strategy.game is GameId.GAME_G else _BITS, _BITS, _BITS)
+    rows = [np.stack([_rows(rule[k]) for k in ks]) for rule, ks in zip(strategy.party_rules, keys)]
+    return rows + [strategy.shared_state.amplitudes.reshape((2,) * len(rows))]
+
+
+def _table_operands(game: GameId, tables: list[np.ndarray]) -> list[np.ndarray]:
+    """The same operands for deterministic strategies: one-hot rows of their tables.
+
+    Each table is an integer array (..., size) with any leading batch axes.
+    In a prepare-and-measure game the one-bit message m stands where the
+    qubit's amplitude index stands; in an entangled game the parties share a
+    single hidden value, a one-dimensional state.
+    """
+    onehot = [np.eye(2)[t] for t in tables]                    # [..., input, bit]
+    if game in _PREPARE_AND_MEASURE:
+        meas = onehot[1].reshape(onehot[1].shape[:-2] + (2, 2, 2))   # [..., m, setting, b]
+        return [np.moveaxis(meas, -3, -1), onehot[0]]
+    return [t[..., None] for t in onehot] + [np.ones((1,) * len(onehot))]
+
+
+def _contract(game: GameId, operands: list[np.ndarray]) -> np.ndarray:
+    """Born weights of the contracted amplitudes, each input row divided by its sum.
+
+    Weights below ``qcore._PROB_SNAP`` are the residue of exact cancellations
+    and are cleared first, so deterministic outcomes stay exactly deterministic.
+    """
+    amplitudes = np.einsum(_CONTRACTIONS[game], *operands)
+    n_out = _OUTPUT_ARITY[game]
+    amplitudes = amplitudes.reshape(operands[0].shape[:-3] + (2,) * (_INPUT_ARITY[game] + n_out))
+    probs = amplitudes.real ** 2 + amplitudes.imag ** 2
+    probs[probs < qcore._PROB_SNAP] = 0.0
+    return probs / probs.sum(axis=tuple(range(-n_out, 0)), keepdims=True)
+
+
+def outcome_tensor(strategy: Strategy) -> np.ndarray:
+    """P[inputs..., outputs...]: the strategy's output distribution on every input.
+
+    One length-2 axis per input bit, then one per output bit.  pt3's tensor
+    also covers the odd-weight inputs that the game itself never deals.  A
+    mixture's tensor is the weighted sum of its components' tensors.
+    """
+    if isinstance(strategy, QuantumStrategy):
+        return _contract(strategy.game, _quantum_operands(strategy))
+    if strategy.mixture:
+        return sum(weight * outcome_tensor(component) for weight, component in strategy.mixture)
+    return _contract(strategy.game, _table_operands(strategy.game, [np.array(t) for t in strategy.tables]))
+
+
+@functools.lru_cache(maxsize=None)
+def win_mask(game: GameId) -> np.ndarray:
+    """The winning predicate as a read-only bool array [inputs..., outputs...].
+
+    Inputs outside the game's input space (pt3's odd weights) never win.
+    """
+    mask = np.zeros((2,) * (_INPUT_ARITY[game] + _OUTPUT_ARITY[game]), dtype=bool)
+    for x in input_space(game):
+        for outputs in itertools.product(_BITS, repeat=_OUTPUT_ARITY[game]):
+            mask[x + outputs] = winning_predicate(game, RoundIO(x, outputs))
+    mask.setflags(write=False)
+    return mask
+
+
+def _win_rates(game: GameId, probs: np.ndarray) -> np.ndarray:
+    """Pr[win | inputs] from an outcome tensor (or a batch of them)."""
+    return (probs * win_mask(game)).sum(axis=tuple(range(-_OUTPUT_ARITY[game], 0)))
+
+
+def _g2_even() -> np.ndarray:
+    """Bool array over G2's inputs: whether the input has even weight."""
+    return np.indices((2, 2, 2)).sum(axis=0) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
 # exact evaluation
 # ---------------------------------------------------------------------------
 
-def _measure_branches(state: PureState, spec: MeasureSpec, target: int) -> list[tuple[int, float, PureState | None]]:
-    """Enumerate (reported bit, probability, collapsed state) for one measurement.
-
-    Zero-probability branches are dropped so that deterministic outcomes stay
-    exactly deterministic downstream.
-    """
-    for gate in spec.gates:
-        state = qcore.apply_gate(state, gate, target)
-    branches = []
-    for outcome, (prob, collapsed) in enumerate(qcore.measurement_branches(state, spec.basis, target)):
-        if prob > 0.0:
-            branches.append((spec.outputs[outcome], prob, collapsed))
-    return branches
+def branch_distribution(strategy: Strategy, inputs: tuple[int, ...]) -> dict[tuple[int, ...], float]:
+    """Exact output distribution of a strategy on fixed inputs, positive entries only."""
+    inputs = tuple(inputs)
+    if len(inputs) != _INPUT_ARITY[strategy.game] or any(v not in _BITS for v in inputs):
+        raise ArityMismatch(f"{inputs} are not {_INPUT_ARITY[strategy.game]} input bits")
+    row = outcome_tensor(strategy)[inputs]
+    return {tuple(o): float(row[tuple(o)]) for o in np.argwhere(row > 0).tolist()}
 
 
-def branch_distribution(strategy: QuantumStrategy | ClassicalStrategy, inputs: tuple[int, ...]) -> dict[tuple[int, ...], float]:
-    """Exact output distribution of a strategy on fixed inputs."""
-    if isinstance(strategy, ClassicalStrategy):
-        if strategy.tables:
-            return {_classical_outputs(strategy, inputs): 1.0}
-        dist: dict[tuple[int, ...], float] = {}
-        for weight, component in strategy.mixture:
-            for outputs, p in branch_distribution(component, inputs).items():
-                dist[outputs] = dist.get(outputs, 0.0) + weight * p
-        return dist
-
-    game = strategy.game
-    if strategy.preparation is not None:
-        x0, x1, setting = inputs
-        state = strategy.preparation[(x0, x1)]
-        spec = strategy.measurement[setting]
-        return {(bit,): prob for bit, prob, _ in _measure_branches(state, spec, 0)}
-
-    if game in (GameId.CHSH, GameId.CHSH1, GameId.GAME_G):
-        alice_key = inputs[0] if game is not GameId.GAME_G else (inputs[0], inputs[1])
-        bob_key = inputs[-1]
-        alice_spec = strategy.party_rules[0][alice_key]
-        bob_spec = strategy.party_rules[1][bob_key]
-        dist = {}
-        for a_bit, pa, collapsed in _measure_branches(strategy.shared_state, alice_spec, 0):
-            for b_bit, pb, _ in _measure_branches(collapsed, bob_spec, 0):
-                key = (a_bit, b_bit)
-                dist[key] = dist.get(key, 0.0) + pa * pb
-        return dist
-
-    if game is GameId.PSEUDO_TELEPATHY3:
-        dist = {}
-        # measuring always collapses away qubit 0, so the remaining players'
-        # qubits renumber to the front as the cascade proceeds
-        def walk(state: PureState | None, player: int, prob: float, outs: tuple[int, ...]) -> None:
-            if player == 3:
-                dist[outs] = dist.get(outs, 0.0) + prob
-                return
-            spec = strategy.party_rules[player][inputs[player]]
-            for bit, p, collapsed in _measure_branches(state, spec, 0):
-                walk(collapsed, player + 1, prob * p, outs + (bit,))
-
-        walk(strategy.shared_state, 0, 1.0, ())
-        return dist
-
-    raise ArityMismatch(f"unknown game {game}")
-
-
-def _normalize_distribution(game: GameId, input_distribution) -> dict[tuple[int, ...], float]:
+def _input_weights(game: GameId, input_distribution) -> np.ndarray:
+    """The input distribution as an array over the input bits; uniform by default."""
     space = input_space(game)
-    if input_distribution is None:
-        return {x: 1.0 / len(space) for x in space}
-    dist = {tuple(k): float(v) for k, v in dict(input_distribution).items()}
-    if any(k not in space for k in dist):
-        raise BadDistribution("distribution supported outside the game's valid inputs")
-    if any(v < 0 for v in dist.values()):
+    dist = dict(input_distribution) if input_distribution is not None else dict.fromkeys(space, 1.0 / len(space))
+    weights = np.zeros((2,) * _INPUT_ARITY[game])
+    for x, w in dist.items():
+        if tuple(x) not in space:
+            raise BadDistribution("distribution supported outside the game's valid inputs")
+        weights[tuple(x)] = w
+    if np.any(weights < 0):
         raise BadDistribution("weights must be nonnegative")
-    total = sum(dist.values())
+    total = float(weights.sum())
     if abs(total - 1.0) > 1e-12:
         raise BadDistribution(f"weights sum to {total}, not 1")
-    return dist
-
-
-Strategy = QuantumStrategy | ClassicalStrategy
+    return weights
 
 
 def exact_score(game: GameId, strategy: Strategy, input_distribution=None) -> GameScore | G2Score:
-    """Exact expected score by enumerating inputs and measurement branches.
+    """Exact expected score: the input-weighted win mass of the outcome tensor.
 
     For GAME_G2 returns the (even_win, odd_guess, augmented) triple, the
     even/odd scores being conditional on the input parity class.
     """
     if strategy.game is not game:
         raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
-    weights = _normalize_distribution(game, input_distribution)
-
-    def win_mass(selected: dict[tuple[int, ...], float]) -> float:
-        total = 0.0
-        for inputs, w in selected.items():
-            if w == 0.0:
-                continue
-            for outputs, p in branch_distribution(strategy, inputs).items():
-                if winning_predicate(game, RoundIO(inputs, outputs)):
-                    total += w * p
-        return total
+    weights = _input_weights(game, input_distribution)
+    win_mass = weights * _win_rates(game, outcome_tensor(strategy))
 
     if game is GameId.GAME_G2:
-        even = {x: w for x, w in weights.items() if sum(x) % 2 == 0}
-        odd = {x: w for x, w in weights.items() if sum(x) % 2 == 1}
-        even_mass, odd_mass = sum(even.values()), sum(odd.values())
+        even = _g2_even()
+        even_mass, odd_mass = weights[even].sum(), weights[~even].sum()
         if even_mass == 0.0 or odd_mass == 0.0:
             raise BadDistribution("G2 needs mass on both parity classes")
-        even_win = win_mass(even) / even_mass
-        odd_guess = win_mass(odd) / odd_mass
+        even_win = float(win_mass[even].sum() / even_mass)
+        odd_guess = float(win_mass[~even].sum() / odd_mass)
         return G2Score(
             even_win=GameScore(even_win, ScoreKind.EVEN_WIN),
             odd_guess=GameScore(odd_guess, ScoreKind.ODD_GUESS),
@@ -475,7 +508,7 @@ def exact_score(game: GameId, strategy: Strategy, input_distribution=None) -> Ga
         )
 
     kind = ScoreKind.STATISTIC_A if game is GameId.TAVAKOLI else ScoreKind.WIN_PROBABILITY
-    return GameScore(win_mass(weights), kind)
+    return GameScore(float(win_mass.sum()), kind)
 
 
 def pt3_odd_extension_score(strategy: Strategy) -> float:
@@ -486,13 +519,9 @@ def pt3_odd_extension_score(strategy: Strategy) -> float:
     """
     if strategy.game is not GameId.PSEUDO_TELEPATHY3:
         raise ArityMismatch("odd-weight extension is defined for the GHZ game")
-    odd_inputs = [x for x in itertools.product((0, 1), repeat=3) if sum(x) % 2 == 1]
-    total = 0.0
-    for inputs in odd_inputs:
-        for outputs, p in branch_distribution(strategy, inputs).items():
-            if outputs[2] == inputs[1]:
-                total += p / len(odd_inputs)
-    return total
+    probs = outcome_tensor(strategy)
+    odd_inputs = [x for x in itertools.product(_BITS, repeat=3) if sum(x) % 2 == 1]
+    return sum(float(probs[x][..., x[1]].sum()) for x in odd_inputs) / len(odd_inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +529,13 @@ def pt3_odd_extension_score(strategy: Strategy) -> float:
 # ---------------------------------------------------------------------------
 
 class RoundSampler:
-    """Draws rounds from a strategy's exact branch distributions.
+    """Draws rounds from the rows of a strategy's outcome tensor.
 
-    Per-input output distributions are enumerated once at construction
-    (mixtures fold into their averaged distribution, which is identical for
-    i.i.d. rounds); each sampled round then consumes exactly one uniform
-    draw from the caller's rng stream.
+    Each input's positive outputs, in lexicographic order, and their CDF are
+    taken once at construction (a mixture's tensor is the averaged
+    distribution, identical for i.i.d. rounds); each sampled round then
+    consumes exactly one uniform draw from the caller's rng stream.  A draw
+    past the CDF's rounded end maps to the last positive output.
     """
 
     def __init__(self, game: GameId, strategy: Strategy):
@@ -515,12 +545,13 @@ class RoundSampler:
         self.strategy = strategy
         self._outputs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         self._cdf: dict[tuple[int, ...], np.ndarray] = {}
+        probs = outcome_tensor(strategy)
+        outputs = list(itertools.product(_BITS, repeat=_OUTPUT_ARITY[game]))
         for inputs in input_space(game):
-            dist = branch_distribution(strategy, inputs)
-            outputs = sorted(dist)
-            probs = np.array([dist[o] for o in outputs])
-            self._outputs[inputs] = outputs
-            self._cdf[inputs] = np.cumsum(probs)
+            row = probs[inputs].ravel()
+            support = np.flatnonzero(row)
+            self._outputs[inputs] = [outputs[k] for k in support]
+            self._cdf[inputs] = np.cumsum(row[support])
 
     def sample(self, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:
         inputs = tuple(inputs)
@@ -550,7 +581,7 @@ class RoundSampler:
 
 
 def sample_round(game: GameId, strategy: Strategy, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:
-    """One round of the game; outputs drawn from the strategy's branch probabilities."""
+    """One round of the game; outputs drawn from the strategy's outcome tensor."""
     return RoundSampler(game, strategy).sample(inputs, rng)
 
 
@@ -566,66 +597,41 @@ def enumerate_deterministic(game: GameId) -> Iterator[ClassicalStrategy]:
         yield ClassicalStrategy(game, tables=tuple(tables))
 
 
-@functools.lru_cache(maxsize=None)
-def _winning_outputs(game: GameId) -> dict[tuple[int, ...], frozenset[tuple[int, ...]]]:
-    """Per input, the set of output tuples that win the game."""
-    table = {}
-    for x in input_space(game):
-        table[x] = frozenset(
-            outputs
-            for outputs in itertools.product((0, 1), repeat=_OUTPUT_ARITY[game])
-            if winning_predicate(game, RoundIO(x, outputs))
-        )
-    return table
+def _deterministic_wins(game: GameId) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every deterministic strategy's tables and its wins on every input.
 
-
-def _rational_score(game: GameId, strategy: ClassicalStrategy) -> Fraction:
-    """Deterministic strategy score as an exact count over the input space.
-
-    For GAME_G2 this is the augmented score: both parity classes hold four
-    inputs, so the mean of the two conditional scores reduces to wins over
-    all eight.
+    Strategy k's tables are the bits of k, most significant first, which is
+    ``enumerate_deterministic`` order.  Returns the tables as (k, size) arrays
+    and the wins as a 0/1 array [k, inputs...].
     """
-    wins = 0
-    table = _winning_outputs(game)
-    for x, winners in table.items():
-        wins += _classical_outputs(strategy, x) in winners
-    return Fraction(wins, len(table))
+    _, sizes = _TABLE_SHAPES[game]
+    width = sum(sizes)
+    bits = (np.arange(2 ** width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    tables = np.split(bits, np.cumsum(sizes)[:-1], axis=1)
+    return tables, _win_rates(game, _contract(game, _table_operands(game, tables)))
 
 
 def best_classical(game: GameId) -> tuple[float, ClassicalStrategy]:
     """Exhaustive deterministic maximum and its (lexicographically first) argmax.
 
     By convexity the deterministic maximum bounds every shared-randomness
-    mixture of the same score kind.  Counts are exact rationals; the returned
-    float is exact for every value these games produce.
+    mixture of the same score kind.  Scores are exact win counts over the
+    input space (for GAME_G2 the augmented score: both parity classes hold
+    four inputs, so it is wins over all eight).
     """
-    best: Fraction | None = None
-    argmax: ClassicalStrategy | None = None
-    for strategy in enumerate_deterministic(game):
-        score = _rational_score(game, strategy)
-        if best is None or score > best:
-            best, argmax = score, strategy
-    assert best is not None and argmax is not None
-    return float(best), argmax
+    tables, wins = _deterministic_wins(game)
+    counts = wins.reshape(len(wins), -1).sum(axis=1)
+    best = int(np.argmax(counts))          # the first maximum
+    argmax = ClassicalStrategy(game, tables=tuple(tuple(t[best].tolist()) for t in tables))
+    return float(counts[best]) / len(input_space(game)), argmax
 
 
 def g2_deterministic_frontier() -> tuple[tuple[float, float, ClassicalStrategy], ...]:
     """(even_win, odd_guess) of every deterministic G2 strategy."""
-    out = []
-    for strategy in enumerate_deterministic(GameId.GAME_G2):
-        even = Fraction(0)
-        odd = Fraction(0)
-        for x in input_space(GameId.GAME_G2):
-            win = winning_predicate(
-                GameId.GAME_G2, RoundIO(x, _classical_outputs(strategy, x))
-            )
-            if sum(x) % 2 == 0:
-                even += Fraction(int(win), 4)
-            else:
-                odd += Fraction(int(win), 4)
-        out.append((float(even), float(odd), strategy))
-    return tuple(out)
+    _, wins = _deterministic_wins(GameId.GAME_G2)
+    even = _g2_even()
+    scores = zip(wins[:, even].sum(axis=1) / 4, wins[:, ~even].sum(axis=1) / 4)
+    return tuple((float(e), float(o), s) for (e, o), s in zip(scores, enumerate_deterministic(GameId.GAME_G2)))
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +678,7 @@ def _score_assert(name: str, got: float, want: float) -> EquivalenceAssertion:
 def _check_g_vs_tavakoli() -> tuple[EquivalenceAssertion, ...]:
     g = paper_strategy(GameId.GAME_G)
     tav = paper_strategy(GameId.TAVAKOLI)
+    tav_probs = outcome_tensor(tav)
     assertions = []
     conditional_cells = []
     for x0, x1 in itertools.product((0, 1), repeat=2):
@@ -686,8 +693,7 @@ def _check_g_vs_tavakoli() -> tuple[EquivalenceAssertion, ...]:
             probs = qcore.outcome_distribution(bob_state, spec.basis, 0)
             target_bit = (x0, x1)[y]
             p_match = probs[spec.outputs.index(target_bit)]
-            tav_dist = branch_distribution(tav, (x0, x1, y))
-            p_tav = tav_dist.get((target_bit,), 0.0)
+            p_tav = float(tav_probs[x0, x1, y, target_bit])
             assertions.append(_score_assert(f"cell_x{x0}{x1}_y{y}", p_match, p_tav))
             conditional_cells.append(p_match)
     mean_conditional = sum(conditional_cells) / len(conditional_cells)
@@ -699,22 +705,13 @@ def _check_g_vs_tavakoli() -> tuple[EquivalenceAssertion, ...]:
 def _check_g_vs_chsh1() -> tuple[EquivalenceAssertion, ...]:
     g = paper_strategy(GameId.GAME_G)
     chsh1 = paper_strategy(GameId.CHSH1)
+    win_g = _win_rates(GameId.GAME_G, outcome_tensor(g))
+    win_chsh1 = _win_rates(GameId.CHSH1, outcome_tensor(chsh1))
     assertions = []
     for x, y in itertools.product((0, 1), repeat=2):
-        p_chsh1 = sum(
-            p
-            for outputs, p in branch_distribution(chsh1, (x, y)).items()
-            if winning_predicate(GameId.CHSH1, RoundIO((x, y), outputs))
-        )
+        p_chsh1 = float(win_chsh1[x, y])
         # x0 uniform, x1 = x0 ^ x
-        p_g = 0.0
-        for x0 in (0, 1):
-            inputs = (x0, x0 ^ x, y)
-            p_g += 0.5 * sum(
-                p
-                for outputs, p in branch_distribution(g, inputs).items()
-                if winning_predicate(GameId.GAME_G, RoundIO(inputs, outputs))
-            )
+        p_g = sum(0.5 * float(win_g[x0, x0 ^ x, y]) for x0 in (0, 1))
         assertions.append(_score_assert(f"setting_x{x}_y{y}", p_g, p_chsh1))
     total_g = exact_score(GameId.GAME_G, g).value
     total_chsh1 = exact_score(GameId.CHSH1, chsh1).value

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -34,24 +33,12 @@ import numpy as np
 
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
-from .games import ClassicalStrategy, GameId, RoundIO, winning_predicate
-from .qcore import Gate1Q, PureState, QubitBasis
+from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, paper_strategy, win_mask
+from .qcore import PureState
 
-A_STAR = 0.5 * (1.0 + 1.0 / math.sqrt(2.0))
+A_STAR = QUANTUM_WIN
 
 _SETTINGS = {"P": 3, "Q": 2}
-_PREP_STATES_P = {
-    (0, 0): qcore.KET_PLUS,
-    (0, 1): qcore.KET_ZERO,
-    (1, 0): qcore.KET_ONE,
-    (1, 1): qcore.KET_MINUS,
-}
-_PREP_STATES_Q = {
-    (0, 0): qcore.KET_PLUS,
-    (0, 1): qcore.KET_PLUS_I,
-    (1, 0): qcore.KET_MINUS_I,
-    (1, 1): qcore.KET_MINUS,
-}
 
 
 @dataclass(frozen=True)
@@ -120,38 +107,37 @@ class DevicePair:
         return np.clip(table, 0.0, 1.0)
 
 
-def _quantum_meas_probability(state: PureState, gates: tuple[Gate1Q, ...], basis: QubitBasis) -> float:
-    for gate in gates:
+def _quantum_meas_probability(state: PureState, spec: MeasureSpec) -> float:
+    for gate in spec.gates:
         state = qcore.apply_gate(state, gate, 0)
-    return qcore.outcome_distribution(state, basis, 0)[1]
+    return qcore.outcome_distribution(state, spec.basis, 0)[spec.outputs.index(1)]
 
 
 def honest_devices(protocol: str) -> DevicePair:
-    """The paper-faithful quantum devices for protocol P or Q."""
+    """The paper-faithful quantum devices for protocol P or Q.
+
+    They play the paper strategy of the protocol's game: the Tavakoli
+    self-test for P, GAME_G2 for Q.  P's extra setting 2 measures in the
+    Hadamard basis, so b = 0 on |+> and b = 1 on |->.
+    """
+    if protocol not in _SETTINGS:
+        raise DeviceArityMismatch(f"unknown protocol {protocol!r}")
+    strategy = paper_strategy(GameId.TAVAKOLI if protocol == "P" else GameId.GAME_G2)
+    specs = dict(strategy.measurement)
     if protocol == "P":
-        bases = {0: qcore.PSI, 1: qcore.PHI, 2: qcore.HADAMARD}
+        specs[2] = MeasureSpec(qcore.HADAMARD)
 
-        def respond(setting: int, carrier, coin: int) -> float:
-            # b = 0 on |psi>, |phi>, |+>; b = 1 on their complements
-            return _quantum_meas_probability(carrier, (), bases[setting])
+    def emit(x0: int, x1: int, coin: int) -> PureState:
+        return strategy.preparation[(x0, x1)]
 
-        return DevicePair(
-            prep=PrepDevice("honest-P-prep", lambda x0, x1, coin: _PREP_STATES_P[(x0, x1)]),
-            meas=MeasDevice("honest-P-meas", respond),
-            protocol="P",
-        )
-    if protocol == "Q":
-        gates = {0: (qcore.H,), 1: (qcore.S, qcore.H)}
+    def respond(setting: int, carrier, coin: int) -> float:
+        return _quantum_meas_probability(carrier, specs[setting])
 
-        def respond(setting: int, carrier, coin: int) -> float:
-            return _quantum_meas_probability(carrier, gates[setting], qcore.COMPUTATIONAL)
-
-        return DevicePair(
-            prep=PrepDevice("honest-Q-prep", lambda x0, x1, coin: _PREP_STATES_Q[(x0, x1)]),
-            meas=MeasDevice("honest-Q-meas", respond),
-            protocol="Q",
-        )
-    raise DeviceArityMismatch(f"unknown protocol {protocol!r}")
+    return DevicePair(
+        prep=PrepDevice(f"honest-{protocol}-prep", emit),
+        meas=MeasDevice(f"honest-{protocol}-meas", respond),
+        protocol=protocol,
+    )
 
 
 ADVERSARY_KINDS = (
@@ -321,17 +307,9 @@ _BIN_OF = {
 }
 
 
-def _win_table(game: GameId, n_settings: int) -> np.ndarray:
-    """The game's winning predicate as win[x, setting, b], x = 2*x0 + x1."""
-    win = np.zeros((4, n_settings, 2), dtype=bool)
-    for x, s, b in itertools.product(range(4), range(n_settings), range(2)):
-        win[x, s, b] = winning_predicate(game, RoundIO((x >> 1, x & 1, s), (b,)))
-    return win
-
-
-_P_CELL_WIN = _win_table(GameId.TAVAKOLI, 2)
-_Q_WIN = _win_table(GameId.GAME_G2, 2)       # on odd-weight rounds: b == x1
-_Q_EVEN_WIN = _Q_WIN & (_BIN_OF["Q"] == _CHECK)[:, :, None]
+def _win(game: GameId) -> np.ndarray:
+    """The game's win mask as win[x, setting, b], x = 2*x0 + x1."""
+    return win_mask(game).reshape(4, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -350,7 +328,7 @@ class _Tally:
     def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell (trials, successes) of protocol P's self-test, cell = 4*x0 + 2*x1 + y."""
         check = self.counts[:, :2, :]
-        return check.sum(axis=2).reshape(8), (check * _P_CELL_WIN).sum(axis=2).reshape(8)
+        return check.sum(axis=2).reshape(8), (check * _win(GameId.TAVAKOLI)).sum(axis=2).reshape(8)
 
 
 class BinStore:
@@ -577,6 +555,7 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     n_settings = table.shape[2]
     is_rand = np.repeat((_BIN_OF[config.protocol] == _RAND).ravel(), 2)   # by 2*cell + b
     odd_test = config.protocol == "Q" and config.mode == "test"
+    odd_match = _win(GameId.GAME_G2).ravel()       # by 2*cell + b; on odd-weight rounds, b == x1
 
     counts = np.zeros(4 * n_settings * 2, dtype=np.int64)
     rand_bits, odd_matches = [], []
@@ -586,7 +565,7 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
         rand = is_rand[code]
         rand_bits.append(b[rand])
         if odd_test:
-            odd_matches.append(_Q_WIN.ravel()[code[rand]])
+            odd_matches.append(odd_match[code[rand]])
     bits = np.concatenate(rand_bits)
     del rand_bits          # the chunk pieces; certification needs only the joined bits
 
@@ -673,7 +652,8 @@ def _certify_q(
     n_check = tally.bin_counts()["check"]
     if n_check == 0:
         raise InsufficientRounds("check bin is empty")
-    win_count = int(tally.counts[_Q_EVEN_WIN].sum())
+    even_win = _win(GameId.GAME_G2) & (_BIN_OF["Q"] == _CHECK)[:, :, None]
+    win_count = int(tally.counts[even_win].sum())
     radius_even = analysis.hoeffding_radius(config.delta, n_check)
     conditions = [
         _condition_from_counts(

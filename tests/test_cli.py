@@ -86,6 +86,20 @@ class TestBitDumps:
         # the file's bytes, 65 per 64 bits, and nothing per bit besides
         assert peak <= 1.05 * bits.size + 2**16, f"{peak / bits.size:.2f} B/bit"
 
+    def test_read_memory_is_two_bytes_per_bit(self, tmp_path):
+        bits = np.random.default_rng(4).integers(0, 2, 2_000_000).astype(np.uint8)
+        path = tmp_path / "dump.bits"
+        write_bits(path, bits)
+        tracemalloc.start()
+        try:
+            parsed = read_bits(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(parsed, bits)
+        # the file's bytes and then the stripped copy, or the stripped copy and the bits
+        assert peak <= 2.1 * bits.size + 2**16, f"{peak / bits.size:.2f} B/bit"
+
 
 class TestExitCodes:
     def test_pass_is_zero(self, capsys, tmp_path):
@@ -164,6 +178,38 @@ class TestExitCodes:
         code = main(["play-game", "--config", str(config), "--seed", "1"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid game 'nope'")
+
+    @pytest.mark.parametrize(
+        "command,config,message",
+        [
+            ("play-game", {"rounds": [1]}, "option rounds must be an integer"),
+            ("play-game", {"seed": [3]}, "option seed must be an integer"),
+            ("play-game", {"rounds": "5"}, "option rounds must be an integer"),
+            ("play-game", {"rounds": 2.5}, "option rounds must be an integer"),
+            ("play-game", {"rounds": True}, "option rounds must be an integer"),
+            ("play-game", {"game": 3}, "option game must be a string"),
+            ("play-game", {"roundz": 5}, "unknown option roundz for play-game"),
+            ("play-game", {"trials": 5}, "unknown option trials for play-game"),
+            ("run-protocol", {"delta": "small"}, "option delta must be a number"),
+            ("run-protocol", {"gamma": None}, "option gamma must be a number"),
+            ("run-protocol", {"coin-per-run": 1}, "option coin_per_run must be true or false"),
+            ("run-protocol", {"bits_out": 7}, "option bits_out must be a string"),
+            ("analyze", {"deterministic": "yes"}, "option deterministic must be true or false"),
+        ],
+    )
+    def test_config_with_bad_key_or_type_is_one(self, capsys, tmp_path, command, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_config_number_options_take_integers(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"gamma": 1, "rounds": 2000, "seed": None}))
+        code, report = run_json(capsys, ["run-protocol", "--config", str(path), "--seed", "1", "--protocol", "Q"])
+        assert code in (0, 2)
+        assert report["manifest"]["config"]["gamma"] == 1
 
 
 class TestDeterminism:

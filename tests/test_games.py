@@ -24,6 +24,7 @@ from diqrng.games import (
     exact_score,
     g2_deterministic_frontier,
     input_space,
+    outcome_tensor,
     paper_strategy,
     pt3_odd_extension_score,
     sample_round,
@@ -33,6 +34,55 @@ from diqrng.games import (
 QWIN = 0.5 * (1 + 1 / math.sqrt(2))
 CELL = 0.25 * (1 + 1 / math.sqrt(2))   # the nonzero per-outcome entries of the tables
 CELL_LO = 0.25 * (1 - 1 / math.sqrt(2))
+# (input bits, output bits) of each game
+ARITY = {
+    GameId.CHSH: (2, 2),
+    GameId.CHSH1: (2, 2),
+    GameId.GAME_G: (3, 2),
+    GameId.TAVAKOLI: (3, 1),
+    GameId.PSEUDO_TELEPATHY3: (3, 3),
+    GameId.GAME_G2: (3, 1),
+}
+
+
+def table_outputs(strategy, x):
+    """Outputs of a deterministic strategy on input x, read off its tables directly."""
+    t, game = strategy.tables, strategy.game
+    if game in (GameId.CHSH, GameId.CHSH1):
+        return (t[0][x[0]], t[1][x[1]])
+    if game is GameId.GAME_G:
+        return (t[0][2 * x[0] + x[1]], t[1][x[2]])
+    if game is GameId.PSEUDO_TELEPATHY3:
+        return tuple(t[i][x[i]] for i in range(3))
+    return (t[1][2 * t[0][2 * x[0] + x[1]] + x[2]],)     # the one-bit message, then the measurement
+
+
+def predicate_wins(strategy):
+    """Per input of the game's input space, whether the strategy wins, by winning_predicate."""
+    game = strategy.game
+    return {x: winning_predicate(game, RoundIO(x, table_outputs(strategy, x))) for x in input_space(game)}
+
+
+def cascade_distribution(strategy, inputs):
+    """Output distribution by measuring the parties one after another with qcore."""
+    if strategy.preparation is not None:
+        spec = strategy.measurement[inputs[2]]
+        state, parties = strategy.preparation[inputs[:2]], [spec]
+    else:
+        keys = (inputs[:2], inputs[2]) if strategy.game is GameId.GAME_G else inputs
+        state = strategy.shared_state
+        parties = [rule[k] for rule, k in zip(strategy.party_rules, keys)]
+    dist = {(): (1.0, state)}
+    for spec in parties:
+        step = {}
+        for outs, (p, st) in dist.items():
+            for gate in spec.gates:
+                st = qcore.apply_gate(st, gate, 0)
+            for outcome, (q, collapsed) in enumerate(qcore.measurement_branches(st, spec.basis, 0)):
+                if q > 0:
+                    step[outs + (spec.outputs[outcome],)] = (p * q, collapsed)
+        dist = step
+    return {outs: p for outs, (p, _) in dist.items()}
 
 
 class TestWinningPredicate:
@@ -205,6 +255,63 @@ class TestExactScores:
             exact_score(GameId.CHSH, paper_strategy(GameId.CHSH1))
 
 
+class TestOutcomeTensor:
+    @pytest.mark.parametrize("game", list(GameId))
+    def test_matches_qcore_measurement_cascade(self, game):
+        strategy = paper_strategy(game)
+        probs = outcome_tensor(strategy)
+        n_in, n_out = ARITY[game]
+        assert probs.shape == (2,) * (n_in + n_out)
+        for inputs in itertools.product((0, 1), repeat=n_in):      # pt3's odd weights too
+            want = cascade_distribution(strategy, inputs)
+            for outputs in itertools.product((0, 1), repeat=n_out):
+                assert abs(probs[inputs + outputs] - want.get(outputs, 0.0)) <= 1e-12
+            assert probs[inputs].sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_gates_apply_first_to_last_and_outputs_relabel(self):
+        # S then H is not H then S; a swapped relabelling flips every bit
+        strategy = QuantumStrategy(
+            GameId.CHSH,
+            shared_state=qcore.BELL_PHI_PLUS,
+            party_rules=(
+                {0: MeasureSpec(qcore.PSI, gates=(qcore.S, qcore.H)), 1: MeasureSpec(qcore.HADAMARD, outputs=(1, 0))},
+                {0: MeasureSpec(qcore.PHI, gates=(qcore.H, qcore.S)), 1: MeasureSpec(qcore.COMPUTATIONAL, gates=(qcore.X,))},
+            ),
+        )
+        probs = outcome_tensor(strategy)
+        for inputs in itertools.product((0, 1), repeat=2):
+            want = cascade_distribution(strategy, inputs)
+            for outputs in itertools.product((0, 1), repeat=2):
+                assert abs(probs[inputs + outputs] - want.get(outputs, 0.0)) <= 1e-12
+
+    @pytest.mark.parametrize("game", list(GameId))
+    def test_deterministic_tensor_is_one_hot_of_tables(self, game):
+        for strategy in itertools.islice(enumerate_deterministic(game), 5, None, 7):
+            for inputs in itertools.product((0, 1), repeat=ARITY[game][0]):
+                assert branch_distribution(strategy, inputs) == {table_outputs(strategy, inputs): 1.0}
+
+    def test_mixture_is_weighted_sum(self):
+        a, b = list(enumerate_deterministic(GameId.GAME_G2))[3:5]
+        mix = ClassicalStrategy(GameId.GAME_G2, mixture=((0.25, a), (0.75, b)))
+        assert np.allclose(outcome_tensor(mix), 0.25 * outcome_tensor(a) + 0.75 * outcome_tensor(b), atol=0)
+
+    def test_bad_inputs_rejected(self):
+        strategy = paper_strategy(GameId.CHSH)
+        for inputs in ((0, 0, 0), (0, 2), (-1, 0)):
+            with pytest.raises(ArityMismatch):
+                branch_distribution(strategy, inputs)
+
+    def test_outputs_must_relabel_both_outcomes(self):
+        with pytest.raises(ArityMismatch):
+            MeasureSpec(qcore.PSI, outputs=(0, 0))
+
+    def test_strategy_shape_must_fit_game(self):
+        entangled = paper_strategy(GameId.CHSH)
+        wrong = QuantumStrategy(GameId.GAME_G2, shared_state=entangled.shared_state, party_rules=entangled.party_rules)
+        with pytest.raises(ArityMismatch):
+            exact_score(GameId.GAME_G2, wrong)
+
+
 class TestClassicalStrategies:
     def test_always_zero_loses_on_11(self):
         strategy = ClassicalStrategy(GameId.CHSH, tables=((0, 0), (0, 0)))
@@ -315,6 +422,22 @@ class TestBestClassical:
         _, argmax = best_classical(GameId.CHSH)
         assert argmax.tables == ((0, 0), (0, 0))
 
+    @pytest.mark.parametrize("game", list(GameId))
+    def test_argmax_is_first_predicate_maximum(self, game):
+        counts = [sum(predicate_wins(s).values()) for s in enumerate_deterministic(game)]
+        first = counts.index(max(counts))
+        score, argmax = best_classical(game)
+        assert score == max(counts) / len(input_space(game))
+        assert argmax.tables == list(enumerate_deterministic(game))[first].tables
+
+    def test_g2_frontier_order_and_values(self):
+        frontier = g2_deterministic_frontier()
+        for (even, odd, strategy), want in zip(frontier, enumerate_deterministic(GameId.GAME_G2), strict=True):
+            wins = predicate_wins(want)
+            assert strategy.tables == want.tables
+            assert even == sum(w for x, w in wins.items() if sum(x) % 2 == 0) / 4
+            assert odd == sum(w for x, w in wins.items() if sum(x) % 2 == 1) / 4
+
 
 class TestSampling:
     def test_ghz_parity_every_round(self):
@@ -345,6 +468,21 @@ class TestSampling:
         a = sample_round(GameId.CHSH, strategy, (0, 1), np.random.default_rng(99))
         b = sample_round(GameId.CHSH, strategy, (0, 1), np.random.default_rng(99))
         assert a == b
+
+    def test_draw_at_end_of_row_keeps_forced_bit(self):
+        class LastDraw:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        sampler = RoundSampler(GameId.GAME_G2, paper_strategy(GameId.GAME_G2))
+        forced = {(0, 0, 0): 0, (0, 1, 1): 1, (1, 0, 1): 0, (1, 1, 0): 1}
+        for inputs, bit in forced.items():
+            assert sampler.sample(inputs, LastDraw()).outputs == (bit,)
+        # three components that all answer (0, 0): the row's mass 0.7 + 0.2 + 0.1 rounds to
+        # 1 - 2**-53, so the last draw runs off the CDF, past three zero-probability outputs
+        zeros = [s for s in enumerate_deterministic(GameId.CHSH) if s.tables[0][0] == s.tables[1][0] == 0][:3]
+        mix = ClassicalStrategy(GameId.CHSH, mixture=tuple(zip((0.7, 0.2, 0.1), zeros)))
+        assert RoundSampler(GameId.CHSH, mix).sample((0, 0), LastDraw()).outputs == (0, 0)
 
     def test_invalid_inputs_rejected(self):
         sampler = RoundSampler(GameId.PSEUDO_TELEPATHY3, paper_strategy(GameId.PSEUDO_TELEPATHY3))
