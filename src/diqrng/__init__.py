@@ -5,8 +5,10 @@ The package splits along the problem's own seams:
 * :mod:`diqrng.qcore`      exact 1-3 qubit states, gates, bases, measurement;
 * :mod:`diqrng.games`      the five nonlocal/self-testing games, quantum and
   classical strategies, exact scores, brute force, equivalence checks;
-* :mod:`diqrng.protocols`  black-box devices, the two protocol runners with
-  their Check/Rand/False binning and abort logic, guessing-game bounds;
+* :mod:`diqrng.protocols`  black-box device pairs, each its response table
+  Pr[b = 1] over (coin, x, setting) built from a strategy's outcome tensor;
+  the two protocol runners with their Check/Rand/False binning and abort
+  logic; guessing-game bounds;
 * :mod:`diqrng.analysis`   estimators, entropy, and a small test battery;
 * :mod:`diqrng.cli`        the ``diqrng`` command-line front end.
 """
@@ -53,8 +55,6 @@ from .protocols import (
     CertificationVerdict,
     DevicePair,
     GuessingBoundsReport,
-    MeasDevice,
-    PrepDevice,
     ProtocolConfig,
     RoundRecord,
     adversarial_devices,

@@ -90,28 +90,25 @@ def estimate_conditional(
 def _records_to_cells(records: Iterable) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (trials, successes) arrays over the eight (x0, x1, y) cells.
 
-    ``records`` may instead be a tally whose ``cell_counts()`` returns them.
+    ``records`` may instead be a tally whose ``cell_counts()`` returns them,
+    or a batch whose ``inputs`` and ``output`` are columns.
     """
     counts = getattr(records, "cell_counts", None)
     if callable(counts):
         return counts()
-    trials = np.zeros(8, dtype=np.int64)
-    successes = np.zeros(8, dtype=np.int64)
-    index = getattr(records, "cell_index", None)
-    if callable(index):
-        cells, b = index()
-        x_y = np.where(cells % 2 == 0, (cells >> 2) & 1, (cells >> 1) & 1)
-        np.add.at(trials, cells, 1)
-        np.add.at(successes, cells, (b == x_y).astype(np.int64))
-        return trials, successes
-    for record in records:
-        x0, x1, y = record.inputs
-        if y not in (0, 1):
-            raise ValueError(f"self-test records must have y in {{0, 1}}, got {y}")
-        cell = 4 * x0 + 2 * x1 + y
-        trials[cell] += 1
-        successes[cell] += record.output == (x0, x1)[y]
-    return trials, successes
+    if isinstance(getattr(records, "inputs", None), np.ndarray):
+        inputs, output = records.inputs, records.output
+    else:
+        records = list(records)
+        inputs = np.array([r.inputs for r in records], dtype=np.int64).reshape(-1, 3)
+        output = np.array([r.output for r in records], dtype=np.int64)
+    x0, x1, y = inputs.astype(np.int64).T
+    bad = y[(y != 0) & (y != 1)]
+    if bad.size:
+        raise ValueError(f"self-test records must have y in {{0, 1}}, got {bad[0]}")
+    cells = 4 * x0 + 2 * x1 + y
+    wins = output == np.where(y == 0, x0, x1)
+    return np.bincount(cells, minlength=8), np.bincount(cells[wins], minlength=8)
 
 
 def statistic_A(check_records: Iterable, confidence: float = 0.99) -> Estimate:

@@ -440,13 +440,11 @@ def _cmd_run_protocol(opts: dict, seed: int) -> tuple[dict, int]:
         pair = protocols.adversarial_devices(kind, coin_per_round=not opts["coin_per_run"])
     bins, verdict = protocols.run_protocol(config, pair)
 
+    config_keys = ["protocol", "device", "rounds", "delta", "gamma", "mode"]
+    if opts["coin_per_run"]:
+        config_keys.append("coin_per_run")      # recorded only when set, so default reports keep their bytes
     report = {
-        "manifest": _manifest(
-            "run-protocol",
-            seed,
-            opts,
-            ["protocol", "device", "rounds", "delta", "gamma", "mode"],
-        ),
+        "manifest": _manifest("run-protocol", seed, opts, config_keys),
         "verdict": verdict.decision,
         "bins": bins.counts(),
         "conditions": [
@@ -503,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     except DiqrngError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:   # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = serialize_report(report)

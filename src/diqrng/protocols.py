@@ -12,8 +12,9 @@ even-weight condition, odd-weight rounds form the Rand bin, a gamma-fraction
 of which is spent testing Pr[b = x1] = 1/2 before the rest is released.
 
 Devices are stateless across rounds apart from an explicit shared-randomness
-coin; everything a run does is a pure function of (config, devices), so two
-runs with the same seed are bit-identical.
+coin, so a device pair is its response table Pr[b = 1 | coin, x, setting];
+everything a run does is a pure function of (config, devices), so two runs
+with the same seed are bit-identical.
 
 A run streams its rounds in fixed-size chunks and keeps only what
 certification reads: a tally of rounds by (x, setting, b) and the Rand bin's
@@ -26,91 +27,76 @@ from __future__ import annotations
 import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
-from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, paper_strategy, win_mask
-from .qcore import PureState
+from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
 
 A_STAR = QUANTUM_WIN
 
-_SETTINGS = {"P": 3, "Q": 2}
+# The bin of each (x, setting) cell, x = 2*x0 + x1: 0 Check, 1 Rand, 2 False.
+_CHECK, _RAND, _FALSE = 0, 1, 2
+_BIN_OF = {
+    "P": np.array([[0, 0, 2], [0, 0, 1], [0, 0, 1], [0, 0, 2]]),   # Rand/False only at y = 2
+    "Q": np.array([[0, 1], [1, 0], [1, 0], [0, 1]]),               # Check iff x0 + x1 + x2 is even
+}
+_GAME_OF = {"P": GameId.TAVAKOLI, "Q": GameId.GAME_G2}
 
 
-@dataclass(frozen=True)
-class PrepDevice:
-    """Preparation black box: (x0, x1, coin) -> carrier.
-
-    The carrier is a PureState for quantum devices or a one-bit classical
-    message for classical ones.  Stateless across rounds; any correlation
-    with the paired measurement device flows through the coin.
-    """
-
-    name: str
-    behavior: Callable[[int, int, int], PureState | int]
-
-    def emit(self, x0: int, x1: int, coin: int = 0) -> PureState | int:
-        return self.behavior(x0, x1, coin)
-
-
-@dataclass(frozen=True)
-class MeasDevice:
-    """Measurement black box: (setting, carrier, coin) -> Pr[b = 1].
-
-    The behavior returns the output-bit probability so that exact
-    deterministic responses stay exact; a concrete bit is drawn from it with
-    one uniform as ``b = 0 iff u < Pr[b = 0]``.
-    """
-
-    name: str
-    behavior: Callable[[int, PureState | int, int], float]
-
-    def output_probability(self, setting: int, carrier, coin: int = 0) -> float:
-        return self.behavior(setting, carrier, coin)
-
-    def output(self, setting: int, carrier, coin: int, randomness: float) -> int:
-        p1 = self.output_probability(setting, carrier, coin)
-        return 0 if randomness < 1.0 - p1 else 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DevicePair:
-    """A preparation/measurement pair plus its shared-randomness contract."""
+    """A memoryless preparation/measurement pair: its response table plus its shared-randomness contract.
 
-    prep: PrepDevice
-    meas: MeasDevice
+    ``table`` holds Pr[b = 1] as [coin, x, setting] with x = 2*x0 + x1: one
+    coin row, or two when the devices share a coin, and the settings of the
+    pair's protocol (P's three when either protocol fits).  A concrete bit is
+    drawn from it with one uniform as ``b = 0 iff u < 1 - Pr[b = 1]``.
+    """
+
+    table: np.ndarray
     protocol: str | None = None     # "P", "Q", or None when either fits
-    uses_coin: bool = False
     coin_per_round: bool = True
     caveat: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.protocol not in (None, *_BIN_OF):
+            raise DeviceArityMismatch(f"unknown protocol {self.protocol!r}")
+        settings = _BIN_OF[self.protocol or "P"].shape[1]
+        table = np.asarray(self.table, dtype=np.float64)
+        if table.ndim != 3 or table.shape[0] not in (1, 2) or table.shape[1:] != (4, settings):
+            raise DeviceArityMismatch(
+                f"a protocol {self.protocol or 'P/Q'} response table is [coin, x, setting] "
+                f"with 1 or 2 coins, 4 inputs and {settings} settings, got shape {table.shape}"
+            )
+        if not np.all((table >= -1e-12) & (table <= 1 + 1e-12)):
+            raise DeviceArityMismatch("device emitted probabilities outside [0, 1]")
+        table = np.clip(table, 0.0, 1.0)
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+
+    @property
+    def uses_coin(self) -> bool:
+        return self.table.shape[0] == 2
+
     def response_table(self, protocol: str) -> np.ndarray:
-        """Pr[b = 1] indexed as [coin, x, setting] with x = 2*x0 + x1."""
+        """Pr[b = 1] indexed as [coin, x, setting] over the protocol's settings."""
         if self.protocol is not None and self.protocol != protocol:
             raise DeviceArityMismatch(
                 f"device pair is built for protocol {self.protocol}, not {protocol}"
             )
-        n_settings = _SETTINGS[protocol]
-        n_coins = 2 if self.uses_coin else 1
-        table = np.zeros((n_coins, 4, n_settings))
-        for coin in range(n_coins):
-            for x in range(4):
-                carrier = self.prep.emit(x >> 1, x & 1, coin)
-                for setting in range(n_settings):
-                    table[coin, x, setting] = self.meas.output_probability(setting, carrier, coin)
-        if np.any(table < -1e-12) or np.any(table > 1 + 1e-12):
-            raise DeviceArityMismatch("device emitted probabilities outside [0, 1]")
-        return np.clip(table, 0.0, 1.0)
+        if protocol not in _BIN_OF:
+            raise DeviceArityMismatch(f"unknown protocol {protocol!r}")
+        return self.table[:, :, : _BIN_OF[protocol].shape[1]]
 
 
-def _quantum_meas_probability(state: PureState, spec: MeasureSpec) -> float:
-    for gate in spec.gates:
-        state = qcore.apply_gate(state, gate, 0)
-    return qcore.outcome_distribution(state, spec.basis, 0)[spec.outputs.index(1)]
+def _game_of(protocol: str) -> GameId:
+    if protocol not in _GAME_OF:
+        raise DeviceArityMismatch(f"unknown protocol {protocol!r}")
+    return _GAME_OF[protocol]
 
 
 def honest_devices(protocol: str) -> DevicePair:
@@ -120,34 +106,36 @@ def honest_devices(protocol: str) -> DevicePair:
     self-test for P, GAME_G2 for Q.  P's extra setting 2 measures in the
     Hadamard basis, so b = 0 on |+> and b = 1 on |->.
     """
-    if protocol not in _SETTINGS:
-        raise DeviceArityMismatch(f"unknown protocol {protocol!r}")
-    strategy = paper_strategy(GameId.TAVAKOLI if protocol == "P" else GameId.GAME_G2)
-    specs = dict(strategy.measurement)
+    strategy = paper_strategy(_game_of(protocol))
+    columns = [outcome_tensor(strategy)[..., 1].reshape(4, 2)]
     if protocol == "P":
-        specs[2] = MeasureSpec(qcore.HADAMARD)
-
-    def emit(x0: int, x1: int, coin: int) -> PureState:
-        return strategy.preparation[(x0, x1)]
-
-    def respond(setting: int, carrier, coin: int) -> float:
-        return _quantum_meas_probability(carrier, specs[setting])
-
-    return DevicePair(
-        prep=PrepDevice(f"honest-{protocol}-prep", emit),
-        meas=MeasDevice(f"honest-{protocol}-meas", respond),
-        protocol=protocol,
-    )
+        hadamard = replace(strategy, measurement={s: MeasureSpec(qcore.HADAMARD) for s in (0, 1)})
+        columns.append(outcome_tensor(hadamard)[..., 0, 1].reshape(4, 1))
+    return DevicePair(np.hstack(columns)[None], protocol=protocol)
 
 
-ADVERSARY_KINDS = (
-    "always_zero",
-    "x1_forwarder",
-    "perfect_even_family_A",
-    "perfect_even_family_B",
-    "mixed_perfect_even",
-    "input_guesser",
-)
+def _message_table(prep: tuple[int, ...], meas: tuple[int, ...], protocol: str | None) -> np.ndarray:
+    """Pr[b = 1] as [x, setting] of m = prep[x], b = meas[2*m + setting]; P's setting 2 forwards m."""
+    probs = outcome_tensor(ClassicalStrategy(_GAME_OF[protocol or "P"], (prep, meas)))[..., 1].reshape(4, 2)
+    return probs if protocol == "Q" else np.column_stack([probs, prep])
+
+
+# Each cheat: its protocol, then one deterministic message strategy per coin
+# value, as (message m by x, b by 2*m + setting) tables.
+_FORWARD_X1 = ((0, 1, 0, 1), (0, 0, 1, 1))     # m = x1, b = m
+_X0_XOR_SETTING = ((0, 0, 1, 1), (0, 1, 1, 0))  # m = x0, b = m ^ setting
+_CHEATS = {
+    "always_zero": (None, (((0, 0, 0, 0), (0, 0, 0, 0)),)),
+    "x1_forwarder": (None, (_FORWARD_X1,)),
+    # wins every even-weight round; b == x1 on odd
+    "perfect_even_family_A": ("Q", (_FORWARD_X1,)),
+    # wins every even-weight round; b != x1 on odd
+    "perfect_even_family_B": ("Q", (_X0_XOR_SETTING,)),
+    "mixed_perfect_even": ("Q", (_FORWARD_X1, _X0_XOR_SETTING)),
+    # no information crosses the channel; m = coin, b = m
+    "input_guesser": (None, tuple(((m,) * 4, (0, 0, 1, 1)) for m in (0, 1))),
+}
+ADVERSARY_KINDS = tuple(_CHEATS)
 
 _MIXED_CAVEAT = (
     "mixed_perfect_even passes both statistical conditions while every output "
@@ -162,55 +150,18 @@ def adversarial_devices(kind: str, coin_per_round: bool = True) -> DevicePair:
     ``mixed_perfect_even`` flips a shared coin between the two perfect-even
     deterministic families; by default the coin is resampled every round
     (preserving i.i.d. behavior), ``coin_per_round=False`` draws it once per
-    run.
+    run.  The other kinds always draw theirs per round.
     """
-    if kind == "always_zero":
-        return DevicePair(
-            prep=PrepDevice("always-zero-prep", lambda x0, x1, coin: 0),
-            meas=MeasDevice("always-zero-meas", lambda setting, m, coin: 0.0),
-        )
-    if kind == "x1_forwarder":
-        return DevicePair(
-            prep=PrepDevice("x1-forwarder-prep", lambda x0, x1, coin: x1),
-            meas=MeasDevice("x1-forwarder-meas", lambda setting, m, coin: float(m)),
-        )
-    if kind == "perfect_even_family_A":
-        # message m = x1, b = m: wins every even-weight round, b == x1 on odd
-        return DevicePair(
-            prep=PrepDevice("perfect-even-A-prep", lambda x0, x1, coin: x1),
-            meas=MeasDevice("perfect-even-A-meas", lambda setting, m, coin: float(m)),
-            protocol="Q",
-        )
-    if kind == "perfect_even_family_B":
-        # message m = x0, b = m ^ x2: wins every even-weight round, b != x1 on odd
-        return DevicePair(
-            prep=PrepDevice("perfect-even-B-prep", lambda x0, x1, coin: x0),
-            meas=MeasDevice("perfect-even-B-meas", lambda setting, m, coin: float(m ^ setting)),
-            protocol="Q",
-        )
-    if kind == "mixed_perfect_even":
-        def emit(x0: int, x1: int, coin: int):
-            return x1 if coin == 0 else x0
-
-        def respond(setting: int, m: int, coin: int) -> float:
-            return float(m) if coin == 0 else float(m ^ setting)
-
-        return DevicePair(
-            prep=PrepDevice("mixed-perfect-even-prep", emit),
-            meas=MeasDevice("mixed-perfect-even-meas", respond),
-            protocol="Q",
-            uses_coin=True,
-            coin_per_round=coin_per_round,
-            caveat=_MIXED_CAVEAT,
-        )
-    if kind == "input_guesser":
-        # no information crosses the channel; the guess is the shared coin
-        return DevicePair(
-            prep=PrepDevice("input-guesser-prep", lambda x0, x1, coin: 0),
-            meas=MeasDevice("input-guesser-meas", lambda setting, m, coin: float(coin)),
-            uses_coin=True,
-        )
-    raise UnknownKind(f"unknown adversarial device kind {kind!r}")
+    if kind not in _CHEATS:
+        raise UnknownKind(f"unknown adversarial device kind {kind!r}")
+    protocol, per_coin = _CHEATS[kind]
+    mixed = kind == "mixed_perfect_even"
+    return DevicePair(
+        np.stack([_message_table(prep, meas, protocol) for prep, meas in per_coin]),
+        protocol=protocol,
+        coin_per_round=coin_per_round or not mixed,
+        caveat=_MIXED_CAVEAT if mixed else None,
+    )
 
 
 def classical_pair_from_strategy(strategy: ClassicalStrategy, protocol: str) -> DevicePair:
@@ -222,26 +173,12 @@ def classical_pair_from_strategy(strategy: ClassicalStrategy, protocol: str) -> 
     """
     if not strategy.tables:
         raise DeviceArityMismatch("only deterministic strategies can back a device pair")
-    expected_game = GameId.TAVAKOLI if protocol == "P" else GameId.GAME_G2
+    expected_game = _game_of(protocol)
     if strategy.game is not expected_game:
         raise DeviceArityMismatch(
             f"protocol {protocol} devices need a {expected_game.value} strategy"
         )
-    prep_table, meas_table = strategy.tables
-
-    def emit(x0: int, x1: int, coin: int) -> int:
-        return prep_table[2 * x0 + x1]
-
-    def respond(setting: int, m: int, coin: int) -> float:
-        if protocol == "P" and setting == 2:
-            return float(m)
-        return float(meas_table[2 * m + setting])
-
-    return DevicePair(
-        prep=PrepDevice("table-prep", emit),
-        meas=MeasDevice("table-meas", respond),
-        protocol=protocol,
-    )
+    return DevicePair(_message_table(*strategy.tables, protocol)[None], protocol=protocol)
 
 
 # ---------------------------------------------------------------------------
@@ -289,22 +226,6 @@ class RoundBatch(Sequence):
     def output(self) -> np.ndarray:
         return self._output
 
-    def cell_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Encode (x0, x1, y) as 4*x0 + 2*x1 + y for the self-test statistic."""
-        cells = (
-            4 * self._inputs[:, 0].astype(np.int64)
-            + 2 * self._inputs[:, 1].astype(np.int64)
-            + self._inputs[:, 2].astype(np.int64)
-        )
-        return cells, self._output.astype(np.int64)
-
-
-# The bin of each (x, setting) cell, x = 2*x0 + x1: 0 Check, 1 Rand, 2 False.
-_CHECK, _RAND, _FALSE = 0, 1, 2
-_BIN_OF = {
-    "P": np.array([[0, 0, 2], [0, 0, 1], [0, 0, 1], [0, 0, 2]]),   # Rand/False only at y = 2
-    "Q": np.array([[0, 1], [1, 0], [1, 0], [0, 1]]),               # Check iff x0 + x1 + x2 is even
-}
 
 
 def _win(game: GameId) -> np.ndarray:
@@ -364,12 +285,13 @@ class BinStore:
 
 
 def _draw_space(protocol: str, mode: str) -> tuple[tuple[int, int], ...]:
-    """The (x, setting) pairs a round may draw, x encoding x0x1 big-endian."""
-    if protocol == "P":
-        if mode == "generate":
-            return ((1, 2), (2, 2))
-        return tuple((x, y) for x in range(4) for y in range(3))
-    return tuple((x, x2) for x in range(4) for x2 in range(2))
+    """The (x, setting) pairs a round may draw, row-major, x encoding x0x1 big-endian.
+
+    P's generate mode draws only the Rand cells; every other mode draws them all.
+    """
+    bins = _BIN_OF[protocol]
+    drawn = bins == _RAND if protocol == "P" and mode == "generate" else np.ones_like(bins, dtype=bool)
+    return tuple((int(x), int(s)) for x, s in np.argwhere(drawn))
 
 
 @dataclass(frozen=True)
@@ -505,7 +427,7 @@ def _round_chunks(
         def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
             return input_rng.integers(1, 3, size=k), np.full(k, 2, dtype=np.int64)   # x in {01, 10}
     else:
-        n_settings = _SETTINGS[config.protocol]
+        n_settings = _BIN_OF[config.protocol].shape[1]
         setting_rng = copy.deepcopy(input_rng)
         for k in sizes:
             setting_rng.integers(0, 4, size=k)

@@ -128,6 +128,17 @@ class TestStatisticA:
         records.append(RoundRecord(99, (0, 1, 2), 0))
         with pytest.raises(ValueError):
             statistic_A(records)
+        batch = RoundBatch(np.arange(9), [r.inputs for r in records], [r.output for r in records])
+        with pytest.raises(ValueError, match="y in"):
+            statistic_A(batch)
+
+    @pytest.mark.parametrize("bin_name", ["rand", "false_bin"])
+    def test_run_bins_at_setting_two_rejected(self, bin_name):
+        from diqrng.protocols import ProtocolConfig, honest_devices, run_protocol
+
+        bins, _ = run_protocol(ProtocolConfig("P", 2_000, seed=3), honest_devices("P"))
+        with pytest.raises(ValueError, match="y in"):
+            statistic_A(getattr(bins, bin_name))
 
     def test_batch_fast_path_matches_record_path(self):
         rng = np.random.default_rng(8)

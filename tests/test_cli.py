@@ -227,6 +227,16 @@ class TestDeterminism:
             outputs.append(((d / "report.json").read_bytes(), (d / "run.bits").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_coin_per_run_recorded_in_manifest(self, capsys):
+        argv = ["run-protocol", "--protocol", "Q", "--device", "mixed-perfect-even",
+                "--rounds", "2000", "--seed", "5", "--deterministic"]
+        code_per_round, per_round = run_json(capsys, argv)
+        code_per_run, per_run = run_json(capsys, argv + ["--coin-per-run"])
+        assert {code_per_round, code_per_run} == {0, 2}      # the flag changes the verdict ...
+        assert "coin_per_run" not in per_round["manifest"]["config"]
+        # ... so the manifest that reproduces the run records it
+        assert per_run["manifest"]["config"] == {**per_round["manifest"]["config"], "coin_per_run": True}
+
     def test_seed_changes_bits(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         main(["run-protocol", "--protocol", "P", "--rounds", "5000", "--seed", "1",

@@ -1,0 +1,128 @@
+"""Property tests: generated configs and seeds never end the CLI in a traceback.
+
+Each option of a command is left out, passed as a flag or put in a ``--config``
+file, with values that are valid, out of range or of the wrong type.  Every
+run must either emit a report (exit 0 or 2) or exit 1 with an ``error:``
+line.  Round counts stay small so that each run is quick.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from diqrng import cli
+
+# values of the wrong type or form, for flags and config files alike
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(st.characters(codec="utf-8"), max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+SEEDS = st.integers(-3, 2**64 + 3)
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e-6, 0.05, 0.5, 0.75, 1.0]),
+    st.integers(-1, 2),
+)
+
+COMMON = {"seed": SEEDS, "deterministic": st.booleans()}
+OPTIONS = {
+    "run-protocol": {
+        "protocol": st.sampled_from(["P", "Q", "R"]),
+        "device": st.sampled_from(sorted(cli._DEVICE_NAMES) + ["telepathy"]),
+        "rounds": st.integers(-2, 3_000),
+        "delta": NUMBERS,
+        "gamma": NUMBERS,
+        "mode": st.sampled_from(["test", "generate", "both"]),
+        "coin_per_run": st.booleans(),
+    },
+    "play-game": {
+        "game": st.sampled_from(sorted(cli._GAME_NAMES) + ["nope"]),
+        "rounds": st.integers(-2, 1_500),
+    },
+    "guessing-bounds": {"trials": st.integers(-2, 3_000)},
+}
+BOUNDED = ("rounds", "trials")
+
+
+@st.composite
+def invocations(draw, command):
+    """(flags, config, DIQRNG_SEED) for one run of the command."""
+    flags, config = {}, {}
+    for name, valid in {**COMMON, **OPTIONS[command]}.items():
+        # the round counts are always given, so that no run falls back to a large default
+        where = draw(st.sampled_from(["flag", "config"] if name in BOUNDED else ["absent", "flag", "config"]))
+        if where == "absent":
+            continue
+        value = draw(st.one_of(valid, JUNK) if draw(st.integers(0, 9)) == 0 else valid)
+        (flags if where == "flag" else config)[name] = value
+    env_seed = draw(st.one_of(st.none(), SEEDS.map(str), st.sampled_from(["", "x", "1.5"])))
+    return flags, config, env_seed
+
+
+def argv_of(command, flags, config_path):
+    argv = [command]
+    for name, value in flags.items():
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, bool) and name in ("deterministic", "coin_per_run"):
+            argv += [flag] if value else []
+        else:
+            argv += [flag, value if isinstance(value, str) else json.dumps(value)]
+    if config_path is not None:
+        argv += ["--config", str(config_path)]
+    return argv
+
+
+def assert_report_or_error(command, invocation, capsys, monkeypatch):
+    flags, config, env_seed = invocation
+    if env_seed is None:
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = None
+        if config:
+            config_path = Path(tmp) / "config.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+        try:
+            code = cli.main(argv_of(command, flags, config_path))
+        except SystemExit as exc:       # argparse's usage errors
+            code = exc.code
+    out, err = capsys.readouterr()
+    if code in (0, 2):
+        report = json.loads(out)
+        assert report["manifest"]["command"] == command
+    else:
+        assert code == 1
+        assert "error: " in err
+        assert "Traceback" not in err
+
+
+PROPERTY = settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_generated_configs_report_or_fail_cleanly(command, capsys, monkeypatch):
+    @PROPERTY
+    @given(invocations(command))
+    def check(invocation):
+        assert_report_or_error(command, invocation, capsys, monkeypatch)
+
+    check()
+
+
+def test_round_count_past_the_index_range_is_an_error(capsys, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    assert cli.main(["run-protocol", "--rounds", str(10**30), "--seed", "1"]) == 1
+    assert "error: " in capsys.readouterr().err

@@ -11,11 +11,12 @@ from diqrng.errors import (
     InsufficientRounds,
     UnknownKind,
 )
-from diqrng.games import ClassicalStrategy, GameId, enumerate_deterministic
+from diqrng.games import ClassicalStrategy, GameId, MeasureSpec, enumerate_deterministic, paper_strategy
 from diqrng.protocols import (
     A_STAR,
     AUGMENTED_CHSH_SCORE,
     CertificationVerdict,
+    DevicePair,
     ProtocolConfig,
     adversarial_devices,
     classical_pair_from_strategy,
@@ -29,6 +30,23 @@ def conditions_by_name(verdict):
     return {c.name: c for c in verdict.conditions}
 
 
+def qcore_response_table(protocol, preparation=None):
+    """Pr[b = 1] as [x, setting] from qcore: each preparation through its setting's gates, then its basis."""
+    strategy = paper_strategy(GameId.TAVAKOLI if protocol == "P" else GameId.GAME_G2)
+    preparation = strategy.preparation if preparation is None else preparation
+    specs = dict(strategy.measurement)
+    if protocol == "P":
+        specs[2] = MeasureSpec(qcore.HADAMARD)
+    table = np.zeros((4, len(specs)))
+    for x in range(4):
+        for setting, spec in specs.items():
+            state = preparation[(x >> 1, x & 1)]
+            for gate in spec.gates:
+                state = qcore.apply_gate(state, gate, 0)
+            table[x, setting] = qcore.outcome_distribution(state, spec.basis, 0)[spec.outputs.index(1)]
+    return table
+
+
 class TestHonestDevices:
     def test_p_preparations(self):
         pair = honest_devices("P")
@@ -38,8 +56,9 @@ class TestHonestDevices:
             (1, 0): qcore.KET_ONE,
             (1, 1): qcore.KET_MINUS,
         }
-        for (x0, x1), state in wanted.items():
-            assert qcore.overlap(pair.prep.emit(x0, x1), state) >= 1 - 1e-12
+        table = pair.response_table("P")
+        assert table.shape == (1, 4, 3)
+        assert table[0] == pytest.approx(qcore_response_table("P", wanted), abs=1e-12)
 
     def test_p_response_probabilities(self):
         table = honest_devices("P").response_table("P")[0]
@@ -65,6 +84,40 @@ class TestHonestDevices:
     def test_unknown_protocol(self):
         with pytest.raises(DeviceArityMismatch):
             honest_devices("R")
+
+
+class TestDevicePairTable:
+    @pytest.mark.parametrize(
+        "shape, protocol",
+        [((4, 3), None), ((1, 4, 2), None), ((1, 4, 2), "P"), ((1, 4, 3), "Q"), ((3, 4, 3), None), ((1, 3, 3), "P")],
+    )
+    def test_bad_shape_rejected(self, shape, protocol):
+        with pytest.raises(DeviceArityMismatch):
+            DevicePair(np.full(shape, 0.5), protocol=protocol)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_out_of_range_rejected(self, value):
+        table = np.full((1, 4, 3), 0.5)
+        table[0, 2, 1] = value
+        with pytest.raises(DeviceArityMismatch):
+            DevicePair(table)
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(DeviceArityMismatch):
+            DevicePair(np.full((1, 4, 3), 0.5), protocol="R")
+        with pytest.raises(DeviceArityMismatch):
+            DevicePair(np.full((1, 4, 3), 0.5)).response_table("R")
+
+    def test_rounding_residue_is_clipped_and_table_read_only(self):
+        table = np.zeros((2, 4, 3))
+        table[1] = 1.0 + 1e-15
+        table[0, 0, 0] = -1e-15
+        pair = DevicePair(table)
+        assert pair.uses_coin
+        assert pair.table.min() == 0.0 and pair.table.max() == 1.0
+        assert pair.response_table("Q").shape == (2, 4, 2)
+        with pytest.raises(ValueError):
+            pair.table[0, 0, 0] = 0.5
 
 
 class TestAdversarialDevices:
@@ -352,7 +405,7 @@ class TestRoundBatch:
 class TestRunnerDeviceConsistency:
     @pytest.mark.parametrize("protocol", ["P", "Q"])
     def test_vectorized_run_matches_per_round_device_calls(self, protocol):
-        # replay the run's randomness streams through the per-round device API
+        # replay the run's randomness streams through a qcore reference table, round by round
         config = ProtocolConfig(protocol, 500, seed=99)
         pair = honest_devices(protocol)
         bins, _ = run_protocol(config, pair)
@@ -364,10 +417,12 @@ class TestRunnerDeviceConsistency:
         setting = input_rng.integers(0, 3 if protocol == "P" else 2, size=n)
         u = meas_rng.random(n)
 
+        reference = qcore_response_table(protocol)
+        assert np.array_equal(pair.response_table(protocol)[0], reference)
         expected = {}
         for i in range(n):
-            carrier = pair.prep.emit(int(x[i]) >> 1, int(x[i]) & 1, 0)
-            expected[i] = pair.meas.output(int(setting[i]), carrier, 0, float(u[i]))
+            p1 = reference[int(x[i]), int(setting[i])]
+            expected[i] = 0 if u[i] < 1.0 - p1 else 1
 
         batches = [bins.check, bins.rand] + ([bins.false_bin] if protocol == "P" else [])
         seen = 0
