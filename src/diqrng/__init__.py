@@ -34,6 +34,7 @@ from .games import (
     GameId,
     GameScore,
     QuantumStrategy,
+    RoundColumns,
     RoundIO,
     RoundSampler,
     ScoreKind,

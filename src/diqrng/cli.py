@@ -312,21 +312,21 @@ def _cmd_play_game(opts: dict, seed: int) -> tuple[dict, int]:
     sampler = games.RoundSampler(game, strategy)
     rng = np.random.default_rng(seed)
     rounds = sampler.sample_many(n_rounds, rng)
+    wins = games.win_mask(game)[(*rounds.inputs.T, *rounds.outputs.T)]
     if game is GameId.GAME_G2:
-        even = [r for r in rounds if sum(r.inputs) % 2 == 0]
-        odd = [r for r in rounds if sum(r.inputs) % 2 == 1]
-        if not even or not odd:
+        odd = np.bitwise_xor.reduce(rounds.inputs, axis=1) == 1
+        n_odd = np.count_nonzero(odd)
+        if n_odd in (0, n_rounds):
             raise DiqrngError(
                 f"g2 scores need even- and odd-weight rounds; {n_rounds} round(s) drew only one kind"
             )
         sampled = {
-            "even_win": sum(games.winning_predicate(game, r) for r in even) / len(even),
-            "odd_guess": sum(r.outputs[0] == r.inputs[1] for r in odd) / len(odd),
-            "rounds": len(rounds),
+            "even_win": np.count_nonzero(wins[~odd]) / (n_rounds - n_odd),
+            "odd_guess": np.count_nonzero(rounds.outputs[odd, 0] == rounds.inputs[odd, 1]) / n_odd,
+            "rounds": n_rounds,
         }
     else:
-        wins = sum(games.winning_predicate(game, r) for r in rounds)
-        sampled = {"win_frequency": wins / len(rounds), "rounds": len(rounds)}
+        sampled = {"win_frequency": np.count_nonzero(wins) / n_rounds, "rounds": n_rounds}
     report = {
         "manifest": _manifest("play-game", seed, opts, ["game", "rounds"]),
         "game": game.value,
@@ -438,6 +438,8 @@ def _cmd_run_protocol(opts: dict, seed: int) -> tuple[dict, int]:
         pair = protocols.honest_devices(config.protocol)
     else:
         pair = protocols.adversarial_devices(kind, coin_per_round=not opts["coin_per_run"])
+    if opts["coin_per_run"] and not pair.uses_coin:
+        raise DiqrngError(f"device {opts['device']} shares no coin, so --coin-per-run does not apply to it")
     bins, verdict = protocols.run_protocol(config, pair)
 
     config_keys = ["protocol", "device", "rounds", "delta", "gamma", "mode"]

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -80,6 +80,27 @@ class RoundIO:
 
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
+
+
+class RoundColumns(Sequence):
+    """Sampled rounds as read-only int8 columns, indexable as RoundIO values.
+
+    ``inputs`` is [round, input bit] and ``outputs`` is [round, output bit].
+    """
+
+    def __init__(self, inputs: np.ndarray, outputs: np.ndarray):
+        self.inputs = inputs
+        self.outputs = outputs
+        for arr in (inputs, outputs):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return RoundIO(tuple(self.inputs[i].tolist()), tuple(self.outputs[i].tolist()))
 
 
 _INPUT_ARITY = {
@@ -543,41 +564,37 @@ class RoundSampler:
             raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
         self.game = game
         self.strategy = strategy
-        self._outputs: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        self._outputs: dict[tuple[int, ...], np.ndarray] = {}     # int8 [support, output bit]
         self._cdf: dict[tuple[int, ...], np.ndarray] = {}
         probs = outcome_tensor(strategy)
-        outputs = list(itertools.product(_BITS, repeat=_OUTPUT_ARITY[game]))
+        outputs = np.array(list(itertools.product(_BITS, repeat=_OUTPUT_ARITY[game])), dtype=np.int8)
         for inputs in input_space(game):
             row = probs[inputs].ravel()
             support = np.flatnonzero(row)
-            self._outputs[inputs] = [outputs[k] for k in support]
+            self._outputs[inputs] = outputs[support]
             self._cdf[inputs] = np.cumsum(row[support])
+
+    def _branch(self, inputs: tuple[int, ...], u):
+        return np.minimum(np.searchsorted(self._cdf[inputs], u, side="right"), len(self._outputs[inputs]) - 1)
 
     def sample(self, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:
         inputs = tuple(inputs)
         if inputs not in self._outputs:
             raise BadInput(f"{inputs} is not a valid {self.game.value} input")
-        u = rng.random()
-        idx = int(np.searchsorted(self._cdf[inputs], u, side="right"))
-        idx = min(idx, len(self._outputs[inputs]) - 1)
-        return RoundIO(inputs, self._outputs[inputs][idx])
+        return RoundIO(inputs, tuple(self._outputs[inputs][self._branch(inputs, rng.random())].tolist()))
 
-    def sample_many(self, n: int, rng: np.random.Generator) -> list[RoundIO]:
-        """n rounds with uniform inputs; vectorized draws, stable round order."""
+    def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
+        """n rounds with uniform inputs, in round order: all n input draws, then n uniforms."""
         space = list(self._outputs)
-        input_idx = rng.integers(0, len(space), size=n)
+        input_idx = rng.integers(0, len(space), size=n).astype(np.int8)
         u = rng.random(n)
-        rounds: list = [None] * n
-        for k, inputs in enumerate(space):
+        inputs = np.empty((n, _INPUT_ARITY[self.game]), dtype=np.int8)
+        outputs = np.empty((n, _OUTPUT_ARITY[self.game]), dtype=np.int8)
+        for k, row in enumerate(space):
             mask = np.flatnonzero(input_idx == k)
-            if mask.size == 0:
-                continue
-            branch = np.searchsorted(self._cdf[inputs], u[mask], side="right")
-            branch = np.minimum(branch, len(self._outputs[inputs]) - 1)
-            outs = self._outputs[inputs]
-            for pos, br in zip(mask, branch):
-                rounds[pos] = RoundIO(inputs, outs[br])
-        return rounds
+            inputs[mask] = row
+            outputs[mask] = self._outputs[row][self._branch(row, u[mask])]
+        return RoundColumns(inputs, outputs)
 
 
 def sample_round(game: GameId, strategy: Strategy, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:

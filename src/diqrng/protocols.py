@@ -147,20 +147,19 @@ _MIXED_CAVEAT = (
 def adversarial_devices(kind: str, coin_per_round: bool = True) -> DevicePair:
     """Classical device pairs implementing the named cheat.
 
-    ``mixed_perfect_even`` flips a shared coin between the two perfect-even
-    deterministic families; by default the coin is resampled every round
-    (preserving i.i.d. behavior), ``coin_per_round=False`` draws it once per
-    run.  The other kinds always draw theirs per round.
+    ``input_guesser`` and ``mixed_perfect_even`` share a coin between the
+    devices: by default it is resampled every round (preserving i.i.d.
+    behavior), and ``coin_per_round=False`` draws it once per run.  The other
+    kinds share no coin, so the flag does not change their runs.
     """
     if kind not in _CHEATS:
         raise UnknownKind(f"unknown adversarial device kind {kind!r}")
     protocol, per_coin = _CHEATS[kind]
-    mixed = kind == "mixed_perfect_even"
     return DevicePair(
         np.stack([_message_table(prep, meas, protocol) for prep, meas in per_coin]),
         protocol=protocol,
-        coin_per_round=coin_per_round or not mixed,
-        caveat=_MIXED_CAVEAT if mixed else None,
+        coin_per_round=coin_per_round,
+        caveat=_MIXED_CAVEAT if kind == "mixed_perfect_even" else None,
     )
 
 
@@ -654,7 +653,34 @@ class GuessingBoundsReport:
         return all(c.within_four_se for c in self.checks)
 
 
-AUGMENTED_CHSH_SCORE = (2.0 / 3.0) * A_STAR + 1.0 / 3.0
+AUGMENTED_CHSH_SCORE = (2.0 / 3.0) * A_STAR + 1.0 / 3.0     # the closed form of experiment (a)'s exact rate
+
+
+def _guessing_experiments() -> tuple[tuple[str, tuple[int, int], tuple[int, int], np.ndarray], ...]:
+    """(name, x range, setting range, win mask [x, setting, b]) of each bound experiment.
+
+    x = 2*x0 + x1 and the setting are uniform over their ranges; a one-value
+    setting range is fixed, not drawn.
+    """
+    x, setting, b = np.indices((4, 3, 2))
+    a = x >> 1                      # the preparation's in-basis index
+    xp = a ^ (x & 1)
+    # y < 2 plays CHSH; y = 2 matches b to a deterministically when x' = 0 and is condition-free when x' = 1
+    augmented = np.where(setting < 2, (xp & setting) == (a ^ b), (xp == 1) | (b == a))
+    return (
+        ("augmented_chsh_score", (0, 4), (0, 3), augmented),
+        ("output_guess_rate", (0, 4), (2, 3), b == a),
+        ("rand_bit_guess_rate", (1, 3), (2, 3), b == a),
+    )
+
+
+def _exact_rate(table: np.ndarray, x_range: tuple[int, int], setting_range: tuple[int, int], win: np.ndarray) -> float:
+    """Pr[win] of one experiment on devices with response table [x, setting]."""
+    weights = np.zeros((4, 3))
+    weights[slice(*x_range), slice(*setting_range)] = 1.0
+    weights /= weights.sum()
+    pr_b = np.stack([1.0 - table, table], axis=-1)
+    return float((weights[..., None] * pr_b * win).sum())
 
 
 def _bound_check(name: str, hits: int, trials: int, expected: float) -> BoundCheck:
@@ -676,37 +702,25 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     y = 2 outcome, capped at 3/4;
     (c) an eavesdropper guessing a Rand-round bit from the preparation label,
     capped at 1/2.
+
+    Each experiment draws all its x values, then its settings, then one
+    uniform per trial, and counts its wins chunk by chunk with its win mask
+    over (x, setting, b); its expected rate is exact, from the same mask.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     table = honest_devices("P").response_table("P")[0]
-
-    def draw_bits(x: np.ndarray, setting: np.ndarray) -> np.ndarray:
-        p1 = table[x, setting]
-        return (rng.random(x.size) >= 1.0 - p1).astype(np.int64)
-
-    # (a) augmented game, six settings
-    x = rng.integers(0, 4, size=trials)
-    setting = rng.integers(0, 3, size=trials)
-    b = draw_bits(x, setting)
-    a = x >> 1                      # the preparation's in-basis index
-    xp = (x >> 1) ^ (x & 1)
-    chsh_win = ((xp & setting) == (a ^ b)) & (setting < 2)
-    det_win = (setting == 2) & (xp == 0) & (b == a)
-    free_win = (setting == 2) & (xp == 1)
-    aug_hits = int(np.count_nonzero(chsh_win | det_win | free_win))
-    checks = [_bound_check("augmented_chsh_score", aug_hits, trials, AUGMENTED_CHSH_SCORE)]
-
-    # (b) output-guessing adversary: guess = observed c2
-    x = rng.integers(0, 4, size=trials)
-    b = draw_bits(x, np.full(trials, 2))
-    hits = int(np.count_nonzero(b == (x >> 1)))
-    checks.append(_bound_check("output_guess_rate", hits, trials, 0.75))
-
-    # (c) Eve guesses a Rand bit knowing the prepared label
-    x = rng.integers(1, 3, size=trials)
-    b = draw_bits(x, np.full(trials, 2))
-    hits = int(np.count_nonzero(b == (x >> 1)))
-    checks.append(_bound_check("rand_bit_guess_rate", hits, trials, 0.5))
-
+    checks = []
+    for name, x_range, setting_range, win in _guessing_experiments():
+        x = rng.integers(*x_range, size=trials).astype(np.uint8)
+        if setting_range[1] - setting_range[0] > 1:
+            setting = rng.integers(*setting_range, size=trials).astype(np.uint8)
+        else:
+            setting = np.full(trials, setting_range[0], dtype=np.uint8)
+        hits = 0
+        for start in range(0, trials, _CHUNK_ROUNDS):
+            xc, sc = x[start : start + _CHUNK_ROUNDS], setting[start : start + _CHUNK_ROUNDS]
+            b = (rng.random(xc.size) >= 1.0 - table[xc, sc]).view(np.uint8)
+            hits += int(np.count_nonzero(win[xc, sc, b]))
+        checks.append(_bound_check(name, hits, trials, _exact_rate(table, x_range, setting_range, win)))
     return GuessingBoundsReport(tuple(checks))

@@ -146,6 +146,28 @@ class TestExitCodes:
         assert code == 2
         assert report["verdict"] == "ABORT"
 
+    @pytest.mark.parametrize(
+        "protocol,device",
+        [("P", "honest"), ("Q", "honest"), ("P", "always-zero"), ("P", "x1-forwarder"),
+         ("Q", "perfect-even-a"), ("Q", "perfect-even-b")],
+    )
+    def test_coin_per_run_without_a_shared_coin_is_one(self, capsys, protocol, device):
+        code = main(["run-protocol", "--protocol", protocol, "--device", device,
+                     "--rounds", "2000", "--seed", "1", "--coin-per-run"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: device {device} shares no coin")
+
+    def test_coin_per_run_input_guesser_emits_its_coin(self, capsys):
+        code, report = run_json(
+            capsys,
+            ["run-protocol", "--protocol", "P", "--device", "input-guesser", "--mode", "generate",
+             "--rounds", "2000", "--seed", "1", "--deterministic", "--coin-per-run"],
+        )
+        assert code == 0
+        assert report["manifest"]["config"]["coin_per_run"] is True
+        assert report["entropy"]["zero_fraction"] in (0.0, 1.0)
+
     def test_usage_error_is_one(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run-protocol", "--protocol", "X"])

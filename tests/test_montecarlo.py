@@ -1,0 +1,225 @@
+"""Columnar Monte Carlo: identity with the row-object versions, exact references, memory bounds.
+
+The reference implementations below are the per-round versions that the
+columnar ``RoundSampler.sample_many``, ``play-game`` scoring and
+``guessing_game_bound_check`` replaced; reports must keep their bytes.
+"""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from diqrng import cli, games, protocols
+from diqrng.errors import DiqrngError
+from diqrng.games import GameId, RoundIO, RoundSampler, input_space, outcome_tensor, paper_strategy
+
+SEEDS = (3, 1001, 2**40 + 7)
+
+
+# ---------------------------------------------------------------------------
+# references: one RoundIO per round, winning_predicate per round, one-shot int64 draws
+# ---------------------------------------------------------------------------
+
+def reference_sample_many(game, strategy, n, rng):
+    probs = outcome_tensor(strategy)
+    n_out = probs.ndim - len(input_space(game)[0])
+    all_outputs = list(itertools.product((0, 1), repeat=n_out))
+    outputs, cdf = {}, {}
+    for inputs in input_space(game):
+        row = probs[inputs].ravel()
+        support = np.flatnonzero(row)
+        outputs[inputs] = [all_outputs[k] for k in support]
+        cdf[inputs] = np.cumsum(row[support])
+
+    space = list(outputs)
+    input_idx = rng.integers(0, len(space), size=n)
+    u = rng.random(n)
+    rounds = [None] * n
+    for k, inputs in enumerate(space):
+        mask = np.flatnonzero(input_idx == k)
+        if mask.size == 0:
+            continue
+        branch = np.searchsorted(cdf[inputs], u[mask], side="right")
+        branch = np.minimum(branch, len(outputs[inputs]) - 1)
+        for pos, br in zip(mask, branch):
+            rounds[pos] = RoundIO(inputs, outputs[inputs][br])
+    return rounds
+
+
+def reference_play_game(opts, seed):
+    game = cli._GAME_NAMES[opts["game"]]
+    n_rounds = int(opts["rounds"])
+    if n_rounds < 1:
+        raise DiqrngError(f"play-game needs at least one round, got {n_rounds}")
+    strategy = paper_strategy(game)
+    exact = games.exact_score(game, strategy)
+    rounds = reference_sample_many(game, strategy, n_rounds, np.random.default_rng(seed))
+    if game is GameId.GAME_G2:
+        even = [r for r in rounds if sum(r.inputs) % 2 == 0]
+        odd = [r for r in rounds if sum(r.inputs) % 2 == 1]
+        if not even or not odd:
+            raise DiqrngError(
+                f"g2 scores need even- and odd-weight rounds; {n_rounds} round(s) drew only one kind"
+            )
+        sampled = {
+            "even_win": sum(games.winning_predicate(game, r) for r in even) / len(even),
+            "odd_guess": sum(r.outputs[0] == r.inputs[1] for r in odd) / len(odd),
+            "rounds": len(rounds),
+        }
+    else:
+        wins = sum(games.winning_predicate(game, r) for r in rounds)
+        sampled = {"win_frequency": wins / len(rounds), "rounds": len(rounds)}
+    report = {
+        "manifest": cli._manifest("play-game", seed, opts, ["game", "rounds"]),
+        "game": game.value,
+        "exact": cli._score_dict(exact),
+        "sampled": sampled,
+    }
+    return report, 0
+
+
+def reference_guessing_bounds(trials, rng):
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    table = protocols.honest_devices("P").response_table("P")[0]
+
+    def draw_bits(x, setting):
+        p1 = table[x, setting]
+        return (rng.random(x.size) >= 1.0 - p1).astype(np.int64)
+
+    x = rng.integers(0, 4, size=trials)
+    setting = rng.integers(0, 3, size=trials)
+    b = draw_bits(x, setting)
+    a = x >> 1
+    xp = (x >> 1) ^ (x & 1)
+    chsh_win = ((xp & setting) == (a ^ b)) & (setting < 2)
+    det_win = (setting == 2) & (xp == 0) & (b == a)
+    free_win = (setting == 2) & (xp == 1)
+    aug_hits = int(np.count_nonzero(chsh_win | det_win | free_win))
+    checks = [protocols._bound_check("augmented_chsh_score", aug_hits, trials, protocols.AUGMENTED_CHSH_SCORE)]
+
+    x = rng.integers(0, 4, size=trials)
+    b = draw_bits(x, np.full(trials, 2))
+    checks.append(protocols._bound_check("output_guess_rate", int(np.count_nonzero(b == (x >> 1))), trials, 0.75))
+
+    x = rng.integers(1, 3, size=trials)
+    b = draw_bits(x, np.full(trials, 2))
+    checks.append(protocols._bound_check("rand_bit_guess_rate", int(np.count_nonzero(b == (x >> 1))), trials, 0.5))
+    return protocols.GuessingBoundsReport(tuple(checks))
+
+
+def cli_bytes(capsys, argv):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# ---------------------------------------------------------------------------
+# sample_many
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("game", list(GameId))
+@pytest.mark.parametrize("n", [0, 1, 5, 4099])
+def test_sample_many_matches_row_reference(game, n):
+    strategy = paper_strategy(game)
+    sampler = RoundSampler(game, strategy)
+    for seed in SEEDS:
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rounds = sampler.sample_many(n, rng)
+        assert list(rounds) == reference_sample_many(game, strategy, n, ref_rng)
+        assert rng.random() == ref_rng.random()         # the same draws were taken
+        assert rounds.inputs.dtype == rounds.outputs.dtype == np.int8
+        assert rounds.inputs.shape == (n, len(input_space(game)[0]))
+
+
+def test_sample_many_of_a_mixture_matches_row_reference():
+    zeros = [s for s in games.enumerate_deterministic(GameId.CHSH) if s.tables[0][0] == s.tables[1][0] == 0][:3]
+    mix = games.ClassicalStrategy(GameId.CHSH, mixture=tuple(zip((0.7, 0.2, 0.1), zeros)))
+    rounds = RoundSampler(GameId.CHSH, mix).sample_many(5000, np.random.default_rng(8))
+    assert list(rounds) == reference_sample_many(GameId.CHSH, mix, 5000, np.random.default_rng(8))
+
+
+def test_sampled_rounds_index_as_roundio():
+    rounds = RoundSampler(GameId.GAME_G, paper_strategy(GameId.GAME_G)).sample_many(10, np.random.default_rng(4))
+    listed = list(rounds)
+    assert len(rounds) == 10
+    assert rounds[-1] == listed[9]
+    assert rounds[2:7:2] == listed[2:7:2]
+    assert all(type(v) is int for r in listed for v in r.inputs + r.outputs)
+    with pytest.raises(IndexError):
+        rounds[10]
+    with pytest.raises(ValueError):
+        rounds.outputs[0, 0] = 1
+
+
+# ---------------------------------------------------------------------------
+# byte-identical reports
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("game", sorted(cli._GAME_NAMES))
+@pytest.mark.parametrize("rounds", [1, 2, 30_000])
+def test_play_game_report_matches_row_reference(game, rounds, capsys, monkeypatch):
+    for seed in SEEDS:
+        argv = ["play-game", "--game", game, "--rounds", str(rounds), "--seed", str(seed), "--deterministic"]
+        got = cli_bytes(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._COMMANDS, "play-game", reference_play_game)
+            want = cli_bytes(capsys, argv)
+        assert got == want
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 65535, 65536, 65537, 200_001])
+def test_guessing_bounds_report_matches_one_shot_reference(trials, capsys, monkeypatch):
+    for seed in SEEDS:
+        argv = ["guessing-bounds", "--trials", str(trials), "--seed", str(seed), "--deterministic"]
+        got = cli_bytes(capsys, argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocols, "guessing_game_bound_check", reference_guessing_bounds)
+            want = cli_bytes(capsys, argv)
+        assert got == want
+
+
+def test_guessing_bounds_take_the_same_draws():
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    protocols.guessing_game_bound_check(70_001, rng)
+    reference_guessing_bounds(70_001, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+def test_exact_references_match_closed_forms():
+    expected = {c.name: c.expected for c in protocols.guessing_game_bound_check(1, np.random.default_rng(0)).checks}
+    assert abs(expected["augmented_chsh_score"] - protocols.AUGMENTED_CHSH_SCORE) <= 1e-15
+    assert abs(expected["augmented_chsh_score"] - ((2 / 3) * math.cos(math.pi / 8) ** 2 + 1 / 3)) <= 1e-15
+    assert expected["output_guess_rate"] == 0.75
+    assert expected["rand_bit_guess_rate"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_guessing_bounds_hold_one_byte_columns():
+    trials = 2_000_000
+    protocols.guessing_game_bound_check(1, np.random.default_rng(0))
+    peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
+    # x and the setting as uint8 columns, one int64 draw being cast, and chunk temporaries
+    assert peak <= 20 * trials + 2**20, f"{peak / trials:.1f} B/trial"
+
+
+def test_sample_many_holds_columns_not_round_objects():
+    n = 200_000
+    sampler = RoundSampler(GameId.PSEUDO_TELEPATHY3, paper_strategy(GameId.PSEUDO_TELEPATHY3))
+    peak = traced_peak(lambda: sampler.sample_many(n, np.random.default_rng(2)))
+    assert peak <= 40 * n, f"{peak / n:.1f} B/round"

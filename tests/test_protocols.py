@@ -154,6 +154,15 @@ class TestAdversarialDevices:
         assert trials == config.rounds
         assert abs(hits / trials - 0.5) <= 4 * math.sqrt(0.25 / trials)
 
+    @pytest.mark.parametrize("protocol", ["P", "Q"])
+    def test_input_guesser_coin_per_run_is_one_coin(self, protocol):
+        pair = adversarial_devices("input_guesser", coin_per_round=False)
+        assert pair.uses_coin and not pair.coin_per_round
+        bins, _ = run_protocol(ProtocolConfig(protocol, 5_000, seed=29), pair)
+        # the guesser answers its coin in every cell, so the run's bits are its coin column
+        batches = [bins.check, bins.rand] + ([bins.false_bin] if protocol == "P" else [])
+        assert np.unique(np.concatenate([batch.output for batch in batches])).size == 1
+
 
 class TestRunProtocolP:
     def test_honest_pass(self):
