@@ -156,7 +156,7 @@ def _as_bits(bits) -> np.ndarray:
         arr = np.asarray(bits, dtype=np.uint8)
     if arr.ndim != 1:
         raise ValueError("bits must be one-dimensional")
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    if arr.size and arr.max() > 1:
         raise ValueError("bits must be 0/1 valued")
     return arr
 

@@ -118,7 +118,7 @@ def write_bits(path: str | Path, bits: np.ndarray) -> None:
 def read_bits(path: str | Path) -> np.ndarray:
     """Parse a bit dump; line breaks may be LF, CRLF or CR."""
     bits = np.frombuffer(Path(path).read_bytes().translate(None, b"\r\n"), dtype=np.uint8) - ord("0")
-    if np.any(bits > 1):
+    if bits.size and bits.max() > 1:
         raise ValueError("bit strings may contain only '0' and '1'")
     return bits
 
@@ -312,21 +312,29 @@ def _cmd_play_game(opts: dict, seed: int) -> tuple[dict, int]:
     sampler = games.RoundSampler(game, strategy)
     rng = np.random.default_rng(seed)
     rounds = sampler.sample_many(n_rounds, rng)
-    wins = games.win_mask(game)[(*rounds.inputs.T, *rounds.outputs.T)]
+    mask = games.win_mask(game)
+    wins = n_odd = odd_wins = 0
+    for chunk in games.chunk_slices(n_rounds):
+        inputs = rounds.inputs[chunk]
+        won = mask[(*inputs.T, *rounds.outputs[chunk].T)]
+        wins += np.count_nonzero(won)
+        if game is GameId.GAME_G2:
+            # an odd-weight G2 round wins exactly when its guess b == x1 is right
+            odd = np.bitwise_xor.reduce(inputs, axis=1) == 1
+            n_odd += np.count_nonzero(odd)
+            odd_wins += np.count_nonzero(won[odd])
     if game is GameId.GAME_G2:
-        odd = np.bitwise_xor.reduce(rounds.inputs, axis=1) == 1
-        n_odd = np.count_nonzero(odd)
         if n_odd in (0, n_rounds):
             raise DiqrngError(
                 f"g2 scores need even- and odd-weight rounds; {n_rounds} round(s) drew only one kind"
             )
         sampled = {
-            "even_win": np.count_nonzero(wins[~odd]) / (n_rounds - n_odd),
-            "odd_guess": np.count_nonzero(rounds.outputs[odd, 0] == rounds.inputs[odd, 1]) / n_odd,
+            "even_win": (wins - odd_wins) / (n_rounds - n_odd),
+            "odd_guess": odd_wins / n_odd,
             "rounds": n_rounds,
         }
     else:
-        sampled = {"win_frequency": np.count_nonzero(wins) / n_rounds, "rounds": n_rounds}
+        sampled = {"win_frequency": wins / n_rounds, "rounds": n_rounds}
     report = {
         "manifest": _manifest("play-game", seed, opts, ["game", "rounds"]),
         "game": game.value,

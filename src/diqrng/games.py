@@ -549,6 +549,27 @@ def pt3_odd_extension_score(strategy: Strategy) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
+_CHUNK_ROUNDS = 1 << 16     # rounds per chunk of every full-length Monte Carlo draw
+
+
+def chunk_slices(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_CHUNK_ROUNDS`` rounds covering range(n)."""
+    return (slice(start, min(start + _CHUNK_ROUNDS, n)) for start in range(0, n, _CHUNK_ROUNDS))
+
+
+def integer_column(rng: np.random.Generator, low: int, high: int, n: int, dtype) -> np.ndarray:
+    """``rng.integers(low, high, size=n)`` as a ``dtype`` column, drawn chunk by chunk.
+
+    numpy's Generator draws the same values in chunks as in one call, so the
+    column equals the one-call draw cast to ``dtype`` and the stream ends in
+    the same state; only one chunk of int64 draws is held at a time.
+    """
+    column = np.empty(n, dtype=dtype)
+    for chunk in chunk_slices(n):
+        column[chunk] = rng.integers(low, high, size=chunk.stop - chunk.start)
+    return column
+
+
 class RoundSampler:
     """Draws rounds from the rows of a strategy's outcome tensor.
 
@@ -584,16 +605,23 @@ class RoundSampler:
         return RoundIO(inputs, tuple(self._outputs[inputs][self._branch(inputs, rng.random())].tolist()))
 
     def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
-        """n rounds with uniform inputs, in round order: all n input draws, then n uniforms."""
+        """n rounds with uniform inputs, in round order: all n input draws, then n uniforms.
+
+        The input indices fill an int8 column chunk by chunk; then each chunk's
+        uniforms are drawn and resolved into the returned int8 columns.  Besides
+        those columns (about 7 B/round for pt3) only one chunk's draws are held.
+        """
         space = list(self._outputs)
-        input_idx = rng.integers(0, len(space), size=n).astype(np.int8)
-        u = rng.random(n)
+        input_idx = integer_column(rng, 0, len(space), n, np.int8)
         inputs = np.empty((n, _INPUT_ARITY[self.game]), dtype=np.int8)
         outputs = np.empty((n, _OUTPUT_ARITY[self.game]), dtype=np.int8)
-        for k, row in enumerate(space):
-            mask = np.flatnonzero(input_idx == k)
-            inputs[mask] = row
-            outputs[mask] = self._outputs[row][self._branch(row, u[mask])]
+        for chunk in chunk_slices(n):
+            idx, u = input_idx[chunk], rng.random(chunk.stop - chunk.start)
+            ins, outs = inputs[chunk], outputs[chunk]
+            for k, row in enumerate(space):
+                mask = np.flatnonzero(idx == k)
+                ins[mask] = row
+                outs[mask] = self._outputs[row][self._branch(row, u[mask])]
         return RoundColumns(inputs, outputs)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
+from .games import _CHUNK_ROUNDS, chunk_slices, integer_column
 
 A_STAR = QUANTUM_WIN
 
@@ -392,9 +393,6 @@ def _structural_condition(name: str, ok: bool) -> ConditionCheck:
     )
 
 
-_CHUNK_ROUNDS = 1 << 16
-
-
 def _round_chunks(
     config: ProtocolConfig, devices: DevicePair, table: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -706,20 +704,22 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     Each experiment draws all its x values, then its settings, then one
     uniform per trial, and counts its wins chunk by chunk with its win mask
     over (x, setting, b); its expected rate is exact, from the same mask.
+    The x and setting draws fill uint8 columns chunk by chunk, so a check
+    holds about 2 B/trial plus one chunk's draws.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     table = honest_devices("P").response_table("P")[0]
     checks = []
     for name, x_range, setting_range, win in _guessing_experiments():
-        x = rng.integers(*x_range, size=trials).astype(np.uint8)
+        x = integer_column(rng, *x_range, trials, np.uint8)
         if setting_range[1] - setting_range[0] > 1:
-            setting = rng.integers(*setting_range, size=trials).astype(np.uint8)
+            setting = integer_column(rng, *setting_range, trials, np.uint8)
         else:
             setting = np.full(trials, setting_range[0], dtype=np.uint8)
         hits = 0
-        for start in range(0, trials, _CHUNK_ROUNDS):
-            xc, sc = x[start : start + _CHUNK_ROUNDS], setting[start : start + _CHUNK_ROUNDS]
+        for chunk in chunk_slices(trials):
+            xc, sc = x[chunk], setting[chunk]
             b = (rng.random(xc.size) >= 1.0 - table[xc, sc]).view(np.uint8)
             hits += int(np.count_nonzero(win[xc, sc, b]))
         checks.append(_bound_check(name, hits, trials, _exact_rate(table, x_range, setting_range, win)))

@@ -203,6 +203,18 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy_report("")
 
+    @pytest.mark.parametrize("bits", [[0, 2], [1, 1, 255], np.array([0, 1, 7], dtype=np.uint8)])
+    def test_non_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="0/1 valued"):
+            entropy_report(bits)
+
+    def test_bit_check_holds_no_per_bit_temporaries(self, traced_peak):
+        bits = np.random.default_rng(6).integers(0, 2, 2_000_000).astype(np.uint8)
+        rep, peak = traced_peak(lambda: entropy_report(bits))
+        assert rep.n_bits == bits.size
+        # a reduction over the caller's uint8 bits; numpy's cast buffers only
+        assert peak <= 2**18, f"{peak / bits.size:.3f} B/bit"
+
 
 class TestBattery:
     def test_random_bits_pass(self):

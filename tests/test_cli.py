@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,27 +74,17 @@ class TestBitDumps:
         with pytest.raises(ValueError, match="only '0' and '1'"):
             read_bits(path)
 
-    def test_write_memory_is_one_byte_per_bit(self, tmp_path):
+    def test_write_memory_is_one_byte_per_bit(self, tmp_path, traced_peak):
         bits = np.random.default_rng(3).integers(0, 2, 2_000_000).astype(np.uint8)
-        tracemalloc.start()
-        try:
-            write_bits(tmp_path / "dump.bits", bits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: write_bits(tmp_path / "dump.bits", bits))
         # the file's bytes, 65 per 64 bits, and nothing per bit besides
         assert peak <= 1.05 * bits.size + 2**16, f"{peak / bits.size:.2f} B/bit"
 
-    def test_read_memory_is_two_bytes_per_bit(self, tmp_path):
+    def test_read_memory_is_two_bytes_per_bit(self, tmp_path, traced_peak):
         bits = np.random.default_rng(4).integers(0, 2, 2_000_000).astype(np.uint8)
         path = tmp_path / "dump.bits"
         write_bits(path, bits)
-        tracemalloc.start()
-        try:
-            parsed = read_bits(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        parsed, peak = traced_peak(lambda: read_bits(path))
         assert np.array_equal(parsed, bits)
         # the file's bytes and then the stripped copy, or the stripped copy and the bits
         assert peak <= 2.1 * bits.size + 2**16, f"{peak / bits.size:.2f} B/bit"

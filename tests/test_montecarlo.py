@@ -7,7 +7,6 @@ columnar ``RoundSampler.sample_many``, ``play-game`` scoring and
 
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +141,21 @@ def test_sample_many_of_a_mixture_matches_row_reference():
     assert list(rounds) == reference_sample_many(GameId.CHSH, mix, 5000, np.random.default_rng(8))
 
 
+MULTI_CHUNK = (games._CHUNK_ROUNDS, games._CHUNK_ROUNDS + 1, 3 * games._CHUNK_ROUNDS + 17)
+
+
+@pytest.mark.parametrize("game", list(GameId))
+@pytest.mark.parametrize("n", MULTI_CHUNK)
+def test_multi_chunk_sample_many_matches_row_reference(game, n):
+    strategy = paper_strategy(game)
+    rng, ref_rng = np.random.default_rng(SEEDS[1]), np.random.default_rng(SEEDS[1])
+    rounds = RoundSampler(game, strategy).sample_many(n, rng)
+    ref = reference_sample_many(game, strategy, n, ref_rng)
+    assert np.array_equal(rounds.inputs, np.array([r.inputs for r in ref]))
+    assert np.array_equal(rounds.outputs, np.array([r.outputs for r in ref]))
+    assert rng.random() == ref_rng.random()
+
+
 def test_sampled_rounds_index_as_roundio():
     rounds = RoundSampler(GameId.GAME_G, paper_strategy(GameId.GAME_G)).sample_many(10, np.random.default_rng(4))
     listed = list(rounds)
@@ -171,6 +185,17 @@ def test_play_game_report_matches_row_reference(game, rounds, capsys, monkeypatc
         assert got == want
 
 
+@pytest.mark.parametrize("game", sorted(cli._GAME_NAMES))
+@pytest.mark.parametrize("rounds", MULTI_CHUNK)
+def test_multi_chunk_play_game_report_matches_row_reference(game, rounds, capsys, monkeypatch):
+    argv = ["play-game", "--game", game, "--rounds", str(rounds), "--seed", str(SEEDS[0]), "--deterministic"]
+    got = cli_bytes(capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._COMMANDS, "play-game", reference_play_game)
+        want = cli_bytes(capsys, argv)
+    assert got == want
+
+
 @pytest.mark.parametrize("trials", [1, 2, 3, 65535, 65536, 65537, 200_001])
 def test_guessing_bounds_report_matches_one_shot_reference(trials, capsys, monkeypatch):
     for seed in SEEDS:
@@ -197,29 +222,60 @@ def test_exact_references_match_closed_forms():
     assert expected["rand_bit_guess_rate"] == 0.5
 
 
+@pytest.mark.parametrize("low,high", [(0, 2), (1, 3), (0, 3), (0, 4), (0, 8)])
+def test_chunked_draws_equal_one_call(low, high):
+    """The property every chunked column relies on: chunk sizes never show in a PCG64 stream."""
+    sizes = (1, 7, games._CHUNK_ROUNDS, 1001, 1, 7)
+    one, chunked = np.random.default_rng(SEEDS[2]), np.random.default_rng(SEEDS[2])
+    want = one.integers(low, high, size=sum(sizes))
+    got = np.concatenate([chunked.integers(low, high, size=k) for k in sizes])
+    assert np.array_equal(got, want)
+    want = one.random(sum(sizes))
+    got = np.concatenate([chunked.random(k) for k in sizes])
+    assert np.array_equal(got, want)
+    assert one.integers(0, 2**63) == chunked.integers(0, 2**63)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+def test_integer_column_equals_one_call(dtype):
+    n = 2 * games._CHUNK_ROUNDS + 5
+    rng, ref_rng = np.random.default_rng(SEEDS[0]), np.random.default_rng(SEEDS[0])
+    column = games.integer_column(rng, 1, 3, n, dtype)
+    assert column.dtype == dtype
+    assert np.array_equal(column, ref_rng.integers(1, 3, size=n))
+    assert rng.random() == ref_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_guessing_bounds_hold_one_byte_columns():
+def test_guessing_bounds_hold_one_byte_columns(traced_peak):
     trials = 2_000_000
     protocols.guessing_game_bound_check(1, np.random.default_rng(0))
-    peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
+    _, peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
     # x and the setting as uint8 columns, one int64 draw being cast, and chunk temporaries
     assert peak <= 20 * trials + 2**20, f"{peak / trials:.1f} B/trial"
 
 
-def test_sample_many_holds_columns_not_round_objects():
+def test_sample_many_holds_columns_not_round_objects(traced_peak):
     n = 200_000
     sampler = RoundSampler(GameId.PSEUDO_TELEPATHY3, paper_strategy(GameId.PSEUDO_TELEPATHY3))
-    peak = traced_peak(lambda: sampler.sample_many(n, np.random.default_rng(2)))
+    _, peak = traced_peak(lambda: sampler.sample_many(n, np.random.default_rng(2)))
     assert peak <= 40 * n, f"{peak / n:.1f} B/round"
+
+
+def test_guessing_bounds_fill_columns_chunk_by_chunk(traced_peak):
+    trials = 2_000_000
+    protocols.guessing_game_bound_check(1, np.random.default_rng(0))
+    _, peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
+    # x and the setting as uint8 columns; one chunk of draws and temporaries
+    assert peak <= 3 * trials + 4 * 2**20, f"{peak / trials:.1f} B/trial"
+
+
+def test_sample_many_fills_columns_chunk_by_chunk(traced_peak):
+    n = 1_000_000
+    sampler = RoundSampler(GameId.PSEUDO_TELEPATHY3, paper_strategy(GameId.PSEUDO_TELEPATHY3))
+    _, peak = traced_peak(lambda: sampler.sample_many(n, np.random.default_rng(2)))
+    # the int8 input index, inputs and outputs (1 + 3 + 3 B); one chunk of draws and temporaries
+    assert peak <= 8 * n + 4 * 2**20, f"{peak / n:.1f} B/round"

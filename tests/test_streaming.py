@@ -1,12 +1,11 @@
 """Chunked protocol runs: identity with the single-draw run, and memory bounds."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from diqrng import analysis, protocols
+from diqrng import analysis, games, protocols
 from diqrng.errors import InsufficientRounds, MissingCell
 from diqrng.protocols import (
     A_STAR,
@@ -18,7 +17,7 @@ from diqrng.protocols import (
     run_protocol,
 )
 
-CHUNK = protocols._CHUNK_ROUNDS
+CHUNK = games._CHUNK_ROUNDS
 ROUNDS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17)
 
 P_WEIGHTS = {(0, 0, 0): 0.3, (0, 1, 2): 0.2, (1, 0, 1): 0.1, (1, 1, 2): 0.15, (0, 0, 2): 0.05, (1, 1, 0): 0.2}
@@ -197,17 +196,8 @@ def test_chunked_run_matches_single_draw(name, rounds):
 CHUNK_BYTES = 80 * CHUNK
 
 
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("protocol,mode", [("P", "test"), ("Q", "test"), ("P", "generate")])
-def test_run_protocol_keeps_rand_bits_and_one_chunk(protocol, mode):
+def test_run_protocol_keeps_rand_bits_and_one_chunk(protocol, mode, traced_peak):
     config = ProtocolConfig(protocol, 2_000_000, seed=5, mode=mode)
     pair = honest_devices(protocol)
     (bins, verdict), peak = traced_peak(lambda: run_protocol(config, pair))
