@@ -153,7 +153,11 @@ def _as_bits(bits) -> np.ndarray:
             raise ValueError("bit strings may contain only '0' and '1'")
         arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
-        arr = np.asarray(bits, dtype=np.uint8)
+        arr = np.asarray(bits)
+        if arr.dtype != np.uint8:
+            if arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
+                raise ValueError("bits must be 0/1 valued")
+            arr = arr.astype(np.uint8)
     if arr.ndim != 1:
         raise ValueError("bits must be one-dimensional")
     if arr.size and arr.max() > 1:

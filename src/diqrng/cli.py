@@ -307,6 +307,8 @@ def _cmd_play_game(opts: dict, seed: int) -> tuple[dict, int]:
     n_rounds = int(opts["rounds"])
     if n_rounds < 1:
         raise DiqrngError(f"play-game needs at least one round, got {n_rounds}")
+    if n_rounds > games.MAX_ROUNDS:
+        raise ValueError(f"play-game takes at most {games.MAX_ROUNDS} rounds, got {n_rounds}")
     strategy = games.paper_strategy(game)
     exact = games.exact_score(game, strategy)
     sampler = games.RoundSampler(game, strategy)

@@ -22,6 +22,7 @@ Game roster:
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -550,6 +551,7 @@ def pt3_odd_extension_score(strategy: Strategy) -> float:
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROUNDS = 1 << 16     # rounds per chunk of every full-length Monte Carlo draw
+MAX_ROUNDS = int(np.iinfo(np.int64).max)    # the most rounds or trials an int64 tally can count
 
 
 def chunk_slices(n: int) -> Iterator[slice]:
@@ -568,6 +570,19 @@ def integer_column(rng: np.random.Generator, low: int, high: int, n: int, dtype)
     for chunk in chunk_slices(n):
         column[chunk] = rng.integers(low, high, size=chunk.stop - chunk.start)
     return column
+
+
+def skip_ahead(rng: np.random.Generator, n: int, low: int, high: int) -> np.random.Generator:
+    """A copy of ``rng`` left where ``rng.integers(low, high, size=n)`` would leave it.
+
+    The n draws are made and discarded chunk by chunk on the copy; ``rng``
+    itself does not move.  The copy then yields the block of draws that
+    follows those n.
+    """
+    ahead = copy.deepcopy(rng)
+    for chunk in chunk_slices(n):
+        ahead.integers(low, high, size=chunk.stop - chunk.start)
+    return ahead
 
 
 class RoundSampler:

@@ -24,7 +24,6 @@ the same round stream.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,7 @@ import numpy as np
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import _CHUNK_ROUNDS, chunk_slices, integer_column
+from .games import MAX_ROUNDS, chunk_slices, skip_ahead
 
 A_STAR = QUANTUM_WIN
 
@@ -314,6 +313,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in ("P", "Q"):
             raise ValueError(f"protocol must be 'P' or 'Q', got {self.protocol!r}")
+        if self.rounds > MAX_ROUNDS:
+            raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
         if self.mode not in ("test", "generate"):
             raise ValueError(f"mode must be 'test' or 'generate', got {self.mode!r}")
         if not 0.0 < self.delta < 1.0:
@@ -406,8 +407,6 @@ def _round_chunks(
     """
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
-    full, rest = divmod(config.rounds, _CHUNK_ROUNDS)
-    sizes = [_CHUNK_ROUNDS] * full + ([rest] if rest else [])
 
     if config.input_weights is not None:
         space = _draw_space(config.protocol, config.mode)
@@ -425,9 +424,7 @@ def _round_chunks(
             return input_rng.integers(1, 3, size=k), np.full(k, 2, dtype=np.int64)   # x in {01, 10}
     else:
         n_settings = _BIN_OF[config.protocol].shape[1]
-        setting_rng = copy.deepcopy(input_rng)
-        for k in sizes:
-            setting_rng.integers(0, 4, size=k)
+        setting_rng = skip_ahead(input_rng, config.rounds, 0, 4)
 
         def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
             return input_rng.integers(0, 4, size=k), setting_rng.integers(0, n_settings, size=k)
@@ -435,7 +432,8 @@ def _round_chunks(
     coin = 0
     if devices.uses_coin and not devices.coin_per_round:
         coin = int(coin_rng.integers(0, 2))
-    for k in sizes:
+    for chunk in chunk_slices(config.rounds):
+        k = chunk.stop - chunk.start
         x, setting = draw_inputs(k)
         if devices.uses_coin and devices.coin_per_round:
             coin = coin_rng.integers(0, 2, size=k)
@@ -704,23 +702,29 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     Each experiment draws all its x values, then its settings, then one
     uniform per trial, and counts its wins chunk by chunk with its win mask
     over (x, setting, b); its expected rate is exact, from the same mask.
-    The x and setting draws fill uint8 columns chunk by chunk, so a check
-    holds about 2 B/trial plus one chunk's draws.
+    The three blocks stream side by side, one chunk at a time: x from
+    ``rng``, the settings from a copy moved past the n x draws, the uniforms
+    from a copy moved past the settings.  ``rng`` ends where the uniform copy
+    does, so the draws and the end state are those of the one-call order,
+    and a check holds one chunk's draws at any trial count.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if not 1 <= trials <= MAX_ROUNDS:
+        raise ValueError(f"trials must lie in [1, {MAX_ROUNDS}], got {trials}")
     table = honest_devices("P").response_table("P")[0]
+    threshold = (1.0 - table).ravel()       # by cell = 3*x + setting
     checks = []
     for name, x_range, setting_range, win in _guessing_experiments():
-        x = integer_column(rng, *x_range, trials, np.uint8)
-        if setting_range[1] - setting_range[0] > 1:
-            setting = integer_column(rng, *setting_range, trials, np.uint8)
-        else:
-            setting = np.full(trials, setting_range[0], dtype=np.uint8)
+        drawn = setting_range[1] - setting_range[0] > 1
+        setting_rng = skip_ahead(rng, trials, *x_range)
+        uniform_rng = skip_ahead(setting_rng, trials, *setting_range) if drawn else setting_rng
+        win_cells = win.ravel()             # by 2*cell + b
         hits = 0
         for chunk in chunk_slices(trials):
-            xc, sc = x[chunk], setting[chunk]
-            b = (rng.random(xc.size) >= 1.0 - table[xc, sc]).view(np.uint8)
-            hits += int(np.count_nonzero(win[xc, sc, b]))
+            k = chunk.stop - chunk.start
+            cell = 3 * rng.integers(*x_range, size=k)
+            cell += setting_rng.integers(*setting_range, size=k) if drawn else setting_range[0]
+            b = uniform_rng.random(k) >= threshold[cell]
+            hits += int(np.count_nonzero(win_cells[2 * cell + b]))
+        rng.bit_generator.state = uniform_rng.bit_generator.state
         checks.append(_bound_check(name, hits, trials, _exact_rate(table, x_range, setting_range, win)))
     return GuessingBoundsReport(tuple(checks))

@@ -208,6 +208,11 @@ class TestEntropy:
         with pytest.raises(ValueError, match="0/1 valued"):
             entropy_report(bits)
 
+    @pytest.mark.parametrize("bits", [np.array([0, 256, 256, 1]), [0.5, 1.7, 0.2], [0, 256]])
+    def test_values_are_checked_before_the_uint8_cast(self, bits):
+        with pytest.raises(ValueError, match="0/1 valued"):
+            entropy_report(bits)
+
     def test_bit_check_holds_no_per_bit_temporaries(self, traced_peak):
         bits = np.random.default_rng(6).integers(0, 2, 2_000_000).astype(np.uint8)
         rep, peak = traced_peak(lambda: entropy_report(bits))

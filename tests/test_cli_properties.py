@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diqrng import cli
+from diqrng import cli, games
 
 # values of the wrong type or form, for flags and config files alike
 JUNK = st.one_of(
@@ -124,5 +124,10 @@ def test_generated_configs_report_or_fail_cleanly(command, capsys, monkeypatch):
 
 def test_round_count_past_the_index_range_is_an_error(capsys, monkeypatch):
     monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-    assert cli.main(["run-protocol", "--rounds", str(10**30), "--seed", "1"]) == 1
-    assert "error: " in capsys.readouterr().err
+    for argv in (["run-protocol", "--rounds"], ["play-game", "--rounds"], ["guessing-bounds", "--trials"]):
+        for count in (10**30, 2**63):
+            assert cli.main([*argv, str(count), "--seed", "1"]) == 1
+            err = capsys.readouterr().err
+            # the explicit int64 limit, not an incidental overflow of a list or an array shape
+            assert err.startswith("error: ") and str(games.MAX_ROUNDS) in err, (argv, count, err)
+            assert "Traceback" not in err

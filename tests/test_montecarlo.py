@@ -207,10 +207,10 @@ def test_guessing_bounds_report_matches_one_shot_reference(trials, capsys, monke
         assert got == want
 
 
-def test_guessing_bounds_take_the_same_draws():
+@pytest.mark.parametrize("trials", [1, 70_001, 3 * games._CHUNK_ROUNDS + 17])
+def test_guessing_bounds_take_the_same_draws(trials):
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    protocols.guessing_game_bound_check(70_001, rng)
-    reference_guessing_bounds(70_001, ref_rng)
+    assert protocols.guessing_game_bound_check(trials, rng) == reference_guessing_bounds(trials, ref_rng)
     assert rng.random() == ref_rng.random()
 
 
@@ -246,17 +246,24 @@ def test_integer_column_equals_one_call(dtype):
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize(
+    "n", [1, games._CHUNK_ROUNDS - 1, games._CHUNK_ROUNDS, games._CHUNK_ROUNDS + 1, 3 * games._CHUNK_ROUNDS + 17]
+)
+@pytest.mark.parametrize("low,high", [(0, 4), (1, 3), (0, 3)])
+def test_skip_ahead_lands_where_one_call_does(n, low, high):
+    rng, ref_rng = np.random.default_rng(SEEDS[2]), np.random.default_rng(SEEDS[2])
+    start = rng.bit_generator.state
+    ahead = games.skip_ahead(rng, n, low, high)
+    ref_rng.integers(low, high, size=n)
+    assert ahead.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.bit_generator.state == start
+    assert np.array_equal(ahead.integers(low, high, size=5), ref_rng.integers(low, high, size=5))
+    assert ahead.random() == ref_rng.random()
+
+
 # ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
-
-def test_guessing_bounds_hold_one_byte_columns(traced_peak):
-    trials = 2_000_000
-    protocols.guessing_game_bound_check(1, np.random.default_rng(0))
-    _, peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
-    # x and the setting as uint8 columns, one int64 draw being cast, and chunk temporaries
-    assert peak <= 20 * trials + 2**20, f"{peak / trials:.1f} B/trial"
-
 
 def test_sample_many_holds_columns_not_round_objects(traced_peak):
     n = 200_000
@@ -265,12 +272,20 @@ def test_sample_many_holds_columns_not_round_objects(traced_peak):
     assert peak <= 40 * n, f"{peak / n:.1f} B/round"
 
 
+def test_guessing_bounds_hold_one_byte_columns(traced_peak):
+    trials = 10_000_000
+    protocols.guessing_game_bound_check(1, np.random.default_rng(0))
+    _, peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
+    # less than a third of one uint8 column of the trials: no n-length column is held
+    assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
 def test_guessing_bounds_fill_columns_chunk_by_chunk(traced_peak):
     trials = 2_000_000
     protocols.guessing_game_bound_check(1, np.random.default_rng(0))
     _, peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
-    # x and the setting as uint8 columns; one chunk of draws and temporaries
-    assert peak <= 3 * trials + 4 * 2**20, f"{peak / trials:.1f} B/trial"
+    # one chunk of x, setting and uniform draws with their temporaries, and three generator copies
+    assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_sample_many_fills_columns_chunk_by_chunk(traced_peak):
