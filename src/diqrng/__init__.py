@@ -57,7 +57,6 @@ from .protocols import (
     DevicePair,
     GuessingBoundsReport,
     ProtocolConfig,
-    RoundRecord,
     adversarial_devices,
     classical_pair_from_strategy,
     guessing_game_bound_check,

@@ -18,6 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import EmptyCondition, MissingCell, TooFewBits
+from .games import GameId, win_mask
 
 _NORMAL = NormalDist()
 
@@ -87,37 +88,42 @@ def estimate_conditional(
     return Estimate(count / trials, count, trials, lo, hi, confidence)
 
 
-def _records_to_cells(records: Iterable) -> tuple[np.ndarray, np.ndarray]:
+def _score_cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell (trials, successes) from rounds counted as [x, y, b], cell = 2*x + y."""
+    win = win_mask(GameId.TAVAKOLI).reshape(4, 2, 2)
+    return counts.sum(axis=2).reshape(8), (counts * win).sum(axis=2).reshape(8)
+
+
+def _records_to_cells(records) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (trials, successes) arrays over the eight (x0, x1, y) cells.
 
-    ``records`` may instead be a tally whose ``cell_counts()`` returns them,
-    or a batch whose ``inputs`` and ``output`` are columns.
+    ``records`` is either a run whose ``cell_counts()`` counts its self-test
+    rounds as [x, y, b] with x = 2*x0 + x1, or ``RoundColumns`` with inputs
+    (x0, x1, y) and outputs (b,), counted here into the same shape.
     """
     counts = getattr(records, "cell_counts", None)
     if callable(counts):
-        return counts()
-    if isinstance(getattr(records, "inputs", None), np.ndarray):
-        inputs, output = records.inputs, records.output
-    else:
-        records = list(records)
-        inputs = np.array([r.inputs for r in records], dtype=np.int64).reshape(-1, 3)
-        output = np.array([r.output for r in records], dtype=np.int64)
-    x0, x1, y = inputs.astype(np.int64).T
-    bad = y[(y != 0) & (y != 1)]
-    if bad.size:
-        raise ValueError(f"self-test records must have y in {{0, 1}}, got {bad[0]}")
-    cells = 4 * x0 + 2 * x1 + y
-    wins = output == np.where(y == 0, x0, x1)
-    return np.bincount(cells, minlength=8), np.bincount(cells[wins], minlength=8)
+        return _score_cells(counts())
+    inputs, outputs = records.inputs, records.outputs
+    if inputs.shape[1:] != (3,) or outputs.shape[1:] != (1,):
+        raise ValueError("self-test records have inputs (x0, x1, y) and one output b")
+    columns = (*inputs.T, outputs[:, 0])
+    for name, column in zip(("x0", "x1", "y", "b"), columns):
+        bad = column[(column != 0) & (column != 1)]
+        if bad.size:
+            raise ValueError(f"self-test records must have {name} in {{0, 1}}, got {bad[0]}")
+    x0, x1, y, b = columns
+    return _score_cells(np.bincount(8 * x0 + 4 * x1 + 2 * y + b, minlength=16).reshape(4, 2, 2))
 
 
-def statistic_A(check_records: Iterable, confidence: float = 0.99) -> Estimate:
+def statistic_A(check_records, confidence: float = 0.99) -> Estimate:
     """Cell-averaged self-test statistic over the eight (x0, x1, y) cells.
 
     The point is the unweighted mean of the per-cell empirical Pr[b == x_y]
     (mirroring the statistic's 1/8 prefactor), NOT the pooled frequency.  The
     interval combines per-cell Hoeffding radii at confidence split evenly
-    across the cells, which is conservative.
+    across the cells, which is conservative.  ``check_records`` is a protocol
+    P run's ``BinStore`` or self-test ``RoundColumns``.
     """
     trials, successes = _records_to_cells(check_records)
     if np.any(trials == 0):

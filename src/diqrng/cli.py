@@ -14,7 +14,6 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -251,41 +250,20 @@ def _resolve_seed(opts: dict) -> int:
     return secrets.randbits(63)
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(command: str, seed: int, opts: dict, config_keys: list[str]) -> dict:
     """What produced a report; identical manifests reproduce identical bytes.
 
-    The timestamp is the one optional non-reproducible field and is omitted
-    under --deterministic.
+    The timestamp is the one non-reproducible field and is omitted under --deterministic.
     """
-
-    command: str
-    tool_version: str
-    seed: int
-    config: dict
-    timestamp: str | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "config": dict(self.config),
-        }
-        if self.timestamp is not None:
-            doc["timestamp"] = self.timestamp
-        return doc
-
-
-def _manifest(command: str, seed: int, opts: dict, config_keys: list[str]) -> dict:
-    manifest = RunManifest(
-        command=command,
-        tool_version=__version__,
-        seed=seed,
-        config={key: opts[key] for key in config_keys},
-        timestamp=None if opts.get("deterministic") else datetime.now(timezone.utc).isoformat(),
-    )
-    return manifest.to_dict()
+    manifest = {
+        "command": command,
+        "tool_version": __version__,
+        "seed": seed,
+        "config": {key: opts[key] for key in config_keys},
+    }
+    if not opts.get("deterministic"):
+        manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return manifest
 
 
 # ---------------------------------------------------------------------------

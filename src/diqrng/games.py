@@ -84,9 +84,10 @@ class RoundIO:
 
 
 class RoundColumns(Sequence):
-    """Sampled rounds as read-only int8 columns, indexable as RoundIO values.
+    """Rounds as read-only int8 columns, indexable as RoundIO values.
 
     ``inputs`` is [round, input bit] and ``outputs`` is [round, output bit].
+    Sampled game rounds and a protocol run's bins both take this form.
     """
 
     def __init__(self, inputs: np.ndarray, outputs: np.ndarray):

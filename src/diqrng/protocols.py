@@ -18,8 +18,10 @@ with the same seed are bit-identical.
 
 A run streams its rounds in fixed-size chunks and keeps only what
 certification reads: a tally of rounds by (x, setting, b) and the Rand bin's
-output bits.  The per-round bin views are rebuilt on first access by replaying
-the same round stream.
+output bits.  Its ``BinStore`` holds the tally and answers the bin and cell
+counts.  The per-round bin views are ``games.RoundColumns`` with inputs
+(x0, x1, setting) and output (b,), rebuilt on first access by replaying the
+same round stream.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import MAX_ROUNDS, chunk_slices, skip_ahead
+from .games import MAX_ROUNDS, RoundColumns, chunk_slices, skip_ahead
 
 A_STAR = QUANTUM_WIN
 
@@ -184,103 +186,53 @@ def classical_pair_from_strategy(strategy: ClassicalStrategy, protocol: str) -> 
 # round storage
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One executed round: its position in the run, inputs, and output bit."""
-
-    round_index: int
-    inputs: tuple[int, ...]
-    output: int
-
-
-class RoundBatch(Sequence):
-    """Columnar storage for a bin's rounds, iterable as RoundRecord values."""
-
-    def __init__(self, index: np.ndarray, inputs: np.ndarray, output: np.ndarray):
-        self._index = np.asarray(index, dtype=np.int64)
-        self._inputs = np.asarray(inputs, dtype=np.int8)
-        self._output = np.asarray(output, dtype=np.int8)
-        for arr in (self._index, self._inputs, self._output):
-            arr.setflags(write=False)
-
-    def __len__(self) -> int:
-        return int(self._index.size)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return RoundRecord(
-            int(self._index[i]), tuple(int(v) for v in self._inputs[i]), int(self._output[i])
-        )
-
-    @property
-    def index(self) -> np.ndarray:
-        return self._index
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return self._inputs
-
-    @property
-    def output(self) -> np.ndarray:
-        return self._output
-
-
-
 def _win(game: GameId) -> np.ndarray:
     """The game's win mask as win[x, setting, b], x = 2*x0 + x1."""
     return win_mask(game).reshape(4, 2, 2)
 
 
-@dataclass(frozen=True)
-class _Tally:
-    """A run's rounds counted by (x, setting, b): what certification reads besides the Rand bits."""
+class BinStore:
+    """A run's rounds: their tally by (x, setting, b) and their Check/Rand/False bins.
 
-    protocol: str
-    counts: np.ndarray          # [x, setting, b]
+    ``tally`` counts the rounds as [x, setting, b], x = 2*x0 + x1; it is all
+    that certification reads besides the Rand bits.  The bin views hold every
+    round's inputs and output, so a run does not keep them: they are rebuilt
+    on first access by replaying the run's round stream.
+    """
 
-    def bin_counts(self) -> dict[str, int]:
-        per_cell = self.counts.sum(axis=2)
+    def __init__(self, protocol: str, tally: np.ndarray, replay: Callable[[], tuple[RoundColumns, ...]]):
+        self.protocol = protocol
+        self.tally = tally
+        self._replay = replay
+        tally.setflags(write=False)
+
+    @functools.cached_property
+    def _views(self) -> tuple[RoundColumns, ...]:
+        return self._replay()
+
+    @property
+    def check(self) -> RoundColumns:
+        return self._views[_CHECK]
+
+    @property
+    def rand(self) -> RoundColumns:
+        return self._views[_RAND]
+
+    @property
+    def false_bin(self) -> RoundColumns | None:
+        return self._views[_FALSE] if self.protocol == "P" else None
+
+    def counts(self) -> dict[str, int]:
+        per_cell = self.tally.sum(axis=2)
         bin_of = _BIN_OF[self.protocol]
         names = ("check", "rand", "false") if self.protocol == "P" else ("check", "rand")
         return {name: int(per_cell[bin_of == k].sum()) for k, name in enumerate(names)}
 
-    def cell_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell (trials, successes) of protocol P's self-test, cell = 4*x0 + 2*x1 + y."""
-        check = self.counts[:, :2, :]
-        return check.sum(axis=2).reshape(8), (check * _win(GameId.TAVAKOLI)).sum(axis=2).reshape(8)
-
-
-class BinStore:
-    """The Check/Rand/False partition of a run's rounds.
-
-    The counts come from the run's tally.  The per-bin views hold every
-    round's index, inputs and output, so a run does not keep them: they are
-    rebuilt on first access by replaying the run's round stream.
-    """
-
-    def __init__(self, counts: dict[str, int], replay: Callable[[], tuple[RoundBatch, ...]]):
-        self._counts = counts
-        self._replay = replay
-
-    @functools.cached_property
-    def _views(self) -> tuple[RoundBatch, ...]:
-        return self._replay()
-
-    @property
-    def check(self) -> RoundBatch:
-        return self._views[_CHECK]
-
-    @property
-    def rand(self) -> RoundBatch:
-        return self._views[_RAND]
-
-    @property
-    def false_bin(self) -> RoundBatch | None:
-        return self._views[_FALSE] if "false" in self._counts else None
-
-    def counts(self) -> dict[str, int]:
-        return dict(self._counts)
+    def cell_counts(self) -> np.ndarray:
+        """Protocol P's self-test rounds counted as [x, y, b], the cells ``statistic_A`` scores."""
+        if self.protocol != "P":
+            raise ValueError(f"protocol {self.protocol} runs have no self-test cells")
+        return self.tally[:, :2, :]
 
 
 def _draw_space(protocol: str, mode: str) -> tuple[tuple[int, int], ...]:
@@ -329,8 +281,8 @@ class ProtocolConfig:
                 pair = (2 * int(x0) + int(x1), int(setting))
                 if pair not in space:
                     raise ValueError(f"input {tuple(key)} invalid for protocol {self.protocol} {self.mode} mode")
-                if value < 0:
-                    raise ValueError("input weights must be nonnegative")
+                if not 0 <= value < math.inf:
+                    raise ValueError(f"input weights must be finite and nonnegative, got {value}")
                 weights[pair] = weights.get(pair, 0.0) + float(value)
             if abs(sum(weights.values()) - 1.0) > 1e-12:
                 raise ValueError("input weights must sum to 1")
@@ -441,20 +393,19 @@ def _round_chunks(
         yield x, setting, (meas_rng.random(k) >= 1.0 - p1).view(np.uint8)
 
 
-def _bin_views(config: ProtocolConfig, devices: DevicePair, table: np.ndarray) -> tuple[RoundBatch, ...]:
-    """Replay the run's rounds into its Check, Rand and False bin views."""
+def _bin_views(config: ProtocolConfig, devices: DevicePair, table: np.ndarray) -> tuple[RoundColumns, ...]:
+    """Replay the run's rounds into its Check, Rand and False bins, each in round order.
+
+    A bin's ``inputs`` are (x0, x1, setting) and its ``outputs`` are (b,), both int8.
+    """
     bin_of = _BIN_OF[config.protocol]
     pieces: list[list] = [[] for _ in range(bin_of.max() + 1)]
-    start = 0
     for x, setting, b in _round_chunks(config, devices, table):
-        index = np.arange(start, start + x.size, dtype=np.int64)
-        start += x.size
-        inputs = np.column_stack([x >> 1, x & 1, setting]).astype(np.int8)
+        rounds = np.column_stack([x >> 1, x & 1, setting, b]).astype(np.int8)
         which = bin_of[x, setting]
         for k, bin_pieces in enumerate(pieces):
-            mask = which == k
-            bin_pieces.append((index[mask], inputs[mask], b[mask]))
-    return tuple(RoundBatch(*(np.concatenate(column) for column in zip(*p))) for p in pieces)
+            bin_pieces.append(rounds[which == k])
+    return tuple(RoundColumns(*np.hsplit(np.concatenate(p), [3])) for p in pieces)
 
 
 def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore, CertificationVerdict]:
@@ -486,15 +437,14 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     bits = np.concatenate(rand_bits)
     del rand_bits          # the chunk pieces; certification needs only the joined bits
 
-    tally = _Tally(config.protocol, counts.reshape(4, n_settings, 2))
-    bins = BinStore(tally.bin_counts(), lambda: _bin_views(config, devices, table))
+    bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), lambda: _bin_views(config, devices, table))
     notes = (devices.caveat,) if devices.caveat else ()
     if config.mode == "generate":
         verdict = _generate_verdict(bits, notes)
     elif config.protocol == "P":
-        verdict = _certify_p(tally, bits, config, notes)
+        verdict = _certify_p(bins, bits, config, notes)
     else:
-        verdict = _certify_q(tally, bits, np.concatenate(odd_matches), config, notes)
+        verdict = _certify_q(bins, bits, np.concatenate(odd_matches), config, notes)
     return bins, verdict
 
 
@@ -509,12 +459,12 @@ def _generate_verdict(bits: np.ndarray, notes: tuple[str, ...]) -> Certification
     )
 
 
-def _certify_p(tally: _Tally, bits: np.ndarray, config: ProtocolConfig, notes: tuple[str, ...]) -> CertificationVerdict:
-    n_check = tally.bin_counts()["check"]
+def _certify_p(bins: BinStore, bits: np.ndarray, config: ProtocolConfig, notes: tuple[str, ...]) -> CertificationVerdict:
+    n_check = bins.counts()["check"]
     if n_check == 0:
         raise InsufficientRounds("check bin is empty")
     try:
-        a_hat = analysis.statistic_A(tally, confidence=1.0 - config.delta)
+        a_hat = analysis.statistic_A(bins, confidence=1.0 - config.delta)
     except analysis.MissingCell as exc:
         raise InsufficientRounds(str(exc)) from exc
 
@@ -535,10 +485,10 @@ def _certify_p(tally: _Tally, bits: np.ndarray, config: ProtocolConfig, notes: t
         ("false_b0_given_x00", 0, 0),
         ("false_b1_given_x11", 3, 1),
     ):
-        trials = int(tally.counts[x, 2].sum())
+        trials = int(bins.tally[x, 2].sum())
         if trials == 0:
             raise InsufficientRounds(f"false bin has no x={'00' if want_bit == 0 else '11'} rounds")
-        hits = int(tally.counts[x, 2, want_bit])
+        hits = int(bins.tally[x, 2, want_bit])
         radius_f = analysis.hoeffding_radius(config.delta, trials)
         conditions.append(
             _condition_from_counts(
@@ -564,13 +514,13 @@ def _certify_p(tally: _Tally, bits: np.ndarray, config: ProtocolConfig, notes: t
 
 
 def _certify_q(
-    tally: _Tally, bits: np.ndarray, odd_matches: np.ndarray, config: ProtocolConfig, notes: tuple[str, ...]
+    bins: BinStore, bits: np.ndarray, odd_matches: np.ndarray, config: ProtocolConfig, notes: tuple[str, ...]
 ) -> CertificationVerdict:
-    n_check = tally.bin_counts()["check"]
+    n_check = bins.counts()["check"]
     if n_check == 0:
         raise InsufficientRounds("check bin is empty")
     even_win = _win(GameId.GAME_G2) & (_BIN_OF["Q"] == _CHECK)[:, :, None]
-    win_count = int(tally.counts[even_win].sum())
+    win_count = int(bins.tally[even_win].sum())
     radius_even = analysis.hoeffding_radius(config.delta, n_check)
     conditions = [
         _condition_from_counts(

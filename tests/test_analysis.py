@@ -15,14 +15,21 @@ from diqrng.analysis import (
     wilson_interval,
 )
 from diqrng.errors import EmptyCondition, MissingCell, TooFewBits
-from diqrng.protocols import RoundBatch, RoundRecord
+from diqrng.games import GameId, RoundColumns, RoundSampler, exact_score, paper_strategy
+from diqrng.protocols import BinStore
 
 
 def make_records(cells_and_bits):
-    """RoundRecord list from (x0, x1, y, b) tuples."""
-    return [
-        RoundRecord(i, (x0, x1, y), b) for i, (x0, x1, y, b) in enumerate(cells_and_bits)
-    ]
+    """RoundColumns from (x0, x1, y, b) tuples."""
+    rounds = np.array(cells_and_bits, dtype=np.int8).reshape(-1, 4)
+    return RoundColumns(rounds[:, :3], rounds[:, 3:])
+
+
+def bin_store_counts(rounds):
+    """A protocol P BinStore holding only the [x, setting, b] count of self-test rounds."""
+    x0, x1, y = rounds.inputs.T.astype(np.int64)
+    code = 6 * (2 * x0 + x1) + 2 * y + rounds.outputs[:, 0]
+    return BinStore("P", np.bincount(code, minlength=24).reshape(4, 3, 2), replay=None)
 
 
 class TestWilson:
@@ -70,13 +77,13 @@ class TestHoeffding:
 class TestEstimateConditional:
     def test_event_equals_condition_gives_one(self):
         records = make_records([(0, 1, 0, 1)] * 50)
-        est = estimate_conditional(records, lambda r: r.output == 1, lambda r: r.output == 1, 0.95)
+        est = estimate_conditional(records, lambda r: r.outputs == (1,), lambda r: r.outputs == (1,), 0.95)
         assert est.point == 1.0
         assert est.count == est.trials == 50
 
     def test_half_rate(self):
         records = make_records([(0, 1, 0, i % 2) for i in range(200)])
-        est = estimate_conditional(records, lambda r: r.output == 0, lambda r: True, 0.99)
+        est = estimate_conditional(records, lambda r: r.outputs == (0,), lambda r: True, 0.99)
         assert est.point == 0.5
         assert est.ci_low <= 0.5 <= est.ci_high
         assert est.point == est.count / est.trials
@@ -84,7 +91,7 @@ class TestEstimateConditional:
     def test_empty_condition(self):
         records = make_records([(0, 1, 0, 1)] * 10)
         with pytest.raises(EmptyCondition):
-            estimate_conditional(records, lambda r: True, lambda r: r.output == 0, 0.95)
+            estimate_conditional(records, lambda r: True, lambda r: r.outputs == (0,), 0.95)
 
 
 class TestStatisticA:
@@ -94,6 +101,7 @@ class TestStatisticA:
         )
         est = statistic_A(records)
         assert est.point == 1.0
+        assert statistic_A(bin_store_counts(records)) == est
 
     def test_always_zero_records(self):
         # b = 0 matches x_y in exactly half the eight cells
@@ -104,9 +112,9 @@ class TestStatisticA:
 
     def test_cell_averaged_not_pooled(self):
         # one cell sampled 90 times at rate 0, others once at rate 1
-        records = make_records([(0, 0, 0, 1)] * 90)
-        records += make_records(
-            [
+        records = make_records(
+            [(0, 0, 0, 1)] * 90
+            + [
                 (x0, x1, y, (x0, x1)[y])
                 for x0 in (0, 1)
                 for x1 in (0, 1)
@@ -124,13 +132,24 @@ class TestStatisticA:
             statistic_A(records)
 
     def test_rejects_rand_settings(self):
-        records = make_records([(0, 1, 0, 0)] * 8)
-        records.append(RoundRecord(99, (0, 1, 2), 0))
-        with pytest.raises(ValueError):
-            statistic_A(records)
-        batch = RoundBatch(np.arange(9), [r.inputs for r in records], [r.output for r in records])
+        records = make_records([(0, 1, 0, 0)] * 8 + [(0, 1, 2, 0)])
         with pytest.raises(ValueError, match="y in"):
-            statistic_A(batch)
+            statistic_A(records)
+
+    @pytest.mark.parametrize("column,value", [(0, 2), (1, -1), (2, -1), (3, 5), (3, -1)])
+    def test_rejects_non_bit_values(self, column, value):
+        # eight perfect records plus one whose x0, x1, y or b is not a bit
+        perfect = [(x0, x1, y, (x0, x1)[y]) for x0 in (0, 1) for x1 in (0, 1) for y in (0, 1)]
+        extra = [0, 0, 0, 0]
+        extra[column] = value
+        name = ("x0", "x1", "y", "b")[column]
+        with pytest.raises(ValueError, match=f"{name} in {{0, 1}}, got {value}"):
+            statistic_A(make_records(perfect + [tuple(extra)]))
+
+    def test_rejects_other_arities(self):
+        chsh = RoundSampler(GameId.CHSH, paper_strategy(GameId.CHSH))
+        with pytest.raises(ValueError, match="one output b"):
+            statistic_A(chsh.sample_many(100, np.random.default_rng(1)))
 
     @pytest.mark.parametrize("bin_name", ["rand", "false_bin"])
     def test_run_bins_at_setting_two_rejected(self, bin_name):
@@ -140,30 +159,32 @@ class TestStatisticA:
         with pytest.raises(ValueError, match="y in"):
             statistic_A(getattr(bins, bin_name))
 
+    def test_run_counts_path(self):
+        from diqrng.protocols import ProtocolConfig, honest_devices, run_protocol
+
+        bins, _ = run_protocol(ProtocolConfig("P", 2_000, seed=3), honest_devices("P"))
+        assert statistic_A(bins) == statistic_A(bins.check)
+        q_bins, _ = run_protocol(ProtocolConfig("Q", 2_000, seed=3), honest_devices("Q"))
+        with pytest.raises(ValueError, match="no self-test cells"):
+            statistic_A(q_bins)
+
     def test_batch_fast_path_matches_record_path(self):
+        # the columns path and the counts path score the same rounds alike
         rng = np.random.default_rng(8)
-        inputs = np.column_stack(
-            [rng.integers(0, 2, 500), rng.integers(0, 2, 500), rng.integers(0, 2, 500)]
-        )
-        output = rng.integers(0, 2, 500)
-        batch = RoundBatch(np.arange(500), inputs, output)
-        fast = statistic_A(batch)
-        slow = statistic_A(list(batch))
-        assert fast == slow
+        batch = make_records(rng.integers(0, 2, (500, 4)))
+        assert statistic_A(batch) == statistic_A(bin_store_counts(batch))
+        per_round = [(*io.inputs, *io.outputs) for io in batch]
+        assert statistic_A(make_records(per_round)) == statistic_A(batch)
 
     def test_matches_strategy_exact_score(self):
-        # sampled records from the optimal strategy reproduce the exact statistic
-        from diqrng.games import GameId, RoundSampler, exact_score, paper_strategy
-
+        # sampled rounds from the optimal strategy reproduce the exact statistic
         strategy = paper_strategy(GameId.TAVAKOLI)
         exact = exact_score(GameId.TAVAKOLI, strategy).value
         sampler = RoundSampler(GameId.TAVAKOLI, strategy)
         rounds = sampler.sample_many(40_000, np.random.default_rng(77))
-        records = [
-            RoundRecord(i, io.inputs, io.outputs[0]) for i, io in enumerate(rounds)
-        ]
-        est = statistic_A(records)
-        eps = hoeffding_radius(1e-6, len(records))
+        est = statistic_A(rounds)
+        assert est == statistic_A(bin_store_counts(rounds))
+        eps = hoeffding_radius(1e-6, len(rounds))
         assert abs(est.point - exact) <= 4 * eps
 
 

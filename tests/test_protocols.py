@@ -11,7 +11,7 @@ from diqrng.errors import (
     InsufficientRounds,
     UnknownKind,
 )
-from diqrng.games import ClassicalStrategy, GameId, MeasureSpec, enumerate_deterministic, paper_strategy
+from diqrng.games import ClassicalStrategy, GameId, MeasureSpec, RoundColumns, enumerate_deterministic, paper_strategy
 from diqrng.protocols import (
     A_STAR,
     AUGMENTED_CHSH_SCORE,
@@ -149,7 +149,7 @@ class TestAdversarialDevices:
         hits = trials = 0
         for batch in (bins.check, bins.rand, bins.false_bin):
             xp = batch.inputs[:, 0] ^ batch.inputs[:, 1]
-            hits += int(np.count_nonzero(batch.output == xp))
+            hits += int(np.count_nonzero(batch.outputs[:, 0] == xp))
             trials += len(batch)
         assert trials == config.rounds
         assert abs(hits / trials - 0.5) <= 4 * math.sqrt(0.25 / trials)
@@ -161,7 +161,7 @@ class TestAdversarialDevices:
         bins, _ = run_protocol(ProtocolConfig(protocol, 5_000, seed=29), pair)
         # the guesser answers its coin in every cell, so the run's bits are its coin column
         batches = [bins.check, bins.rand] + ([bins.false_bin] if protocol == "P" else [])
-        assert np.unique(np.concatenate([batch.output for batch in batches])).size == 1
+        assert np.unique(np.concatenate([batch.outputs for batch in batches])).size == 1
 
 
 class TestRunProtocolP:
@@ -179,9 +179,9 @@ class TestRunProtocolP:
     def test_bin_partition(self):
         config = ProtocolConfig("P", 9_999, seed=5)
         bins, _ = run_protocol(config, honest_devices("P"))
-        merged = np.concatenate([bins.check.index, bins.rand.index, bins.false_bin.index])
-        assert merged.size == config.rounds
-        assert np.array_equal(np.sort(merged), np.arange(config.rounds))
+        views = {"check": bins.check, "rand": bins.rand, "false": bins.false_bin}
+        assert {name: len(view) for name, view in views.items()} == bins.counts()
+        assert sum(bins.counts().values()) == config.rounds
 
     def test_bin_membership_rules(self):
         bins, _ = run_protocol(ProtocolConfig("P", 5_000, seed=6), honest_devices("P"))
@@ -194,24 +194,23 @@ class TestRunProtocolP:
     def test_false_bin_deterministic_everywhere(self):
         bins, _ = run_protocol(ProtocolConfig("P", 60_000, seed=77), honest_devices("P"))
         x = 2 * bins.false_bin.inputs[:, 0] + bins.false_bin.inputs[:, 1]
-        assert np.all(bins.false_bin.output[x == 0] == 0)
-        assert np.all(bins.false_bin.output[x == 3] == 1)
+        assert np.all(bins.false_bin.outputs[x == 0] == 0)
+        assert np.all(bins.false_bin.outputs[x == 3] == 1)
 
     def test_replay_determinism(self):
         config = ProtocolConfig("P", 20_000, seed=12345)
         bins1, verdict1 = run_protocol(config, honest_devices("P"))
         bins2, verdict2 = run_protocol(config, honest_devices("P"))
         for a, b in ((bins1.check, bins2.check), (bins1.rand, bins2.rand), (bins1.false_bin, bins2.false_bin)):
-            assert np.array_equal(a.index, b.index)
             assert np.array_equal(a.inputs, b.inputs)
-            assert np.array_equal(a.output, b.output)
+            assert np.array_equal(a.outputs, b.outputs)
         assert verdict1.decision == verdict2.decision
         assert np.array_equal(verdict1.output_bits, verdict2.output_bits)
         assert verdict1.conditions == verdict2.conditions
 
     def test_output_independent_of_inputs(self):
         bins, _ = run_protocol(ProtocolConfig("P", 100_000, seed=8), honest_devices("P"))
-        b = bins.rand.output.astype(float)
+        b = bins.rand.outputs[:, 0].astype(float)
         x0 = bins.rand.inputs[:, 0].astype(float)
         corr = np.corrcoef(b, x0)[0, 1]
         assert abs(corr) <= 4 / math.sqrt(len(bins.rand))
@@ -268,7 +267,7 @@ class TestRunProtocolQ:
         x0 = bins.check.inputs[:, 0].astype(int)
         x1 = bins.check.inputs[:, 1].astype(int)
         x2 = bins.check.inputs[:, 2].astype(int)
-        b = bins.check.output.astype(int)
+        b = bins.check.outputs[:, 0].astype(int)
         assert np.all((x0 + x1 + x2) // 2 == b + (x0 & (x0 ^ x1)))
 
     def test_x1_forwarder_aborts_with_exact_one(self):
@@ -357,6 +356,11 @@ class TestConfigAndVerdict:
         with pytest.raises(ValueError):
             ProtocolConfig("P", 10, seed=1, input_weights={(0, 0, 0): 1.5, (0, 1, 0): -0.5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_input_weights_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ProtocolConfig("P", 10, seed=1, input_weights={(0, 0, 0): bad, (0, 1, 0): 1.0})
+
     def test_input_weights_steer_the_draw(self):
         # all mass on one rand-bin input: every round lands there
         weights = {(0, 1, 2): 1.0}
@@ -404,10 +408,12 @@ class TestGuessingBounds:
 class TestRoundBatch:
     def test_records_view(self):
         bins, _ = run_protocol(ProtocolConfig("P", 200, seed=55), honest_devices("P"))
+        assert isinstance(bins.check, RoundColumns)
+        assert bins.check.inputs.dtype == bins.check.outputs.dtype == np.int8
         record = bins.check[0]
-        assert record.round_index == int(bins.check.index[0])
         assert record.inputs == tuple(int(v) for v in bins.check.inputs[0])
-        assert record.output in (0, 1)
+        assert record.outputs == (int(bins.check.outputs[0, 0]),)
+        assert record.outputs[0] in (0, 1)
         assert len(list(bins.check)) == len(bins.check)
 
 
@@ -428,17 +434,23 @@ class TestRunnerDeviceConsistency:
 
         reference = qcore_response_table(protocol)
         assert np.array_equal(pair.response_table(protocol)[0], reference)
-        expected = {}
+        expected = []
         for i in range(n):
             p1 = reference[int(x[i]), int(setting[i])]
-            expected[i] = 0 if u[i] < 1.0 - p1 else 1
+            expected.append(0 if u[i] < 1.0 - p1 else 1)
+        expected = np.array(expected)
 
-        batches = [bins.check, bins.rand] + ([bins.false_bin] if protocol == "P" else [])
+        # each bin holds its rounds in round order
+        if protocol == "P":
+            in_bin = [setting < 2, (setting == 2) & ((x == 1) | (x == 2)), (setting == 2) & ((x == 0) | (x == 3))]
+            batches = [bins.check, bins.rand, bins.false_bin]
+        else:
+            even = ((x >> 1) + (x & 1) + setting) % 2 == 0
+            in_bin, batches = [even, ~even], [bins.check, bins.rand]
         seen = 0
-        for batch in batches:
-            for record in batch:
-                assert record.output == expected[record.round_index]
-                seen += 1
+        for batch, mask in zip(batches, in_bin):
+            assert [record.outputs for record in batch] == [(int(b),) for b in expected[mask]]
+            seen += len(batch)
         assert seen == n
 
     def test_estimate_conditional_on_rand_records(self):
@@ -446,7 +458,7 @@ class TestRunnerDeviceConsistency:
 
         bins, _ = run_protocol(ProtocolConfig("P", 60_000, seed=14), honest_devices("P"))
         est = estimate_conditional(
-            bins.rand, lambda r: r.output == 0, lambda r: True, confidence=0.99
+            bins.rand, lambda r: r.outputs == (0,), lambda r: True, confidence=0.99
         )
         assert est.ci_low <= 0.5 <= est.ci_high
         assert abs(est.point - 0.5) <= 4 * math.sqrt(0.25 / est.trials)

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from diqrng import analysis, games, protocols
+from diqrng.games import RoundColumns
 from diqrng.errors import InsufficientRounds, MissingCell
 from diqrng.protocols import (
     A_STAR,
     ConditionCheck,
     ProtocolConfig,
-    RoundBatch,
     adversarial_devices,
     honest_devices,
     run_protocol,
@@ -49,7 +49,7 @@ CONFIGS = {
 # ---------------------------------------------------------------------------
 
 def reference_run(config, devices):
-    """Return (check, rand, false) RoundBatches, conditions and output bits."""
+    """Return (check, rand, false) RoundColumns, conditions and output bits."""
     table = devices.response_table(config.protocol)
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
@@ -79,11 +79,10 @@ def reference_run(config, devices):
         coin = np.zeros(n, dtype=np.int64)
     b = (meas_rng.random(n) >= 1.0 - table[coin, x, setting]).astype(np.int8)
 
-    index = np.arange(n)
     inputs = np.column_stack([x >> 1, x & 1, setting]).astype(np.int8)
 
     def batch(mask):
-        return RoundBatch(index[mask], inputs[mask], b[mask])
+        return RoundColumns(inputs[mask], b[mask, None])
 
     if config.protocol == "P":
         check = batch(setting < 2)
@@ -96,7 +95,7 @@ def reference_run(config, devices):
 
     if config.mode == "generate":
         ok = len(rand) > 0
-        return bins, (protocols._structural_condition("rand_nonempty", ok),), rand.output
+        return bins, (protocols._structural_condition("rand_nonempty", ok),), rand.outputs[:, 0]
     if config.protocol == "P":
         return (bins,) + reference_certify_p(bins, config)
     return (bins,) + reference_certify_q(bins, config)
@@ -117,7 +116,7 @@ def reference_certify_p(bins, config):
     ]
     false_x = 2 * false.inputs[:, 0] + false.inputs[:, 1]
     for name, x, want_bit in (("false_b0_given_x00", 0, 0), ("false_b1_given_x11", 3, 1)):
-        outputs = false.output[false_x == x]
+        outputs = false.outputs[false_x == x, 0]
         if outputs.size == 0:
             raise InsufficientRounds(f"false bin has no x={'00' if want_bit == 0 else '11'} rounds")
         hits = int(np.count_nonzero(outputs == want_bit))
@@ -128,7 +127,7 @@ def reference_certify_p(bins, config):
         ))
     conditions.append(protocols._structural_condition("rand_nonempty", len(rand) > 0))
     passed = all(c.satisfied for c in conditions)
-    return tuple(conditions), rand.output if passed else np.array([], dtype=np.uint8)
+    return tuple(conditions), rand.outputs[:, 0] if passed else np.array([], dtype=np.uint8)
 
 
 def reference_certify_q(bins, config):
@@ -136,7 +135,7 @@ def reference_certify_q(bins, config):
     if len(check) == 0:
         raise InsufficientRounds("check bin is empty")
     x0, x1, x2 = (check.inputs[:, k].astype(np.int64) for k in range(3))
-    wins = int(np.count_nonzero((x0 + x1 + x2) // 2 == check.output + (x0 & (x0 ^ x1))))
+    wins = int(np.count_nonzero((x0 + x1 + x2) // 2 == check.outputs[:, 0] + (x0 & (x0 ^ x1))))
     n_check = len(check)
     radius_even = analysis.hoeffding_radius(config.delta, n_check)
     conditions = [protocols._condition_from_counts(
@@ -145,7 +144,7 @@ def reference_certify_q(bins, config):
     )]
     test_len = math.ceil(config.gamma * len(rand))
     if test_len > 0:
-        matches = int(np.count_nonzero(rand.output[:test_len] == rand.inputs[:test_len, 1]))
+        matches = int(np.count_nonzero(rand.outputs[:test_len, 0] == rand.inputs[:test_len, 1]))
         radius_odd = analysis.hoeffding_radius(config.delta, test_len)
         conditions.append(protocols._condition_from_counts(
             "odd_guess_half", matches, test_len, 0.5, abs(matches / test_len - 0.5) <= radius_odd,
@@ -156,7 +155,7 @@ def reference_certify_q(bins, config):
                                          {"trials": 0, "gamma": config.gamma, "test_portion": 0}))
     conditions.append(protocols._structural_condition("rand_nonempty", len(rand) > 0))
     passed = all(c.satisfied for c in conditions)
-    return tuple(conditions), rand.output[test_len:] if passed else np.array([], dtype=np.uint8)
+    return tuple(conditions), rand.outputs[test_len:, 0] if passed else np.array([], dtype=np.uint8)
 
 
 @pytest.mark.parametrize("rounds", ROUNDS)
@@ -177,7 +176,7 @@ def test_chunked_run_matches_single_draw(name, rounds):
         if want is None:
             assert got is None
             continue
-        for column in ("index", "inputs", "output"):
+        for column in ("inputs", "outputs"):
             got_col, want_col = getattr(got, column), getattr(want, column)
             assert got_col.dtype == want_col.dtype
             assert np.array_equal(got_col, want_col)
