@@ -182,7 +182,7 @@ def entropy_report(bits) -> EntropyReport:
     for p in (p0, p1):
         if p > 0.0:
             shannon -= p * math.log2(p)
-    min_entropy = -math.log2(max(p0, p1))
+    min_entropy = 0.0 - math.log2(max(p0, p1))     # +0.0, not -0.0, on a constant stream
     return EntropyReport(shannon, min_entropy, int(arr.size), p0)
 
 

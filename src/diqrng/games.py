@@ -560,19 +560,6 @@ def chunk_slices(n: int) -> Iterator[slice]:
     return (slice(start, min(start + _CHUNK_ROUNDS, n)) for start in range(0, n, _CHUNK_ROUNDS))
 
 
-def integer_column(rng: np.random.Generator, low: int, high: int, n: int, dtype) -> np.ndarray:
-    """``rng.integers(low, high, size=n)`` as a ``dtype`` column, drawn chunk by chunk.
-
-    numpy's Generator draws the same values in chunks as in one call, so the
-    column equals the one-call draw cast to ``dtype`` and the stream ends in
-    the same state; only one chunk of int64 draws is held at a time.
-    """
-    column = np.empty(n, dtype=dtype)
-    for chunk in chunk_slices(n):
-        column[chunk] = rng.integers(low, high, size=chunk.stop - chunk.start)
-    return column
-
-
 def skip_ahead(rng: np.random.Generator, n: int, low: int, high: int) -> np.random.Generator:
     """A copy of ``rng`` left where ``rng.integers(low, high, size=n)`` would leave it.
 
@@ -623,21 +610,25 @@ class RoundSampler:
     def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
         """n rounds with uniform inputs, in round order: all n input draws, then n uniforms.
 
-        The input indices fill an int8 column chunk by chunk; then each chunk's
-        uniforms are drawn and resolved into the returned int8 columns.  Besides
-        those columns (about 7 B/round for pt3) only one chunk's draws are held.
+        The inputs come from ``rng`` and the uniforms from a copy moved past
+        the n input draws, one chunk of each at a time; ``rng`` ends where the
+        uniform copy does, as after the one-call order.  Besides the returned
+        int8 columns (about 6 B/round for pt3) only one chunk's draws are held.
         """
         space = list(self._outputs)
-        input_idx = integer_column(rng, 0, len(space), n, np.int8)
+        uniform_rng = skip_ahead(rng, n, 0, len(space))
         inputs = np.empty((n, _INPUT_ARITY[self.game]), dtype=np.int8)
         outputs = np.empty((n, _OUTPUT_ARITY[self.game]), dtype=np.int8)
         for chunk in chunk_slices(n):
-            idx, u = input_idx[chunk], rng.random(chunk.stop - chunk.start)
+            k = chunk.stop - chunk.start
+            idx = rng.integers(0, len(space), size=k).astype(np.int8)     # one byte a round for the scans below
+            u = uniform_rng.random(k)
             ins, outs = inputs[chunk], outputs[chunk]
-            for k, row in enumerate(space):
-                mask = np.flatnonzero(idx == k)
+            for i, row in enumerate(space):
+                mask = np.flatnonzero(idx == i)
                 ins[mask] = row
                 outs[mask] = self._outputs[row][self._branch(row, u[mask])]
+        rng.bit_generator.state = uniform_rng.bit_generator.state
         return RoundColumns(inputs, outputs)
 
 

@@ -22,12 +22,20 @@ output bits.  Its ``BinStore`` holds the tally and answers the bin and cell
 counts.  The per-round bin views are ``games.RoundColumns`` with inputs
 (x0, x1, setting) and output (b,), rebuilt on first access by replaying the
 same round stream.
+
+Certification has one abort rule and one verdict.  Every count condition
+(P's False-bin outcomes, Q's even-weight wins and odd-weight test) is a
+``_band_check``: its rate against a target within the Hoeffding radius at
+delta, reported with a Wilson interval.  P's A statistic keeps its own
+cell-averaged estimate.  ``_verdict`` adds ``rand_nonempty`` and decides
+PASS or ABORT for both protocols and both modes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -247,8 +255,9 @@ def _draw_space(protocol: str, mode: str) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Parameters of one protocol run.
+    """Parameters of one protocol run, checked at construction.
 
+    ``rounds`` and ``seed`` are integers, the seed nonnegative.
     ``input_weights`` optionally overrides the uniform per-round input draw:
     a mapping from (x0, x1, setting) to probability, supported on the
     protocol/mode's valid pairs and summing to 1.
@@ -265,8 +274,12 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in ("P", "Q"):
             raise ValueError(f"protocol must be 'P' or 'Q', got {self.protocol!r}")
+        for name in ("rounds", "seed"):
+            _check_integer(name, getattr(self, name))
         if self.rounds > MAX_ROUNDS:
             raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in ("test", "generate"):
             raise ValueError(f"mode must be 'test' or 'generate', got {self.mode!r}")
         if not 0.0 < self.delta < 1.0:
@@ -274,19 +287,37 @@ class ProtocolConfig:
         if not 0.5 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0.5, 1], got {self.gamma}")
         if self.input_weights is not None:
-            space = set(_draw_space(self.protocol, self.mode))
-            weights = {}
-            for key, value in self.input_weights.items():
-                x0, x1, setting = key
-                pair = (2 * int(x0) + int(x1), int(setting))
-                if pair not in space:
-                    raise ValueError(f"input {tuple(key)} invalid for protocol {self.protocol} {self.mode} mode")
-                if not 0 <= value < math.inf:
-                    raise ValueError(f"input weights must be finite and nonnegative, got {value}")
-                weights[pair] = weights.get(pair, 0.0) + float(value)
-            if abs(sum(weights.values()) - 1.0) > 1e-12:
-                raise ValueError("input weights must sum to 1")
+            _input_probs(self.protocol, self.mode, self.input_weights)
             object.__setattr__(self, "input_weights", dict(self.input_weights))
+
+
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _input_probs(protocol: str, mode: str, weights: dict) -> np.ndarray:
+    """The draw probabilities over ``_draw_space(protocol, mode)`` of an (x0, x1, setting) -> weight mapping.
+
+    Each key must be three integers, x0 and x1 bits and the pair a valid
+    input of the protocol and mode; each weight a finite nonnegative number;
+    and the weights must sum to 1 within 1e-12.
+    """
+    space = _draw_space(protocol, mode)
+    probs = np.zeros(len(space))
+    for key, value in weights.items():
+        valid = isinstance(key, tuple) and len(key) == 3 and all(isinstance(v, numbers.Integral) for v in key)
+        valid = valid and key[0] in (0, 1) and key[1] in (0, 1)
+        pair = (2 * int(key[0]) + int(key[1]), int(key[2])) if valid else None
+        if pair not in space:
+            raise ValueError(f"input {key!r} invalid for protocol {protocol} {mode} mode")
+        if not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
+            raise ValueError(f"input weights must be finite and nonnegative, got {value!r} for input {key!r}")
+        probs[space.index(pair)] += float(value)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError("input weights must sum to 1")
+    return probs / total
 
 
 @dataclass(frozen=True)
@@ -319,30 +350,39 @@ class CertificationVerdict:
             raise ValueError("ABORT verdicts carry no output bits")
 
 
-def _condition_from_counts(
-    name: str, count: int, trials: int, target: float, satisfied: bool, delta: float, **detail
+def _band_check(
+    name: str, hits: int, trials: int, target: float, delta: float, two_sided: bool = False, **detail
 ) -> ConditionCheck:
-    lo, hi = analysis.wilson_interval(count, trials, 1.0 - delta)
-    return ConditionCheck(
-        name=name,
-        estimate=count / trials,
-        ci_low=lo,
-        ci_high=hi,
-        target=target,
-        satisfied=satisfied,
-        detail={"count": count, "trials": trials, **detail},
-    )
+    """A count condition: the rate hits/trials against its target, within the Hoeffding radius at delta.
+
+    A one-sided condition holds when rate >= target - radius, a two-sided one
+    when |rate - target| <= radius.  The reported interval is the Wilson
+    interval at 1 - delta.
+    """
+    rate = hits / trials
+    radius = analysis.hoeffding_radius(delta, trials)
+    lo, hi = analysis.wilson_interval(hits, trials, 1.0 - delta)
+    satisfied = abs(rate - target) <= radius if two_sided else rate >= target - radius
+    detail = {"count": hits, "trials": trials, "radius": radius, **detail}
+    return ConditionCheck(name, rate, lo, hi, target, satisfied, detail)
 
 
-def _structural_condition(name: str, ok: bool) -> ConditionCheck:
-    return ConditionCheck(
-        name=name,
-        estimate=float(ok),
-        ci_low=float(ok),
-        ci_high=float(ok),
-        target=1.0,
-        satisfied=ok,
-        detail={},
+def _verdict(
+    conditions: list[ConditionCheck], bits: np.ndarray, notes: tuple[str, ...], test_len: int = 0
+) -> CertificationVerdict:
+    """PASS when every condition holds and the Rand bin is nonempty.
+
+    A PASS releases the Rand bits past the first ``test_len``, which protocol
+    Q spent on its odd test; an ABORT releases none.
+    """
+    ok = bits.size > 0
+    conditions = (*conditions, ConditionCheck("rand_nonempty", float(ok), float(ok), float(ok), 1.0, ok))
+    passed = all(c.satisfied for c in conditions)
+    return CertificationVerdict(
+        decision="PASS" if passed else "ABORT",
+        conditions=conditions,
+        output_bits=bits[test_len:] if passed else np.array([], dtype=np.uint8),
+        notes=notes,
     )
 
 
@@ -361,15 +401,11 @@ def _round_chunks(
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
 
     if config.input_weights is not None:
-        space = _draw_space(config.protocol, config.mode)
-        probs = np.zeros(len(space))
-        for (x0, x1, s), w in config.input_weights.items():
-            probs[space.index((2 * int(x0) + int(x1), int(s)))] += float(w)
-        probs /= probs.sum()
-        pairs = np.asarray(space, dtype=np.int64)
+        probs = _input_probs(config.protocol, config.mode, config.input_weights)
+        pairs = np.asarray(_draw_space(config.protocol, config.mode), dtype=np.int64)
 
         def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
-            drawn = input_rng.choice(len(space), size=k, p=probs)
+            drawn = input_rng.choice(len(pairs), size=k, p=probs)
             return pairs[drawn, 0], pairs[drawn, 1]
     elif config.protocol == "P" and config.mode == "generate":
         def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -440,29 +476,19 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), lambda: _bin_views(config, devices, table))
     notes = (devices.caveat,) if devices.caveat else ()
     if config.mode == "generate":
-        verdict = _generate_verdict(bits, notes)
-    elif config.protocol == "P":
-        verdict = _certify_p(bins, bits, config, notes)
-    else:
-        verdict = _certify_q(bins, bits, np.concatenate(odd_matches), config, notes)
-    return bins, verdict
-
-
-def _generate_verdict(bits: np.ndarray, notes: tuple[str, ...]) -> CertificationVerdict:
-    ok = bits.size > 0
-    condition = _structural_condition("rand_nonempty", ok)
-    return CertificationVerdict(
-        decision="PASS" if ok else "ABORT",
-        conditions=(condition,),
-        output_bits=bits if ok else np.array([], dtype=np.uint8),
-        notes=notes,
-    )
-
-
-def _certify_p(bins: BinStore, bits: np.ndarray, config: ProtocolConfig, notes: tuple[str, ...]) -> CertificationVerdict:
-    n_check = bins.counts()["check"]
-    if n_check == 0:
+        return bins, _verdict([], bits, notes)
+    if bins.counts()["check"] == 0:
         raise InsufficientRounds("check bin is empty")
+    if config.protocol == "P":
+        return bins, _verdict(_certify_p(bins, config), bits, notes)
+    test_len = math.ceil(config.gamma * bits.size)
+    conditions = _certify_q(bins, np.concatenate(odd_matches)[:test_len], config)
+    return bins, _verdict(conditions, bits, notes, test_len)
+
+
+def _certify_p(bins: BinStore, config: ProtocolConfig) -> list[ConditionCheck]:
+    """The A statistic against A*, and the False bin's deterministic outcomes against 1."""
+    n_check = bins.counts()["check"]
     try:
         a_hat = analysis.statistic_A(bins, confidence=1.0 - config.delta)
     except analysis.MissingCell as exc:
@@ -489,68 +515,27 @@ def _certify_p(bins: BinStore, bits: np.ndarray, config: ProtocolConfig, notes: 
         if trials == 0:
             raise InsufficientRounds(f"false bin has no x={'00' if want_bit == 0 else '11'} rounds")
         hits = int(bins.tally[x, 2, want_bit])
-        radius_f = analysis.hoeffding_radius(config.delta, trials)
-        conditions.append(
-            _condition_from_counts(
-                name,
-                hits,
-                trials,
-                1.0,
-                hits / trials >= 1.0 - radius_f,
-                config.delta,
-                radius=radius_f,
-                exceptions=trials - hits,
-            )
-        )
-
-    conditions.append(_structural_condition("rand_nonempty", bits.size > 0))
-    passed = all(c.satisfied for c in conditions)
-    return CertificationVerdict(
-        decision="PASS" if passed else "ABORT",
-        conditions=tuple(conditions),
-        output_bits=bits if passed else np.array([], dtype=np.uint8),
-        notes=notes,
-    )
+        conditions.append(_band_check(name, hits, trials, 1.0, config.delta, exceptions=trials - hits))
+    return conditions
 
 
-def _certify_q(
-    bins: BinStore, bits: np.ndarray, odd_matches: np.ndarray, config: ProtocolConfig, notes: tuple[str, ...]
-) -> CertificationVerdict:
+def _certify_q(bins: BinStore, odd_tested: np.ndarray, config: ProtocolConfig) -> list[ConditionCheck]:
+    """The Check rounds' even-weight win rate against 1, and the tested Rand bits' match rate with x1 against 1/2.
+
+    ``odd_tested`` says, for each tested Rand round in round order, whether its bit matched x1.
+    """
     n_check = bins.counts()["check"]
-    if n_check == 0:
-        raise InsufficientRounds("check bin is empty")
     even_win = _win(GameId.GAME_G2) & (_BIN_OF["Q"] == _CHECK)[:, :, None]
     win_count = int(bins.tally[even_win].sum())
-    radius_even = analysis.hoeffding_radius(config.delta, n_check)
-    conditions = [
-        _condition_from_counts(
-            "even_win",
-            win_count,
-            n_check,
-            1.0,
-            win_count / n_check >= 1.0 - radius_even,
-            config.delta,
-            radius=radius_even,
-            exceptions=n_check - win_count,
-        )
-    ]
+    conditions = [_band_check("even_win", win_count, n_check, 1.0, config.delta, exceptions=n_check - win_count)]
 
-    n_rand = bits.size
-    test_len = math.ceil(config.gamma * n_rand)
+    test_len = odd_tested.size
     if test_len > 0:
-        matches = int(np.count_nonzero(odd_matches[:test_len]))
-        radius_odd = analysis.hoeffding_radius(config.delta, test_len)
+        matches = int(np.count_nonzero(odd_tested))
         conditions.append(
-            _condition_from_counts(
-                "odd_guess_half",
-                matches,
-                test_len,
-                0.5,
-                abs(matches / test_len - 0.5) <= radius_odd,
-                config.delta,
-                radius=radius_odd,
-                gamma=config.gamma,
-                test_portion=test_len,
+            _band_check(
+                "odd_guess_half", matches, test_len, 0.5, config.delta, two_sided=True,
+                gamma=config.gamma, test_portion=test_len,
             )
         )
     else:
@@ -565,15 +550,7 @@ def _certify_q(
                 detail={"trials": 0, "gamma": config.gamma, "test_portion": 0},
             )
         )
-
-    conditions.append(_structural_condition("rand_nonempty", n_rand > 0))
-    passed = all(c.satisfied for c in conditions)
-    return CertificationVerdict(
-        decision="PASS" if passed else "ABORT",
-        conditions=tuple(conditions),
-        output_bits=bits[test_len:] if passed else np.array([], dtype=np.uint8),
-        notes=notes,
-    )
+    return conditions
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +635,7 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     does, so the draws and the end state are those of the one-call order,
     and a check holds one chunk's draws at any trial count.
     """
+    _check_integer("trials", trials)
     if not 1 <= trials <= MAX_ROUNDS:
         raise ValueError(f"trials must lie in [1, {MAX_ROUNDS}], got {trials}")
     table = honest_devices("P").response_table("P")[0]

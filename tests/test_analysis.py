@@ -195,6 +195,11 @@ class TestEntropy:
         assert rep.min_entropy == 0.0
         assert rep.zero_fraction == 1.0
 
+    @pytest.mark.parametrize("bits", ["0" * 64, "1" * 64])
+    def test_constant_stream_min_entropy_is_positive_zero(self, bits):
+        # -0.0 == 0.0, so only the sign bit tells them apart; reports print -0 as "-0"
+        assert math.copysign(1.0, entropy_report(bits).min_entropy) == 1.0
+
     def test_balanced(self):
         rep = entropy_report("01" * 500)
         assert rep.shannon == pytest.approx(1.0, abs=1e-15)

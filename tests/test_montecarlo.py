@@ -236,16 +236,6 @@ def test_chunked_draws_equal_one_call(low, high):
     assert one.integers(0, 2**63) == chunked.integers(0, 2**63)
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.uint8])
-def test_integer_column_equals_one_call(dtype):
-    n = 2 * games._CHUNK_ROUNDS + 5
-    rng, ref_rng = np.random.default_rng(SEEDS[0]), np.random.default_rng(SEEDS[0])
-    column = games.integer_column(rng, 1, 3, n, dtype)
-    assert column.dtype == dtype
-    assert np.array_equal(column, ref_rng.integers(1, 3, size=n))
-    assert rng.random() == ref_rng.random()
-
-
 @pytest.mark.parametrize(
     "n", [1, games._CHUNK_ROUNDS - 1, games._CHUNK_ROUNDS, games._CHUNK_ROUNDS + 1, 3 * games._CHUNK_ROUNDS + 17]
 )
@@ -292,5 +282,14 @@ def test_sample_many_fills_columns_chunk_by_chunk(traced_peak):
     n = 1_000_000
     sampler = RoundSampler(GameId.PSEUDO_TELEPATHY3, paper_strategy(GameId.PSEUDO_TELEPATHY3))
     _, peak = traced_peak(lambda: sampler.sample_many(n, np.random.default_rng(2)))
-    # the int8 input index, inputs and outputs (1 + 3 + 3 B); one chunk of draws and temporaries
+    # the int8 inputs and outputs (3 + 3 B); one chunk of draws and temporaries
     assert peak <= 8 * n + 4 * 2**20, f"{peak / n:.1f} B/round"
+
+
+def test_sample_many_holds_only_its_columns_per_round(traced_peak):
+    sampler = RoundSampler(GameId.PSEUDO_TELEPATHY3, paper_strategy(GameId.PSEUDO_TELEPATHY3))
+    sampler.sample_many(1, np.random.default_rng(0))       # first-call allocations are not per round
+    peaks = [traced_peak(lambda: sampler.sample_many(n, np.random.default_rng(2)))[1] for n in (10**6, 2 * 10**6)]
+    # each further round adds its int8 inputs and outputs (3 + 3 B) and no input-index column
+    per_round = (peaks[1] - peaks[0]) / 10**6
+    assert per_round <= 6.5, f"{per_round:.2f} B/round"

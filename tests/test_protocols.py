@@ -356,6 +356,36 @@ class TestConfigAndVerdict:
         with pytest.raises(ValueError):
             ProtocolConfig("P", 10, seed=1, input_weights={(0, 0, 0): 1.5, (0, 1, 0): -0.5})
 
+    @pytest.mark.parametrize(
+        "weights,named",
+        [
+            ({(0, 0): 1.0}, "(0, 0)"),                              # too few entries
+            ({(0, 0, 0): "1", (0, 1, 0): 0.0}, "(0, 0, 0)"),        # a weight that is not a number
+            ({(0.5, 1, 0): 1.0}, "(0.5, 1, 0)"),                    # not bits; int() would read (0, 1, 0)
+            ({(0, 2, 0): 1.0}, "(0, 2, 0)"),                        # not a bit; 2*x0 + x1 would read (1, 0, 0)
+            ({(1, -1, 0): 1.0}, "(1, -1, 0)"),
+            ({"000": 1.0}, "'000'"),
+        ],
+    )
+    def test_input_weight_keys_and_values_are_checked(self, weights, named):
+        with pytest.raises(ValueError) as err:
+            ProtocolConfig("P", 10, seed=1, input_weights=weights)
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize(
+        "keywords",
+        [{"rounds": 1e4}, {"rounds": 10.0}, {"rounds": "10"}, {"seed": -1}, {"seed": 1.5}, {"seed": True}],
+    )
+    def test_rounds_and_seed_are_checked_at_construction(self, keywords):
+        with pytest.raises(ValueError, match="rounds|seed"):
+            ProtocolConfig(**{"protocol": "P", "rounds": 10, "seed": 1, **keywords})
+
+    def test_numpy_integers_are_integers(self):
+        config = ProtocolConfig("P", np.int64(2_000), seed=np.uint64(3))
+        _, verdict = run_protocol(config, honest_devices("P"))
+        _, want = run_protocol(ProtocolConfig("P", 2_000, seed=3), honest_devices("P"))
+        assert verdict.conditions == want.conditions
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_input_weights_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -403,6 +433,11 @@ class TestGuessingBounds:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             guessing_game_bound_check(0, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("trials", [1.5, 100.0, "100"])
+    def test_non_integer_trials_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            guessing_game_bound_check(trials, np.random.default_rng(1))
 
 
 class TestRoundBatch:

@@ -94,11 +94,22 @@ def reference_run(config, devices):
     bins = (check, rand, false)
 
     if config.mode == "generate":
-        ok = len(rand) > 0
-        return bins, (protocols._structural_condition("rand_nonempty", ok),), rand.outputs[:, 0]
+        return bins, (rand_nonempty(len(rand) > 0),), rand.outputs[:, 0]
     if config.protocol == "P":
         return (bins,) + reference_certify_p(bins, config)
     return (bins,) + reference_certify_q(bins, config)
+
+
+def count_condition(name, hits, trials, target, satisfied, radius, delta, **detail):
+    """A condition on hits out of trials, reported with its Wilson interval at 1 - delta."""
+    lo, hi = analysis.wilson_interval(hits, trials, 1.0 - delta)
+    return ConditionCheck(
+        name, hits / trials, lo, hi, target, satisfied, {"count": hits, "trials": trials, "radius": radius, **detail}
+    )
+
+
+def rand_nonempty(ok):
+    return ConditionCheck("rand_nonempty", float(ok), float(ok), float(ok), 1.0, ok, {})
 
 
 def reference_certify_p(bins, config):
@@ -121,11 +132,11 @@ def reference_certify_p(bins, config):
             raise InsufficientRounds(f"false bin has no x={'00' if want_bit == 0 else '11'} rounds")
         hits = int(np.count_nonzero(outputs == want_bit))
         radius_f = analysis.hoeffding_radius(config.delta, outputs.size)
-        conditions.append(protocols._condition_from_counts(
-            name, hits, outputs.size, 1.0, hits / outputs.size >= 1.0 - radius_f, config.delta,
-            radius=radius_f, exceptions=outputs.size - hits,
+        conditions.append(count_condition(
+            name, hits, outputs.size, 1.0, hits / outputs.size >= 1.0 - radius_f, radius_f, config.delta,
+            exceptions=outputs.size - hits,
         ))
-    conditions.append(protocols._structural_condition("rand_nonempty", len(rand) > 0))
+    conditions.append(rand_nonempty(len(rand) > 0))
     passed = all(c.satisfied for c in conditions)
     return tuple(conditions), rand.outputs[:, 0] if passed else np.array([], dtype=np.uint8)
 
@@ -138,22 +149,22 @@ def reference_certify_q(bins, config):
     wins = int(np.count_nonzero((x0 + x1 + x2) // 2 == check.outputs[:, 0] + (x0 & (x0 ^ x1))))
     n_check = len(check)
     radius_even = analysis.hoeffding_radius(config.delta, n_check)
-    conditions = [protocols._condition_from_counts(
-        "even_win", wins, n_check, 1.0, wins / n_check >= 1.0 - radius_even, config.delta,
-        radius=radius_even, exceptions=n_check - wins,
+    conditions = [count_condition(
+        "even_win", wins, n_check, 1.0, wins / n_check >= 1.0 - radius_even, radius_even, config.delta,
+        exceptions=n_check - wins,
     )]
     test_len = math.ceil(config.gamma * len(rand))
     if test_len > 0:
         matches = int(np.count_nonzero(rand.outputs[:test_len, 0] == rand.inputs[:test_len, 1]))
         radius_odd = analysis.hoeffding_radius(config.delta, test_len)
-        conditions.append(protocols._condition_from_counts(
-            "odd_guess_half", matches, test_len, 0.5, abs(matches / test_len - 0.5) <= radius_odd,
-            config.delta, radius=radius_odd, gamma=config.gamma, test_portion=test_len,
+        conditions.append(count_condition(
+            "odd_guess_half", matches, test_len, 0.5, abs(matches / test_len - 0.5) <= radius_odd, radius_odd,
+            config.delta, gamma=config.gamma, test_portion=test_len,
         ))
     else:
         conditions.append(ConditionCheck("odd_guess_half", 0.0, 0.0, 0.0, 0.5, False,
                                          {"trials": 0, "gamma": config.gamma, "test_portion": 0}))
-    conditions.append(protocols._structural_condition("rand_nonempty", len(rand) > 0))
+    conditions.append(rand_nonempty(len(rand) > 0))
     passed = all(c.satisfied for c in conditions)
     return tuple(conditions), rand.outputs[test_len:, 0] if passed else np.array([], dtype=np.uint8)
 
