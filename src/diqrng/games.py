@@ -83,6 +83,13 @@ class RoundIO:
     outputs: tuple[int, ...]
 
 
+def read_only_view(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``: no copy, and ``arr`` itself stays writable."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
 class RoundColumns(Sequence):
     """Rounds as read-only int8 columns, indexable as RoundIO values.
 
@@ -91,10 +98,8 @@ class RoundColumns(Sequence):
     """
 
     def __init__(self, inputs: np.ndarray, outputs: np.ndarray):
-        self.inputs = inputs
-        self.outputs = outputs
-        for arr in (inputs, outputs):
-            arr.setflags(write=False)
+        self.inputs = read_only_view(inputs)
+        self.outputs = read_only_view(outputs)
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -552,25 +557,40 @@ def pt3_odd_extension_score(strategy: Strategy) -> float:
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROUNDS = 1 << 16     # rounds per chunk of every full-length Monte Carlo draw
+_DRAW_VALUES = 1 << 13      # int64 values per piece of a chunked integer draw: 64 KB
 MAX_ROUNDS = int(np.iinfo(np.int64).max)    # the most rounds or trials an int64 tally can count
 
 
-def chunk_slices(n: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``_CHUNK_ROUNDS`` rounds covering range(n)."""
-    return (slice(start, min(start + _CHUNK_ROUNDS, n)) for start in range(0, n, _CHUNK_ROUNDS))
+def chunk_slices(n: int, size: int = _CHUNK_ROUNDS) -> Iterator[slice]:
+    """Consecutive slices of at most ``size`` rounds covering range(n)."""
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
 def skip_ahead(rng: np.random.Generator, n: int, low: int, high: int) -> np.random.Generator:
     """A copy of ``rng`` left where ``rng.integers(low, high, size=n)`` would leave it.
 
-    The n draws are made and discarded chunk by chunk on the copy; ``rng``
-    itself does not move.  The copy then yields the block of draws that
-    follows those n.
+    The n draws are made and discarded piece by piece on the copy, as in
+    ``add_integers``; ``rng`` itself does not move.  The copy then yields
+    the block of draws that follows those n.
     """
     ahead = copy.deepcopy(rng)
-    for chunk in chunk_slices(n):
-        ahead.integers(low, high, size=chunk.stop - chunk.start)
+    for piece in chunk_slices(n, _DRAW_VALUES):
+        ahead.integers(low, high, size=piece.stop - piece.start)
     return ahead
+
+
+def add_integers(out: np.ndarray, rng: np.random.Generator, low: int, high: int, scale: int = 1) -> None:
+    """``out += scale * rng.integers(low, high, size=out.size)``, with the same draws and end state.
+
+    ``Generator.integers`` cannot write into a buffer, so the values are
+    drawn ``_DRAW_VALUES`` at a time.  A 64 KB piece stays under glibc's
+    default 128 KB trim threshold: each freed piece is reused by the next
+    one instead of being returned to the system and faulted back in.
+    """
+    for piece in chunk_slices(out.size, _DRAW_VALUES):
+        draw = rng.integers(low, high, size=piece.stop - piece.start)
+        draw *= scale
+        out[piece] += draw
 
 
 class RoundSampler:

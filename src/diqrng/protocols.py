@@ -18,7 +18,10 @@ with the same seed are bit-identical.
 
 A run streams its rounds in fixed-size chunks and keeps only what
 certification reads: a tally of rounds by (x, setting, b) and the Rand bin's
-output bits.  Its ``BinStore`` holds the tally and answers the bin and cell
+output bits, held packed at one bit per Rand round until the run ends.  The
+chunks come from ``_round_chunks`` as views into one chunk's scratch
+buffers, allocated once per run; a chunk's views hold until the next chunk
+is drawn.  Its ``BinStore`` holds the tally and answers the bin and cell
 counts.  The per-round bin views are ``games.RoundColumns`` with inputs
 (x0, x1, setting) and output (b,), rebuilt on first access by replaying the
 same round stream.
@@ -44,7 +47,8 @@ import numpy as np
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import MAX_ROUNDS, RoundColumns, chunk_slices, skip_ahead
+from .games import _CHUNK_ROUNDS, _DRAW_VALUES, MAX_ROUNDS, RoundColumns, add_integers, chunk_slices, skip_ahead
+from .games import read_only_view
 
 A_STAR = QUANTUM_WIN
 
@@ -210,9 +214,8 @@ class BinStore:
 
     def __init__(self, protocol: str, tally: np.ndarray, replay: Callable[[], tuple[RoundColumns, ...]]):
         self.protocol = protocol
-        self.tally = tally
+        self.tally = read_only_view(tally)
         self._replay = replay
-        tally.setflags(write=False)
 
     @functools.cached_property
     def _views(self) -> tuple[RoundColumns, ...]:
@@ -343,8 +346,7 @@ class CertificationVerdict:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.output_bits, dtype=np.uint8)
-        bits.setflags(write=False)
+        bits = read_only_view(np.asarray(self.output_bits, dtype=np.uint8))
         object.__setattr__(self, "output_bits", bits)
         if self.decision == "ABORT" and bits.size:
             raise ValueError("ABORT verdicts carry no output bits")
@@ -386,10 +388,74 @@ def _verdict(
     )
 
 
+def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[index], written into the head of the reused buffer ``out``.
+
+    Every index is in range.  ``mode="clip"`` keeps ``np.take`` from filling
+    a hidden copy of ``out`` first, as its default ``mode="raise"`` does.
+    """
+    return np.take(values, index, out=out[: index.size], mode="clip")
+
+
+class _Scratch:
+    """One chunk's working buffers, allocated once per run and reused by every chunk."""
+
+    def __init__(self, rounds: int):
+        size = min(rounds, _CHUNK_ROUNDS)
+        self.code = np.empty(size, dtype=np.int64)      # a chunk's cells, then its round codes
+        self.index = np.empty(size, dtype=np.int64)     # threshold indices, when they are not the cells
+        self.threshold = np.empty(size)
+        self.uniform = np.empty(size)
+        self.hit = np.empty(size, dtype=bool)
+        self.mask = np.empty((2, size), dtype=bool)     # two gathers from per-code tables
+
+    def measure(
+        self, cell: np.ndarray, threshold: np.ndarray, index: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw each round's bit and turn ``cell``, a head of ``code``, into the round codes 2*cell + b.
+
+        b = 0 iff a fresh uniform from ``rng`` is below threshold[index], the
+        draw ``DevicePair`` defines.  Returns (code, b), b as uint8, both
+        views into the buffers.
+        """
+        u = rng.random(out=self.uniform[: cell.size])
+        hit = np.greater_equal(u, _gather(threshold, index, self.threshold), out=self.hit[: cell.size])
+        b = hit.view(np.uint8)
+        cell *= 2
+        cell += b
+        return cell, b
+
+
+class _PackedBits:
+    """Bits appended chunk by chunk and held packed, one bit each, with each chunk's count."""
+
+    def __init__(self) -> None:
+        self._pieces: list[tuple[np.ndarray, int]] = []
+        self.size = 0
+
+    def append(self, bits: np.ndarray) -> None:
+        self._pieces.append((np.packbits(bits), bits.size))
+        self.size += bits.size
+
+    def unpack(self, n: int | None = None) -> np.ndarray:
+        """The first n bits, all of them by default, as one exact-size uint8 array."""
+        bits = np.empty(self.size if n is None else n, dtype=np.uint8)
+        start = 0
+        for packed, size in self._pieces:
+            size = min(size, bits.size - start)
+            bits[start : start + size] = np.unpackbits(packed, count=size)
+            start += size
+        return bits
+
+
 def _round_chunks(
-    config: ProtocolConfig, devices: DevicePair, table: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The run's rounds as (x, setting, b) column chunks in round order, x = 2*x0 + x1.
+    config: ProtocolConfig, devices: DevicePair, table: np.ndarray, scratch: _Scratch
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The run's rounds in round order, one chunk at a time, as (code, b) views into ``scratch``.
+
+    A round's code is 2*cell + b with cell = n_settings*x + setting and
+    x = 2*x0 + x1; b is also given on its own, as uint8.  Each chunk's views
+    are overwritten by the next chunk.
 
     Inputs, the shared coin and the measurement randomness come from three
     fixed substreams of the seed.  numpy's Generator draws the same values in
@@ -399,34 +465,42 @@ def _round_chunks(
     """
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
+    n_settings = table.shape[2]
 
     if config.input_weights is not None:
         probs = _input_probs(config.protocol, config.mode, config.input_weights)
-        pairs = np.asarray(_draw_space(config.protocol, config.mode), dtype=np.int64)
+        cells = np.array([n_settings * x + s for x, s in _draw_space(config.protocol, config.mode)])
 
-        def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
-            drawn = input_rng.choice(len(pairs), size=k, p=probs)
-            return pairs[drawn, 0], pairs[drawn, 1]
+        def draw_cells(cell: np.ndarray) -> None:
+            for piece in chunk_slices(cell.size, _DRAW_VALUES):     # small temporaries, as in add_integers
+                _gather(cells, input_rng.choice(cells.size, size=piece.stop - piece.start, p=probs), cell[piece])
     elif config.protocol == "P" and config.mode == "generate":
-        def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
-            return input_rng.integers(1, 3, size=k), np.full(k, 2, dtype=np.int64)   # x in {01, 10}
+        def draw_cells(cell: np.ndarray) -> None:
+            cell.fill(2)                                            # setting 2
+            add_integers(cell, input_rng, 1, 3, n_settings)         # x in {01, 10}
     else:
-        n_settings = _BIN_OF[config.protocol].shape[1]
         setting_rng = skip_ahead(input_rng, config.rounds, 0, 4)
 
-        def draw_inputs(k: int) -> tuple[np.ndarray, np.ndarray]:
-            return input_rng.integers(0, 4, size=k), setting_rng.integers(0, n_settings, size=k)
+        def draw_cells(cell: np.ndarray) -> None:
+            cell.fill(0)
+            add_integers(cell, input_rng, 0, 4, n_settings)
+            add_integers(cell, setting_rng, 0, n_settings)
 
-    coin = 0
+    threshold = (1.0 - table).ravel()       # by coin * cells_per_coin + cell
+    cells_per_coin = table[0].size
+    coin_per_round = devices.uses_coin and devices.coin_per_round
     if devices.uses_coin and not devices.coin_per_round:
         coin = int(coin_rng.integers(0, 2))
+        threshold = threshold[coin * cells_per_coin : (coin + 1) * cells_per_coin]
     for chunk in chunk_slices(config.rounds):
-        k = chunk.stop - chunk.start
-        x, setting = draw_inputs(k)
-        if devices.uses_coin and devices.coin_per_round:
-            coin = coin_rng.integers(0, 2, size=k)
-        p1 = table[coin, x, setting]
-        yield x, setting, (meas_rng.random(k) >= 1.0 - p1).view(np.uint8)
+        cell = scratch.code[: chunk.stop - chunk.start]
+        draw_cells(cell)
+        index = cell
+        if coin_per_round:
+            index = scratch.index[: cell.size]
+            np.copyto(index, cell)
+            add_integers(index, coin_rng, 0, 2, cells_per_coin)
+        yield scratch.measure(cell, threshold, index, meas_rng)
 
 
 def _bin_views(config: ProtocolConfig, devices: DevicePair, table: np.ndarray) -> tuple[RoundColumns, ...]:
@@ -436,7 +510,8 @@ def _bin_views(config: ProtocolConfig, devices: DevicePair, table: np.ndarray) -
     """
     bin_of = _BIN_OF[config.protocol]
     pieces: list[list] = [[] for _ in range(bin_of.max() + 1)]
-    for x, setting, b in _round_chunks(config, devices, table):
+    for code, b in _round_chunks(config, devices, table, _Scratch(config.rounds)):
+        x, setting = np.divmod(code >> 1, bin_of.shape[1])
         rounds = np.column_stack([x >> 1, x & 1, setting, b]).astype(np.int8)
         which = bin_of[x, setting]
         for k, bin_pieces in enumerate(pieces):
@@ -450,28 +525,31 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     Deterministic given (config.seed, devices): inputs, the shared coin, and
     the measurement randomness are drawn from three fixed substreams of the
     seed, in round order.  The rounds stream through in chunks; the run keeps
-    their tally, the Rand bin's bits and, for protocol Q's odd test, whether
-    each Rand bit matched x1.
+    their tally and, packed one bit per Rand round, the Rand bin's bits and,
+    for protocol Q's odd test, whether each Rand bit matched x1.
     """
     if config.rounds < 1:
         raise InsufficientRounds("a run needs at least one round")
     table = devices.response_table(config.protocol)
     n_settings = table.shape[2]
-    is_rand = np.repeat((_BIN_OF[config.protocol] == _RAND).ravel(), 2)   # by 2*cell + b
+    is_rand = np.repeat((_BIN_OF[config.protocol] == _RAND).ravel(), 2)   # by code = 2*cell + b
     odd_test = config.protocol == "Q" and config.mode == "test"
-    odd_match = _win(GameId.GAME_G2).ravel()       # by 2*cell + b; on odd-weight rounds, b == x1
+    odd_match = _win(GameId.GAME_G2).ravel()       # by code; on odd-weight rounds, b == x1
 
     counts = np.zeros(4 * n_settings * 2, dtype=np.int64)
-    rand_bits, odd_matches = [], []
-    for x, setting, b in _round_chunks(config, devices, table):
-        code = 2 * (x * n_settings + setting) + b
+    rand_bits, odd_matches = _PackedBits(), _PackedBits()
+    scratch = _Scratch(config.rounds)
+    for code, b in _round_chunks(config, devices, table, scratch):
         counts += np.bincount(code, minlength=counts.size)
-        rand = is_rand[code]
+        rand = _gather(is_rand, code, scratch.mask[0])
         rand_bits.append(b[rand])
         if odd_test:
-            odd_matches.append(odd_match[code[rand]])
-    bits = np.concatenate(rand_bits)
-    del rand_bits          # the chunk pieces; certification needs only the joined bits
+            odd_matches.append(_gather(odd_match, code, scratch.mask[1])[rand])
+    del scratch         # the chunk buffers go before the bits are unpacked
+    # Q's odd test spends the first test_len Rand rounds; counted before the bits are unpacked
+    test_len = math.ceil(config.gamma * odd_matches.size)
+    odd_hits = int(np.count_nonzero(odd_matches.unpack(test_len)))
+    bits = rand_bits.unpack()
 
     bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), lambda: _bin_views(config, devices, table))
     notes = (devices.caveat,) if devices.caveat else ()
@@ -481,8 +559,7 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
         raise InsufficientRounds("check bin is empty")
     if config.protocol == "P":
         return bins, _verdict(_certify_p(bins, config), bits, notes)
-    test_len = math.ceil(config.gamma * bits.size)
-    conditions = _certify_q(bins, np.concatenate(odd_matches)[:test_len], config)
+    conditions = _certify_q(bins, odd_hits, test_len, config)
     return bins, _verdict(conditions, bits, notes, test_len)
 
 
@@ -519,19 +596,17 @@ def _certify_p(bins: BinStore, config: ProtocolConfig) -> list[ConditionCheck]:
     return conditions
 
 
-def _certify_q(bins: BinStore, odd_tested: np.ndarray, config: ProtocolConfig) -> list[ConditionCheck]:
+def _certify_q(bins: BinStore, matches: int, test_len: int, config: ProtocolConfig) -> list[ConditionCheck]:
     """The Check rounds' even-weight win rate against 1, and the tested Rand bits' match rate with x1 against 1/2.
 
-    ``odd_tested`` says, for each tested Rand round in round order, whether its bit matched x1.
+    ``matches`` of the first ``test_len`` Rand rounds, the tested ones, have a bit equal to x1.
     """
     n_check = bins.counts()["check"]
     even_win = _win(GameId.GAME_G2) & (_BIN_OF["Q"] == _CHECK)[:, :, None]
     win_count = int(bins.tally[even_win].sum())
     conditions = [_band_check("even_win", win_count, n_check, 1.0, config.delta, exceptions=n_check - win_count)]
 
-    test_len = odd_tested.size
     if test_len > 0:
-        matches = int(np.count_nonzero(odd_tested))
         conditions.append(
             _band_check(
                 "odd_guess_half", matches, test_len, 0.5, config.delta, two_sided=True,
@@ -633,26 +708,31 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     ``rng``, the settings from a copy moved past the n x draws, the uniforms
     from a copy moved past the settings.  ``rng`` ends where the uniform copy
     does, so the draws and the end state are those of the one-call order,
-    and a check holds one chunk's draws at any trial count.
+    and a check holds one chunk's draws at any trial count.  Each chunk's
+    bits come from ``_Scratch.measure``, the kernel of a protocol run, into
+    buffers allocated once per check.
     """
     _check_integer("trials", trials)
     if not 1 <= trials <= MAX_ROUNDS:
         raise ValueError(f"trials must lie in [1, {MAX_ROUNDS}], got {trials}")
     table = honest_devices("P").response_table("P")[0]
     threshold = (1.0 - table).ravel()       # by cell = 3*x + setting
+    scratch = _Scratch(trials)
     checks = []
     for name, x_range, setting_range, win in _guessing_experiments():
         drawn = setting_range[1] - setting_range[0] > 1
         setting_rng = skip_ahead(rng, trials, *x_range)
         uniform_rng = skip_ahead(setting_rng, trials, *setting_range) if drawn else setting_rng
-        win_cells = win.ravel()             # by 2*cell + b
+        win_cells = win.ravel()             # by code = 2*cell + b
         hits = 0
         for chunk in chunk_slices(trials):
-            k = chunk.stop - chunk.start
-            cell = 3 * rng.integers(*x_range, size=k)
-            cell += setting_rng.integers(*setting_range, size=k) if drawn else setting_range[0]
-            b = uniform_rng.random(k) >= threshold[cell]
-            hits += int(np.count_nonzero(win_cells[2 * cell + b]))
+            cell = scratch.code[: chunk.stop - chunk.start]
+            cell.fill(0 if drawn else setting_range[0])
+            add_integers(cell, rng, *x_range, 3)
+            if drawn:
+                add_integers(cell, setting_rng, *setting_range)
+            code, _ = scratch.measure(cell, threshold, cell, uniform_rng)
+            hits += int(np.count_nonzero(_gather(win_cells, code, scratch.mask[0])))
         rng.bit_generator.state = uniform_rng.bit_generator.state
         checks.append(_bound_check(name, hits, trials, _exact_rate(table, x_range, setting_range, win)))
     return GuessingBoundsReport(tuple(checks))

@@ -15,6 +15,22 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def _traced_slope(fn, sizes, units=None):
+    """The traced peak's growth per unit from fn(sizes[0]) to fn(sizes[1]).
+
+    A call's units are its size n, or ``units(result)`` of what it returns.
+    """
+    (first, low), (second, high) = (_traced_peak(lambda: fn(n)) for n in sizes)
+    if units is None:
+        return (high - low) / (sizes[1] - sizes[0])
+    return (high - low) / (units(second) - units(first))
+
+
 @pytest.fixture
 def traced_peak():
     return _traced_peak
+
+
+@pytest.fixture
+def traced_slope():
+    return _traced_slope

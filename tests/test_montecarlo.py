@@ -251,6 +251,24 @@ def test_skip_ahead_lands_where_one_call_does(n, low, high):
     assert ahead.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("n", [1, games._DRAW_VALUES - 1, games._DRAW_VALUES + 1, 3 * games._DRAW_VALUES + 17])
+@pytest.mark.parametrize("low,high,scale", [(0, 4, 3), (1, 3, 3), (0, 2, 1)])
+def test_add_integers_adds_one_call_draws(n, low, high, scale):
+    rng, ref_rng = np.random.default_rng(SEEDS[1]), np.random.default_rng(SEEDS[1])
+    out = np.full(n, 5, dtype=np.int64)
+    games.add_integers(out, rng, low, high, scale)
+    assert np.array_equal(out, 5 + scale * ref_rng.integers(low, high, size=n))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_round_columns_leave_the_callers_arrays_writable():
+    inputs, outputs = np.zeros((2, 3), dtype=np.int8), np.ones((2, 1), dtype=np.int8)
+    rounds = games.RoundColumns(inputs, outputs)
+    for given, held in ((inputs, rounds.inputs), (outputs, rounds.outputs)):
+        assert given.flags.writeable and not held.flags.writeable
+        assert np.shares_memory(given, held)
+
+
 # ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
@@ -286,10 +304,9 @@ def test_sample_many_fills_columns_chunk_by_chunk(traced_peak):
     assert peak <= 8 * n + 4 * 2**20, f"{peak / n:.1f} B/round"
 
 
-def test_sample_many_holds_only_its_columns_per_round(traced_peak):
+def test_sample_many_holds_only_its_columns_per_round(traced_slope):
     sampler = RoundSampler(GameId.PSEUDO_TELEPATHY3, paper_strategy(GameId.PSEUDO_TELEPATHY3))
     sampler.sample_many(1, np.random.default_rng(0))       # first-call allocations are not per round
-    peaks = [traced_peak(lambda: sampler.sample_many(n, np.random.default_rng(2)))[1] for n in (10**6, 2 * 10**6)]
     # each further round adds its int8 inputs and outputs (3 + 3 B) and no input-index column
-    per_round = (peaks[1] - peaks[0]) / 10**6
+    per_round = traced_slope(lambda n: sampler.sample_many(n, np.random.default_rng(2)), (10**6, 2 * 10**6))
     assert per_round <= 6.5, f"{per_round:.2f} B/round"

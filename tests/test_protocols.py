@@ -15,6 +15,7 @@ from diqrng.games import ClassicalStrategy, GameId, MeasureSpec, RoundColumns, e
 from diqrng.protocols import (
     A_STAR,
     AUGMENTED_CHSH_SCORE,
+    BinStore,
     CertificationVerdict,
     DevicePair,
     ProtocolConfig,
@@ -347,6 +348,18 @@ class TestConfigAndVerdict:
     def test_abort_verdict_carries_no_bits(self):
         with pytest.raises(ValueError):
             CertificationVerdict("ABORT", (), np.array([1, 0], dtype=np.uint8))
+
+    def test_verdict_leaves_the_callers_bits_writable(self):
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        verdict = CertificationVerdict("PASS", (), bits)
+        assert bits.flags.writeable and not verdict.output_bits.flags.writeable
+        assert np.shares_memory(bits, verdict.output_bits)
+
+    def test_bin_store_leaves_the_callers_tally_writable(self):
+        tally = np.zeros((4, 3, 2), dtype=np.int64)
+        bins = BinStore("P", tally, replay=None)
+        assert tally.flags.writeable and not bins.tally.flags.writeable
+        assert np.shares_memory(tally, bins.tally)
 
     def test_input_weight_validation(self):
         with pytest.raises(ValueError):

@@ -216,3 +216,37 @@ def test_run_protocol_keeps_rand_bits_and_one_chunk(protocol, mode, traced_peak)
     # then joined, so at most 3 bytes at once
     n_rand = bins.counts()["rand"]
     assert peak <= 3 * n_rand + CHUNK_BYTES, f"{peak / config.rounds:.1f} B/round"
+
+
+@pytest.mark.parametrize("protocol,mode,bound", [("P", "test", 0.25), ("Q", "test", 1.3), ("P", "generate", 1.3)])
+def test_rand_storage_grows_slowly_with_the_run(protocol, mode, bound, traced_slope):
+    """The traced peak grows by at most ``bound`` bytes per further Rand round.
+
+    A run holds its Rand bits and Q's odd-test matches packed, 1/8 B each,
+    then unpacks the bits into 1 B each beside the packed ones.  P test has
+    one Rand round in six, so at these sizes its chunk work sets the peak and
+    only the packed bits grow it.  Per-chunk uint8 pieces joined at the end
+    grow the peak by about 1.01 (P test), 2.01 (Q test) and 1.66 B (P generate).
+    """
+    pair = honest_devices(protocol)
+    run_protocol(ProtocolConfig(protocol, 1000, seed=5, mode=mode), pair)     # first-call allocations
+    per_rand = traced_slope(
+        lambda n: run_protocol(ProtocolConfig(protocol, n, seed=5, mode=mode), pair),
+        (2_000_000, 6_000_000),
+        units=lambda result: result[0].counts()["rand"],
+    )
+    assert per_rand <= bound, f"{per_rand:.3f} B per Rand round"
+
+
+@pytest.mark.parametrize("sizes", [(0,), (5, 0, 8, 13), (CHUNK, 7, CHUNK + 3)])
+def test_packed_bits_unpack_whole_or_by_prefix(sizes):
+    rng = np.random.default_rng(11)
+    pieces = [rng.integers(0, 2, size=k).astype(np.uint8) for k in sizes]
+    packed = protocols._PackedBits()
+    for piece in pieces:
+        packed.append(piece)
+    want = np.concatenate(pieces)
+    assert packed.size == want.size
+    assert np.array_equal(packed.unpack(), want) and packed.unpack().dtype == np.uint8
+    for n in {0, min(3, want.size), sizes[0], want.size // 2, want.size}:
+        assert np.array_equal(packed.unpack(n), want[:n])
