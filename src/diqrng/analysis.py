@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .errors import EmptyCondition, MissingCell, TooFewBits
-from .games import GameId, win_mask
+from .games import _CHUNK_ROUNDS, GameId, PackedBits, chunk_slices, count_bits, win_mask
 
 _NORMAL = NormalDist()
 
@@ -153,7 +153,10 @@ class EntropyReport:
     zero_fraction: float
 
 
-def _as_bits(bits) -> np.ndarray:
+def _as_bits(bits) -> np.ndarray | PackedBits:
+    """``PackedBits`` as they are; a string or array checked as 0/1 values, as a 1-D uint8 array."""
+    if isinstance(bits, PackedBits):
+        return bits
     if isinstance(bits, str):
         if any(c not in "01" for c in bits):
             raise ValueError("bit strings may contain only '0' and '1'")
@@ -171,19 +174,41 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
+def _blocks(bits: np.ndarray | PackedBits) -> Iterator[np.ndarray]:
+    """The bits of an ``_as_bits`` result in order, as uint8 blocks of ``_CHUNK_ROUNDS`` bits.
+
+    Only the last block may be shorter, and a block may be overwritten by the next.
+    """
+    if isinstance(bits, PackedBits):
+        return bits.blocks()
+    return (bits[piece] for piece in chunk_slices(bits.size))
+
+
+def _counts(bits: np.ndarray | PackedBits) -> tuple[int, int]:
+    """The number of ones and of adjacent unequal pairs, counted block by block.
+
+    ``PackedBits`` keep their counts, so the entropy and the battery of the
+    same packed bits count them once.
+    """
+    return bits.counts() if isinstance(bits, PackedBits) else count_bits(_blocks(bits))
+
+
 def entropy_report(bits) -> EntropyReport:
-    """Shannon and min-entropy of the empirical 0/1 frequencies."""
-    arr = _as_bits(bits)
-    if arr.size == 0:
+    """Shannon and min-entropy of the empirical 0/1 frequencies.
+
+    ``bits`` are 0/1 values, a '0'/'1' string or ``games.PackedBits``.
+    """
+    bits = _as_bits(bits)
+    if bits.size == 0:
         raise ValueError("need at least one bit")
-    p1 = float(np.mean(arr))
+    p1 = _counts(bits)[0] / bits.size       # a float64 sum of 0/1 values is exact, so this is their mean
     p0 = 1.0 - p1
     shannon = 0.0
     for p in (p0, p1):
         if p > 0.0:
             shannon -= p * math.log2(p)
     min_entropy = 0.0 - math.log2(max(p0, p1))     # +0.0, not -0.0, on a constant stream
-    return EntropyReport(shannon, min_entropy, int(arr.size), p0)
+    return EntropyReport(shannon, min_entropy, int(bits.size), p0)
 
 
 @dataclass(frozen=True)
@@ -194,43 +219,50 @@ class BatteryResult:
     passed: bool
 
 
-def _monobit(arr: np.ndarray, significance: float) -> BatteryResult:
-    s_obs = abs(float(2 * np.count_nonzero(arr) - arr.size)) / math.sqrt(arr.size)
+def _monobit(n: int, ones: int, significance: float) -> BatteryResult:
+    s_obs = abs(float(2 * ones - n)) / math.sqrt(n)
     p = math.erfc(s_obs / math.sqrt(2.0))
     return BatteryResult("monobit", s_obs, p, p >= significance)
 
 
-def _runs(arr: np.ndarray, significance: float) -> BatteryResult:
-    pi = float(np.mean(arr))
-    v_obs = int(np.count_nonzero(np.diff(arr))) + 1
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(arr.size):
+def _runs(n: int, ones: int, changes: int, significance: float) -> BatteryResult:
+    pi = ones / n
+    v_obs = changes + 1
+    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         # frequency prerequisite failed; the runs statistic is uninformative
         return BatteryResult("runs", float(v_obs), 0.0, False)
     p = math.erfc(
-        abs(v_obs - 2.0 * arr.size * pi * (1 - pi))
-        / (2.0 * math.sqrt(2.0 * arr.size) * pi * (1 - pi))
+        abs(v_obs - 2.0 * n * pi * (1 - pi))
+        / (2.0 * math.sqrt(2.0 * n) * pi * (1 - pi))
     )
     return BatteryResult("runs", float(v_obs), p, p >= significance)
 
 
-def _serial(arr: np.ndarray, significance: float) -> BatteryResult:
-    x = arr.astype(np.float64) - float(np.mean(arr))
+def _serial(bits: np.ndarray | PackedBits, ones: int, significance: float) -> BatteryResult:
+    # the float64 column of bit - mean, filled block by block
+    x = np.empty(bits.size)
+    for start, block in zip(range(0, bits.size, _CHUNK_ROUNDS), _blocks(bits)):
+        np.subtract(block, ones / bits.size, out=x[start : start + block.size])
     denom = float(np.dot(x, x))
     if denom == 0.0:
         return BatteryResult("serial", 0.0, 0.0, False)
     r1 = float(np.dot(x[:-1], x[1:])) / denom
-    z = r1 * math.sqrt(arr.size)
+    z = r1 * math.sqrt(bits.size)
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return BatteryResult("serial", r1, p, p >= significance)
 
 
 def randomness_battery(bits, significance: float = 0.01) -> list[BatteryResult]:
-    """Monobit, runs, and lag-1 serial tests, each judged at the significance level."""
-    arr = _as_bits(bits)
-    if arr.size < 100:
-        raise TooFewBits(f"battery needs at least 100 bits, got {arr.size}")
+    """Monobit, runs, and lag-1 serial tests, each judged at the significance level.
+
+    ``bits`` are 0/1 values, a '0'/'1' string or ``games.PackedBits``.
+    """
+    bits = _as_bits(bits)
+    if bits.size < 100:
+        raise TooFewBits(f"battery needs at least 100 bits, got {bits.size}")
+    ones, changes = _counts(bits)
     return [
-        _monobit(arr, significance),
-        _runs(arr, significance),
-        _serial(arr, significance),
+        _monobit(bits.size, ones, significance),
+        _runs(bits.size, ones, changes, significance),
+        _serial(bits, ones, significance),
     ]

@@ -100,26 +100,43 @@ def serialize_report(results: dict) -> str:
     return "".join(out)
 
 
-def write_bits(path: str | Path, bits: np.ndarray) -> None:
-    """Dump bits as ASCII '0'/'1' lines of 64 (final line may be shorter)."""
-    bits = np.asarray(bits)
-    rows, tail = divmod(bits.size, 64)
-    lines = np.empty((rows, 65), dtype=np.uint8)
-    lines[:, :64] = bits[: rows * 64].reshape(rows, 64)
-    lines[:, :64] += ord("0")
-    lines[:, 64] = ord("\n")
+_LINE_BITS = 64
+_READ_BYTES = 65 << 10      # 1,024 full lines with LF breaks
+
+
+def write_bits(path: str | Path, bits) -> None:
+    """Dump bits as ASCII '0'/'1' lines of 64 (final line may be shorter).
+
+    ``bits`` are 0/1 values or ``games.PackedBits``.  Anything else raises
+    ValueError before the file is opened.  The lines are written block by
+    block, from one block's buffer.
+    """
+    bits = analysis._as_bits(bits)
+    lines = np.empty((games._CHUNK_ROUNDS // _LINE_BITS, _LINE_BITS + 1), dtype=np.uint8)
+    lines[:, _LINE_BITS] = ord("\n")
     with Path(path).open("wb") as out:
-        out.write(lines.data)
-        if tail:
-            out.write((bits[rows * 64 :].astype(np.uint8) + ord("0")).tobytes() + b"\n")
+        for block in analysis._blocks(bits):
+            rows, tail = divmod(block.size, _LINE_BITS)
+            np.add(block[: rows * _LINE_BITS].reshape(rows, _LINE_BITS), ord("0"), out=lines[:rows, :_LINE_BITS])
+            out.write(lines[:rows].data)
+            if tail:
+                out.write((block[rows * _LINE_BITS :] + ord("0")).tobytes() + b"\n")
 
 
-def read_bits(path: str | Path) -> np.ndarray:
-    """Parse a bit dump; line breaks may be LF, CRLF or CR."""
-    bits = np.frombuffer(Path(path).read_bytes().translate(None, b"\r\n"), dtype=np.uint8) - ord("0")
-    if bits.size and bits.max() > 1:
-        raise ValueError("bit strings may contain only '0' and '1'")
-    return bits
+def read_bits(path: str | Path) -> games.PackedBits:
+    """Parse a bit dump into sealed ``games.PackedBits``; line breaks may be LF, CRLF or CR.
+
+    The file is read block by block; ``unpack()`` gives the bits as one
+    uint8 array.
+    """
+    bits = games.PackedBits()
+    with Path(path).open("rb") as dump:
+        while block := dump.read(_READ_BYTES):
+            values = np.frombuffer(block.translate(None, b"\r\n"), dtype=np.uint8) - ord("0")
+            if values.size and values.max() > 1:
+                raise ValueError("bit strings may contain only '0' and '1'")
+            bits.append(values)
+    return bits.drop()
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +411,7 @@ def _cmd_guessing(opts: dict, seed: int) -> tuple[dict, int]:
     return report, 0
 
 
-def _bits_sections(bits: np.ndarray) -> dict:
+def _bits_sections(bits: games.PackedBits) -> dict:
     sections: dict = {}
     if bits.size:
         ent = analysis.entropy_report(bits)
@@ -449,11 +466,11 @@ def _cmd_run_protocol(opts: dict, seed: int) -> tuple[dict, int]:
             for c in verdict.conditions
         ],
     }
-    report.update(_bits_sections(verdict.output_bits))
-    if opts.get("bits_out") and verdict.output_bits.size:
-        write_bits(opts["bits_out"], verdict.output_bits)
+    report.update(_bits_sections(verdict.bits))
+    if opts.get("bits_out") and verdict.bits.size:
+        write_bits(opts["bits_out"], verdict.bits)
         report["output_bits_path"] = opts["bits_out"]
-    report["emitted_bits"] = int(verdict.output_bits.size)
+    report["emitted_bits"] = verdict.bits.size
     if verdict.notes:
         report["notes"] = list(verdict.notes)
     return report, 0 if verdict.decision == "PASS" else 2
@@ -465,7 +482,7 @@ def _cmd_analyze(opts: dict, seed: int) -> tuple[dict, int]:
     bits = read_bits(opts["bits_in"])
     report = {
         "manifest": _manifest("analyze", seed, opts, ["bits_in"]),
-        "n_bits": int(bits.size),
+        "n_bits": bits.size,
     }
     report.update(_bits_sections(bits))
     return report, 0

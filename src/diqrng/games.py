@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -564,6 +564,101 @@ MAX_ROUNDS = int(np.iinfo(np.int64).max)    # the most rounds or trials an int64
 def chunk_slices(n: int, size: int = _CHUNK_ROUNDS) -> Iterator[slice]:
     """Consecutive slices of at most ``size`` rounds covering range(n)."""
     return (slice(start, min(start + size, n)) for start in range(0, n, size))
+
+
+def count_bits(blocks: Iterable[np.ndarray]) -> tuple[int, int]:
+    """The number of ones and of adjacent unequal pairs in consecutive blocks of 0/1 values."""
+    ones = changes = 0
+    last = None
+    for block in blocks:
+        if last is not None:
+            changes += int(last != block[0])
+        ones += int(np.count_nonzero(block))
+        changes += int(np.count_nonzero(np.diff(block)))
+        last = int(block[-1])
+    return ones, changes
+
+
+class PackedBits:
+    """Bits appended piece by piece and held packed, one bit each, with each piece's count.
+
+    A piece holds at most ``_CHUNK_ROUNDS`` bits, so the bits are read block
+    by block and never need to be unpacked all at once.  The pieces are
+    read-only.  ``drop`` gives a sealed copy that shares them and refuses
+    ``append``, so its bits never change.  Two ``PackedBits`` are equal when
+    they hold the same bits.
+    """
+
+    __hash__ = None     # equal by content, so not hashable
+
+    def __init__(self, bits: np.ndarray | None = None) -> None:
+        self._pieces: list[tuple[np.ndarray, int]] | tuple[tuple[np.ndarray, int], ...] = []
+        self._skip = 0          # bits of the first piece that ``drop`` hid
+        self._counts = None     # ``counts()``, kept until the next ``append``
+        self.size = 0
+        if bits is not None:
+            self.append(bits)
+
+    def append(self, bits: np.ndarray) -> None:
+        """Append 0/1 values, packed in pieces of at most ``_CHUNK_ROUNDS``; sealed bits raise ValueError."""
+        if isinstance(self._pieces, tuple):
+            raise ValueError("sealed bits take no more bits")
+        for piece in chunk_slices(bits.size):
+            packed = np.packbits(bits[piece])
+            packed.setflags(write=False)
+            self._pieces.append((packed, piece.stop - piece.start))
+        self.size += bits.size
+        self._counts = None
+
+    def drop(self, n: int = 0) -> PackedBits:
+        """A sealed copy of these bits past the first n (none by default), sharing their packed pieces."""
+        rest = PackedBits()
+        n = min(n, self.size)
+        skip, first = self._skip + n, 0
+        while first < len(self._pieces) and skip >= self._pieces[first][1]:
+            skip -= self._pieces[first][1]
+            first += 1
+        rest._pieces, rest._skip, rest.size = tuple(self._pieces[first:]), skip, self.size - n
+        return rest
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The bits in order as uint8 blocks of ``_CHUNK_ROUNDS`` bits; only the last may be shorter.
+
+        Every block is a view into one buffer, overwritten by the next block.
+        """
+        block = np.empty(min(_CHUNK_ROUNDS, self.size), dtype=np.uint8)
+        filled, skip = 0, self._skip
+        for packed, count in self._pieces:
+            bits = np.unpackbits(packed, count=count)[skip:]
+            skip = 0
+            while bits.size:
+                take = min(block.size - filled, bits.size)
+                block[filled : filled + take] = bits[:take]
+                bits, filled = bits[take:], filled + take
+                if filled == block.size:
+                    yield block
+                    filled = 0
+            del bits        # freed before the next piece is unpacked
+        if filled:
+            yield block[:filled]
+
+    def counts(self) -> tuple[int, int]:
+        """The number of ones and of adjacent unequal pairs, from one pass over the blocks."""
+        if self._counts is None:
+            self._counts = count_bits(self.blocks())
+        return self._counts
+
+    def unpack(self, n: int | None = None) -> np.ndarray:
+        """The first n bits, all of them by default, as one exact-size uint8 array."""
+        bits = np.empty(self.size if n is None else n, dtype=np.uint8)
+        for start, block in zip(range(0, bits.size, _CHUNK_ROUNDS), self.blocks()):
+            bits[start : start + block.size] = block[: bits.size - start]
+        return bits
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PackedBits):
+            return NotImplemented
+        return self.size == other.size and all(map(np.array_equal, self.blocks(), other.blocks()))
 
 
 def skip_ahead(rng: np.random.Generator, n: int, low: int, high: int) -> np.random.Generator:

@@ -18,7 +18,8 @@ with the same seed are bit-identical.
 
 A run streams its rounds in fixed-size chunks and keeps only what
 certification reads: a tally of rounds by (x, setting, b) and the Rand bin's
-output bits, held packed at one bit per Rand round until the run ends.  The
+output bits, held packed at one bit per Rand round; the verdict releases
+them packed, and nothing unpacks them unless ``output_bits`` is read.  The
 chunks come from ``_round_chunks`` as views into one chunk's scratch
 buffers, allocated once per run; a chunk's views hold until the next chunk
 is drawn.  Its ``BinStore`` holds the tally and answers the bin and cell
@@ -47,8 +48,8 @@ import numpy as np
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import _CHUNK_ROUNDS, _DRAW_VALUES, MAX_ROUNDS, RoundColumns, add_integers, chunk_slices, skip_ahead
-from .games import read_only_view
+from .games import _CHUNK_ROUNDS, _DRAW_VALUES, MAX_ROUNDS, PackedBits, RoundColumns, add_integers, chunk_slices
+from .games import read_only_view, skip_ahead
 
 A_STAR = QUANTUM_WIN
 
@@ -338,18 +339,30 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class CertificationVerdict:
-    """Pass/abort decision with per-condition evidence."""
+    """Pass/abort decision with per-condition evidence.
+
+    ``bits`` are the released bits, held packed and sealed (``PackedBits.drop``):
+    0/1 values given in their place are checked and packed, and appending to
+    the caller's ``PackedBits`` leaves the verdict's alone.  ``output_bits``
+    unpacks them on first read into a read-only uint8 array.
+    """
 
     decision: str
     conditions: tuple[ConditionCheck, ...]
-    output_bits: np.ndarray
+    bits: PackedBits
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        bits = read_only_view(np.asarray(self.output_bits, dtype=np.uint8))
-        object.__setattr__(self, "output_bits", bits)
-        if self.decision == "ABORT" and bits.size:
+        bits = analysis._as_bits(self.bits)
+        object.__setattr__(self, "bits", (bits if isinstance(bits, PackedBits) else PackedBits(bits)).drop())
+        if self.decision == "ABORT" and self.bits.size:
             raise ValueError("ABORT verdicts carry no output bits")
+
+    @functools.cached_property
+    def output_bits(self) -> np.ndarray:
+        bits = self.bits.unpack()
+        bits.setflags(write=False)
+        return bits
 
 
 def _band_check(
@@ -370,7 +383,7 @@ def _band_check(
 
 
 def _verdict(
-    conditions: list[ConditionCheck], bits: np.ndarray, notes: tuple[str, ...], test_len: int = 0
+    conditions: list[ConditionCheck], bits: PackedBits, notes: tuple[str, ...], test_len: int = 0
 ) -> CertificationVerdict:
     """PASS when every condition holds and the Rand bin is nonempty.
 
@@ -383,7 +396,7 @@ def _verdict(
     return CertificationVerdict(
         decision="PASS" if passed else "ABORT",
         conditions=conditions,
-        output_bits=bits[test_len:] if passed else np.array([], dtype=np.uint8),
+        bits=bits.drop(test_len) if passed else PackedBits(),
         notes=notes,
     )
 
@@ -424,28 +437,6 @@ class _Scratch:
         cell *= 2
         cell += b
         return cell, b
-
-
-class _PackedBits:
-    """Bits appended chunk by chunk and held packed, one bit each, with each chunk's count."""
-
-    def __init__(self) -> None:
-        self._pieces: list[tuple[np.ndarray, int]] = []
-        self.size = 0
-
-    def append(self, bits: np.ndarray) -> None:
-        self._pieces.append((np.packbits(bits), bits.size))
-        self.size += bits.size
-
-    def unpack(self, n: int | None = None) -> np.ndarray:
-        """The first n bits, all of them by default, as one exact-size uint8 array."""
-        bits = np.empty(self.size if n is None else n, dtype=np.uint8)
-        start = 0
-        for packed, size in self._pieces:
-            size = min(size, bits.size - start)
-            bits[start : start + size] = np.unpackbits(packed, count=size)
-            start += size
-        return bits
 
 
 def _round_chunks(
@@ -526,7 +517,8 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     the measurement randomness are drawn from three fixed substreams of the
     seed, in round order.  The rounds stream through in chunks; the run keeps
     their tally and, packed one bit per Rand round, the Rand bin's bits and,
-    for protocol Q's odd test, whether each Rand bit matched x1.
+    for protocol Q's odd test, whether each Rand bit matched x1.  The verdict
+    takes the bits still packed.
     """
     if config.rounds < 1:
         raise InsufficientRounds("a run needs at least one round")
@@ -537,19 +529,18 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     odd_match = _win(GameId.GAME_G2).ravel()       # by code; on odd-weight rounds, b == x1
 
     counts = np.zeros(4 * n_settings * 2, dtype=np.int64)
-    rand_bits, odd_matches = _PackedBits(), _PackedBits()
+    bits, odd_matches = PackedBits(), PackedBits()
     scratch = _Scratch(config.rounds)
     for code, b in _round_chunks(config, devices, table, scratch):
         counts += np.bincount(code, minlength=counts.size)
         rand = _gather(is_rand, code, scratch.mask[0])
-        rand_bits.append(b[rand])
+        bits.append(b[rand])
         if odd_test:
             odd_matches.append(_gather(odd_match, code, scratch.mask[1])[rand])
-    del scratch         # the chunk buffers go before the bits are unpacked
-    # Q's odd test spends the first test_len Rand rounds; counted before the bits are unpacked
+    del scratch         # the chunk buffers go before the tested matches are unpacked
+    # Q's odd test spends the first test_len Rand rounds
     test_len = math.ceil(config.gamma * odd_matches.size)
     odd_hits = int(np.count_nonzero(odd_matches.unpack(test_len)))
-    bits = rand_bits.unpack()
 
     bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), lambda: _bin_views(config, devices, table))
     notes = (devices.caveat,) if devices.caveat else ()

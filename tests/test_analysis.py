@@ -15,7 +15,7 @@ from diqrng.analysis import (
     wilson_interval,
 )
 from diqrng.errors import EmptyCondition, MissingCell, TooFewBits
-from diqrng.games import GameId, RoundColumns, RoundSampler, exact_score, paper_strategy
+from diqrng.games import GameId, PackedBits, RoundColumns, RoundSampler, exact_score, paper_strategy
 from diqrng.protocols import BinStore
 
 
@@ -273,3 +273,60 @@ class TestBattery:
         bits = np.random.default_rng(12).integers(0, 2, 10_000)
         for r in randomness_battery(bits, significance=0.01):
             assert r.passed == (r.p_value >= 0.01)
+
+
+# ---------------------------------------------------------------------------
+# packed bits: the block-wise report equals the whole-array one
+# ---------------------------------------------------------------------------
+
+def whole_array_serial(arr: np.ndarray) -> float:
+    """The lag-1 correlation from one float64 column of bit - mean, built in one step."""
+    x = arr.astype(np.float64) - float(np.mean(arr))
+    return float(np.dot(x[:-1], x[1:])) / float(np.dot(x, x))
+
+
+def assert_same_report(packed: PackedBits, arr: np.ndarray) -> None:
+    """Counts, entropy and battery rows of packed bits equal those of their array, bit for bit."""
+    want = (int(np.count_nonzero(arr)), int(np.count_nonzero(arr[1:] != arr[:-1])))
+    assert analysis._counts(packed) == analysis._counts(arr) == want
+    report = entropy_report(packed)
+    assert report == entropy_report(arr)
+    assert report.n_bits == arr.size and report.zero_fraction == 1.0 - float(np.mean(arr))
+    if arr.size < 100:
+        for bits in (packed, arr):
+            with pytest.raises(TooFewBits):
+                randomness_battery(bits)
+        return
+    rows = randomness_battery(packed)
+    assert rows == randomness_battery(arr)
+    if 0 < want[0] < arr.size:
+        assert rows[2].statistic == whole_array_serial(arr)
+
+
+def pack_pieces(pieces) -> PackedBits:
+    packed = PackedBits()
+    for piece in pieces:
+        packed.append(piece)
+    return packed
+
+
+class TestPackedBitsReport:
+    @pytest.mark.parametrize("kind", ["random", "ones"])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 99, 100, 65_537])
+    def test_block_edges(self, n, kind):
+        rng = np.random.default_rng(n)
+        arr = rng.integers(0, 2, n).astype(np.uint8) if kind == "random" else np.ones(n, dtype=np.uint8)
+        assert_same_report(PackedBits(arr), arr)
+
+    @pytest.mark.parametrize("sizes", [(0, 5, 0, 13, 0, 90), (3, 65_536, 0, 7, 61), (65_537, 0, 99)])
+    def test_empty_and_unaligned_pieces(self, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        pieces = [rng.integers(0, 2, k).astype(np.uint8) for k in sizes]
+        assert_same_report(pack_pieces(pieces), np.concatenate(pieces))
+
+    @pytest.mark.parametrize("drop", [1, 99, 100, 120, 137, 138, 65_600])
+    def test_dropped_prefix_across_pieces(self, drop):
+        rng = np.random.default_rng(drop)
+        pieces = [rng.integers(0, 2, k).astype(np.uint8) for k in (100, 37, 65_536, 150)]
+        arr = np.concatenate(pieces)[drop:]
+        assert_same_report(pack_pieces(pieces).drop(drop), arr)

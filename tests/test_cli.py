@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from diqrng import cli
+from diqrng import cli, games
 from diqrng.cli import main, read_bits, serialize_report, write_bits
 
 
@@ -51,12 +51,12 @@ class TestBitDumps:
         write_bits(path, bits)
         lines = path.read_text().splitlines()
         assert [len(l) for l in lines] == [64, 64, 22]
-        assert np.array_equal(read_bits(path), bits)
+        assert np.array_equal(read_bits(path).unpack(), bits)
 
     def test_round_trip_empty_line_handling(self, tmp_path):
         path = tmp_path / "dump.bits"
         write_bits(path, np.array([1, 0, 1], dtype=np.uint8))
-        assert list(read_bits(path)) == [1, 0, 1]
+        assert list(read_bits(path).unpack()) == [1, 0, 1]
 
     def test_crlf_and_cr_line_breaks(self, tmp_path):
         bits = np.arange(150) % 3 % 2
@@ -65,7 +65,7 @@ class TestBitDumps:
         lf = path.read_bytes()
         for newline in (b"\r\n", b"\r"):
             path.write_bytes(lf.replace(b"\n", newline))
-            assert np.array_equal(read_bits(path), bits)
+            assert np.array_equal(read_bits(path).unpack(), bits)
 
     @pytest.mark.parametrize("junk", [b"0120\n", b"01 0\n", b"01\t\n", b"\xff01\n"])
     def test_other_bytes_rejected(self, tmp_path, junk):
@@ -80,14 +80,91 @@ class TestBitDumps:
         # the file's bytes, 65 per 64 bits, and nothing per bit besides
         assert peak <= 1.05 * bits.size + 2**16, f"{peak / bits.size:.2f} B/bit"
 
+    @pytest.mark.parametrize("n,read_bytes", [(1_000, 1), (1_000, 65), (1_000, 131), (150_000, cli._READ_BYTES)])
+    def test_line_breaks_across_read_blocks(self, tmp_path, monkeypatch, n, read_bytes):
+        # read blocks of 65 bytes split every CRLF full line between its \r and its \n
+        monkeypatch.setattr(cli, "_READ_BYTES", read_bytes)
+        bits = np.random.default_rng(n + read_bytes).integers(0, 2, n).astype(np.uint8)
+        path = tmp_path / "dump.bits"
+        write_bits(path, bits)
+        lf = path.read_bytes()
+        for newline in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(lf.replace(b"\n", newline))
+            assert read_bits(path) == games.PackedBits(bits)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 65_537, 150_000])
+    def test_packed_bits_dump_as_their_array(self, tmp_path, n):
+        bits = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
+        write_bits(tmp_path / "array.bits", bits)
+        write_bits(tmp_path / "packed.bits", games.PackedBits(bits))
+        data = (tmp_path / "packed.bits").read_bytes()
+        assert data == (tmp_path / "array.bits").read_bytes()
+        assert [len(line) for line in data.splitlines()] == [64] * (n // 64) + [n % 64] * (n % 64 > 0)
+        assert np.array_equal(read_bits(tmp_path / "packed.bits").unpack(), bits)
+
+    @pytest.mark.parametrize(
+        "bits", [np.array([0, 2, 1, 5]), [0.5, 1.0], np.zeros((2, 64), dtype=np.uint8), "0121"],
+    )
+    def test_write_rejects_what_read_would(self, tmp_path, bits):
+        path = tmp_path / "dump.bits"
+        with pytest.raises(ValueError, match="0/1 valued|one-dimensional|only .0. and .1."):
+            write_bits(path, bits)
+        assert not path.exists()
+
+    def test_write_holds_one_block_of_lines(self, tmp_path, traced_peak):
+        bits = np.random.default_rng(3).integers(0, 2, 2_000_000).astype(np.uint8)
+        for given in (bits, games.PackedBits(bits)):
+            _, peak = traced_peak(lambda: write_bits(tmp_path / "dump.bits", given))
+            # 1,024 lines of 65 bytes and one block of unpacked bits, at any length
+            assert peak <= 2**18, f"{peak / bits.size:.3f} B/bit"
+
     def test_read_memory_is_two_bytes_per_bit(self, tmp_path, traced_peak):
         bits = np.random.default_rng(4).integers(0, 2, 2_000_000).astype(np.uint8)
         path = tmp_path / "dump.bits"
         write_bits(path, bits)
         parsed, peak = traced_peak(lambda: read_bits(path))
-        assert np.array_equal(parsed, bits)
+        assert np.array_equal(parsed.unpack(), bits)
         # the file's bytes and then the stripped copy, or the stripped copy and the bits
         assert peak <= 2.1 * bits.size + 2**16, f"{peak / bits.size:.2f} B/bit"
+
+
+class TestReportMemory:
+    """The report of n bits holds one float64 column of n values besides the packed bits."""
+
+    N = 1 << 22
+
+    def test_analyze(self, tmp_path, traced_peak):
+        bits = np.random.default_rng(9).integers(0, 2, self.N).astype(np.uint8)
+        path = tmp_path / "dump.bits"
+        write_bits(path, bits)
+        del bits
+        argv = ["analyze", "--bits-in", str(path), "--seed", "1", "--deterministic", "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 0      # first-call allocations
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak <= 8 * self.N + 2**20, f"{peak / self.N:.3f} B/bit"
+
+    def test_bits_sections_of_packed_bits(self, traced_peak):
+        packed = games.PackedBits(np.random.default_rng(10).integers(0, 2, self.N).astype(np.uint8))
+        sections, peak = traced_peak(lambda: cli._bits_sections(packed))
+        assert sections["entropy"]["n_bits"] == self.N and len(sections["battery"]) == 3
+        assert peak <= 8 * self.N + 2**20, f"{peak / self.N:.3f} B/bit"
+
+
+def test_report_reads_its_bits_in_two_passes(monkeypatch):
+    packed = games.PackedBits(np.random.default_rng(11).integers(0, 2, 3 * 65_536 + 7).astype(np.uint8)).drop()
+    passes = []
+    blocks = games.PackedBits.blocks
+
+    def counted_blocks(self):
+        passes.append(self.size)
+        return blocks(self)
+
+    monkeypatch.setattr(games.PackedBits, "blocks", counted_blocks)
+    sections = cli._bits_sections(packed)
+    assert sections["entropy"]["n_bits"] == packed.size and len(sections["battery"]) == 3
+    # one pass counts the ones and the changes for the entropy and the battery; one fills the serial column
+    assert passes == [packed.size, packed.size]
 
 
 class TestExitCodes:

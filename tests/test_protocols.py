@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diqrng import protocols, qcore
+from diqrng import games, protocols, qcore
 from diqrng.errors import (
     DeviceArityMismatch,
     InsufficientRounds,
@@ -353,7 +353,35 @@ class TestConfigAndVerdict:
         bits = np.array([1, 0, 1], dtype=np.uint8)
         verdict = CertificationVerdict("PASS", (), bits)
         assert bits.flags.writeable and not verdict.output_bits.flags.writeable
-        assert np.shares_memory(bits, verdict.output_bits)
+        # the verdict holds its own packed copy, which a later write to the caller's array leaves alone
+        bits[0] = 0
+        assert list(verdict.output_bits) == [1, 0, 1] and verdict.bits.size == 3
+
+    def test_verdict_bits_are_sealed(self):
+        _, verdict = run_protocol(ProtocolConfig("Q", 20_000, seed=3), honest_devices("Q"))
+        assert verdict.decision == "PASS"
+        released = verdict.output_bits.copy()
+        with pytest.raises(ValueError, match="sealed"):
+            verdict.bits.append(np.ones(8, dtype=np.uint8))
+        assert not any(packed.flags.writeable for packed, _ in verdict.bits._pieces)
+        assert verdict.bits.size == released.size and np.array_equal(verdict.bits.unpack(), released)
+
+    def test_verdict_keeps_its_bits_when_the_callers_grow(self):
+        bits = games.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
+        verdict = CertificationVerdict("PASS", (), bits)
+        bits.append(np.ones(5, dtype=np.uint8))
+        assert verdict.bits.size == 3 and list(verdict.output_bits) == [1, 0, 1]
+
+    def test_identical_runs_give_equal_verdicts(self):
+        config = ProtocolConfig("P", 20_000, seed=12345, mode="generate")
+        first, again = (run_protocol(config, honest_devices("P"))[1] for _ in range(2))
+        assert first == again and first.bits is not again.bits
+        other = run_protocol(ProtocolConfig("P", 20_000, seed=54321, mode="generate"), honest_devices("P"))[1]
+        assert first != other
+
+    def test_verdict_rejects_values_that_are_not_bits(self):
+        with pytest.raises(ValueError, match="0/1 valued"):
+            CertificationVerdict("PASS", (), np.array([1, 2], dtype=np.uint8))
 
     def test_bin_store_leaves_the_callers_tally_writable(self):
         tally = np.zeros((4, 3, 2), dtype=np.int64)

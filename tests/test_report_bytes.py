@@ -26,6 +26,9 @@ from diqrng import cli
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 ROUNDS = 20_000
+# over two 65,536-round chunks: the emitted bits span packed pieces, and
+# protocol Q's tested prefix ends inside a later piece
+LONG_ROUNDS = 140_000
 SEED = 5
 BITS = "bits.txt"
 
@@ -48,6 +51,13 @@ def _cases() -> dict[str, list[str]]:
     # analyze reads the bit file its run-protocol case wrote: a balanced stream and a constant one
     for device in ("honest", "always-zero"):
         cases[f"analyze-P-generate-{device}"] = ["analyze", "--bits-in", BITS, *common]
+    for protocol, mode in (("P", "generate"), ("Q", "test")):
+        name = f"{protocol}-{mode}-honest-{LONG_ROUNDS}"
+        cases[f"run-protocol-{name}"] = [
+            "run-protocol", "--protocol", protocol, "--mode", mode, "--device", "honest",
+            "--rounds", str(LONG_ROUNDS), "--bits-out", BITS, *common,
+        ]
+        cases[f"analyze-{name}"] = ["analyze", "--bits-in", BITS, *common]
     return cases
 
 

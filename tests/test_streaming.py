@@ -212,8 +212,8 @@ def test_run_protocol_keeps_rand_bits_and_one_chunk(protocol, mode, traced_peak)
     pair = honest_devices(protocol)
     (bins, verdict), peak = traced_peak(lambda: run_protocol(config, pair))
     assert verdict.decision == "PASS"
-    # per Rand round: its bit and Q's odd-test match, held in chunk pieces and
-    # then joined, so at most 3 bytes at once
+    # per Rand round: its bit and Q's odd-test match, packed, and Q's tested
+    # matches unpacked, so well under 3 bytes at once
     n_rand = bins.counts()["rand"]
     assert peak <= 3 * n_rand + CHUNK_BYTES, f"{peak / config.rounds:.1f} B/round"
 
@@ -223,10 +223,10 @@ def test_rand_storage_grows_slowly_with_the_run(protocol, mode, bound, traced_sl
     """The traced peak grows by at most ``bound`` bytes per further Rand round.
 
     A run holds its Rand bits and Q's odd-test matches packed, 1/8 B each,
-    then unpacks the bits into 1 B each beside the packed ones.  P test has
-    one Rand round in six, so at these sizes its chunk work sets the peak and
-    only the packed bits grow it.  Per-chunk uint8 pieces joined at the end
-    grow the peak by about 1.01 (P test), 2.01 (Q test) and 1.66 B (P generate).
+    and unpacks only Q's tested matches, 1 B each.  P test has one Rand
+    round in six, so at these sizes its chunk work sets the peak and only
+    the packed bits grow it.  Per-chunk uint8 pieces joined at the end grow
+    the peak by about 1.01 (P test), 2.01 (Q test) and 1.66 B (P generate).
     """
     pair = honest_devices(protocol)
     run_protocol(ProtocolConfig(protocol, 1000, seed=5, mode=mode), pair)     # first-call allocations
@@ -242,7 +242,7 @@ def test_rand_storage_grows_slowly_with_the_run(protocol, mode, bound, traced_sl
 def test_packed_bits_unpack_whole_or_by_prefix(sizes):
     rng = np.random.default_rng(11)
     pieces = [rng.integers(0, 2, size=k).astype(np.uint8) for k in sizes]
-    packed = protocols._PackedBits()
+    packed = games.PackedBits()
     for piece in pieces:
         packed.append(piece)
     want = np.concatenate(pieces)
@@ -250,3 +250,46 @@ def test_packed_bits_unpack_whole_or_by_prefix(sizes):
     assert np.array_equal(packed.unpack(), want) and packed.unpack().dtype == np.uint8
     for n in {0, min(3, want.size), sizes[0], want.size // 2, want.size}:
         assert np.array_equal(packed.unpack(n), want[:n])
+
+
+@pytest.mark.parametrize("sizes", [(0,), (5, 0, 8, 13), (100, 37, CHUNK, 150)])
+def test_packed_bits_blocks_past_a_dropped_prefix(sizes):
+    rng = np.random.default_rng(12)
+    pieces = [rng.integers(0, 2, size=k).astype(np.uint8) for k in sizes]
+    packed = games.PackedBits()
+    for piece in pieces:
+        packed.append(piece)
+    want = np.concatenate(pieces)
+    # prefixes that end inside a piece, on a piece's edge, or past the end
+    for n in sorted({0, 3, sizes[0], sizes[0] + 1, want.size // 2, want.size - 1, want.size, want.size + 5}):
+        rest = packed.drop(n)
+        assert rest.size == max(want.size - n, 0)
+        blocks = [block.copy() for block in rest.blocks()]
+        assert all(block.size == CHUNK for block in blocks[:-1]) and all(block.size for block in blocks)
+        assert np.array_equal(np.concatenate([want[:0], *blocks]), want[n:])
+        assert np.array_equal(rest.drop(1).unpack(), want[n + 1 :])
+
+
+def test_packed_bits_compare_by_content_and_recount_after_append():
+    want = np.random.default_rng(13).integers(0, 2, size=CHUNK + 100).astype(np.uint8)
+    whole, pieces = games.PackedBits(want), games.PackedBits()
+    for piece in np.split(want, [3, 70_000]):
+        pieces.append(piece)
+    flipped = want.copy()
+    flipped[-1] ^= 1
+    assert whole == pieces and whole != games.PackedBits(flipped) and whole != pieces.drop(1)
+    with pytest.raises(TypeError):
+        hash(whole)
+    assert whole.counts() == (int(want.sum()), int(np.count_nonzero(np.diff(want))))
+    whole.append(np.ones(1, dtype=np.uint8))
+    assert whole.counts()[0] == int(want.sum()) + 1
+
+
+def test_dropped_bits_are_sealed_and_share_read_only_pieces():
+    packed = games.PackedBits(np.ones(10, dtype=np.uint8))
+    sealed = packed.drop(2)
+    with pytest.raises(ValueError, match="sealed"):
+        sealed.append(np.ones(1, dtype=np.uint8))
+    packed.append(np.zeros(4, dtype=np.uint8))     # the original still grows, apart from its sealed copy
+    assert sealed.size == 8 and packed.size == 14 and list(sealed.unpack()) == [1] * 8
+    assert not any(piece.flags.writeable for piece, _ in packed._pieces)
