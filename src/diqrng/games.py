@@ -347,19 +347,19 @@ class ClassicalStrategy:
                 raise ArityMismatch("table entries must be bits")
         else:
             weights = [w for w, _ in self.mixture]
-            if any(w < 0 for w in weights):
-                raise BadDistribution("mixture weights must be nonnegative")
+            if not all(0 <= w < math.inf for w in weights):
+                raise BadDistribution(f"mixture weights must be finite and nonnegative, got {weights}")
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise BadDistribution("mixture weights must sum to 1")
             if any(s.game is not self.game for _, s in self.mixture):
                 raise ArityMismatch("mixture components must play the same game")
 
     def renormalized(self, factor: float) -> "ClassicalStrategy":
-        """Scale all mixture weights by a positive factor, then renormalize."""
+        """Scale all mixture weights by a positive finite factor, then renormalize."""
         if not self.mixture:
             return self
-        if factor <= 0:
-            raise BadDistribution("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise BadDistribution(f"scale factor must be positive and finite, got {factor}")
         scaled = [(w * factor, s) for w, s in self.mixture]
         total = sum(w for w, _ in scaled)
         return ClassicalStrategy(
@@ -503,8 +503,8 @@ def _input_weights(game: GameId, input_distribution) -> np.ndarray:
         if tuple(x) not in space:
             raise BadDistribution("distribution supported outside the game's valid inputs")
         weights[tuple(x)] = w
-    if np.any(weights < 0):
-        raise BadDistribution("weights must be nonnegative")
+    if not np.all((weights >= 0) & (weights < math.inf)):
+        raise BadDistribution("weights must be finite and nonnegative")
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-12:
         raise BadDistribution(f"weights sum to {total}, not 1")
@@ -688,14 +688,55 @@ def add_integers(out: np.ndarray, rng: np.random.Generator, low: int, high: int,
         out[piece] += draw
 
 
-class RoundSampler:
-    """Draws rounds from the rows of a strategy's outcome tensor.
+def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[index] along the first axis, written into the head of the reused buffer ``out``.
 
-    Each input's positive outputs, in lexicographic order, and their CDF are
-    taken once at construction (a mixture's tensor is the averaged
-    distribution, identical for i.i.d. rounds); each sampled round then
-    consumes exactly one uniform draw from the caller's rng stream.  A draw
-    past the CDF's rounded end maps to the last positive output.
+    Every index is in range.  ``mode="clip"`` keeps ``np.take`` from filling
+    a hidden copy of ``out`` first, as its default ``mode="raise"`` does.
+    """
+    return np.take(values, index, axis=0, out=out[: index.size], mode="clip")
+
+
+class _Scratch:
+    """One chunk's buffers, allocated once per call and reused by every chunk, and the one sampling kernel."""
+
+    def __init__(self, rounds: int):
+        size = min(rounds, _CHUNK_ROUNDS)
+        self.code = np.empty(size, dtype=np.int64)      # a chunk's cells, then its round codes
+        self.index = np.empty(size, dtype=np.int64)     # threshold indices, when they are not the cells
+        self.threshold = np.empty(size)
+        self.uniform = np.empty(size)
+        self.hit = np.empty(size, dtype=bool)
+        self.mask = np.empty((2, size), dtype=bool)     # two gathers from per-code tables
+
+    def measure(
+        self, cell: np.ndarray, threshold: np.ndarray, index: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw each round's branch and turn ``cell`` into the round codes (steps + 1)*cell + branch.
+
+        The branch is the number of steps whose threshold[step, index] a fresh
+        uniform from ``rng`` reaches: with one step, 1 - Pr[b = 1], it is the
+        bit b of ``DevicePair``.  Returns (code, branch), the branch as uint8.
+        """
+        u = rng.random(out=self.uniform[: cell.size])
+        hit = np.greater_equal(u, _gather(threshold[0], index, self.threshold), out=self.hit[: cell.size])
+        branch = hit.view(np.uint8) if len(threshold) == 1 else hit.astype(np.uint8)
+        for row in threshold[1:]:
+            branch += np.greater_equal(u, _gather(row, index, self.threshold), out=hit)
+        cell *= len(threshold) + 1
+        cell += branch
+        return cell, branch
+
+
+class RoundSampler:
+    """Draws rounds from a strategy's outcome tensor as a threshold table [step, input].
+
+    An input's thresholds are the CDF of its positive outputs, in
+    lexicographic order, without the last entry and padded with +inf (a
+    mixture's tensor is the averaged distribution, identical for i.i.d.
+    rounds).  A round takes one uniform u from the caller's rng, and its
+    branch, the thresholds u reaches, is ``searchsorted(cdf, u, side="right")``
+    capped at the last positive output.
     """
 
     def __init__(self, game: GameId, strategy: Strategy):
@@ -703,46 +744,46 @@ class RoundSampler:
             raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
         self.game = game
         self.strategy = strategy
-        self._outputs: dict[tuple[int, ...], np.ndarray] = {}     # int8 [support, output bit]
-        self._cdf: dict[tuple[int, ...], np.ndarray] = {}
+        self._space = input_space(game)
         probs = outcome_tensor(strategy)
+        rows = [probs[inputs].ravel() for inputs in self._space]
+        supports = [np.flatnonzero(row) for row in rows]
+        steps = max(1, max(s.size for s in supports) - 1)
+        self._threshold = np.full((steps, len(rows)), np.inf)
+        self._code_outputs = np.zeros((len(rows) * (steps + 1), _OUTPUT_ARITY[game]), dtype=np.int8)
         outputs = np.array(list(itertools.product(_BITS, repeat=_OUTPUT_ARITY[game])), dtype=np.int8)
-        for inputs in input_space(game):
-            row = probs[inputs].ravel()
-            support = np.flatnonzero(row)
-            self._outputs[inputs] = outputs[support]
-            self._cdf[inputs] = np.cumsum(row[support])
-
-    def _branch(self, inputs: tuple[int, ...], u):
-        return np.minimum(np.searchsorted(self._cdf[inputs], u, side="right"), len(self._outputs[inputs]) - 1)
+        for i, (row, support) in enumerate(zip(rows, supports)):
+            self._threshold[: support.size - 1, i] = np.cumsum(row[support])[:-1]
+            self._code_outputs[i * (steps + 1) : i * (steps + 1) + support.size] = outputs[support]
+        self._code_inputs = np.repeat(np.array(self._space, dtype=np.int8), steps + 1, axis=0)
 
     def sample(self, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:
         inputs = tuple(inputs)
-        if inputs not in self._outputs:
+        if inputs not in self._space:
             raise BadInput(f"{inputs} is not a valid {self.game.value} input")
-        return RoundIO(inputs, tuple(self._outputs[inputs][self._branch(inputs, rng.random())].tolist()))
+        i = self._space.index(inputs)
+        branch = int(np.count_nonzero(rng.random() >= self._threshold[:, i]))
+        return RoundIO(inputs, tuple(self._code_outputs[i * (len(self._threshold) + 1) + branch].tolist()))
 
     def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
         """n rounds with uniform inputs, in round order: all n input draws, then n uniforms.
 
         The inputs come from ``rng`` and the uniforms from a copy moved past
-        the n input draws, one chunk of each at a time; ``rng`` ends where the
-        uniform copy does, as after the one-call order.  Besides the returned
-        int8 columns (about 6 B/round for pt3) only one chunk's draws are held.
+        the n input draws, one ``_DRAW_VALUES``-round piece at a time; ``rng``
+        ends where the copy does, as after the one-call order.  Besides the
+        returned int8 columns (6 B/round for pt3) one piece's buffers are held.
         """
-        space = list(self._outputs)
-        uniform_rng = skip_ahead(rng, n, 0, len(space))
+        uniform_rng = skip_ahead(rng, n, 0, len(self._space))
         inputs = np.empty((n, _INPUT_ARITY[self.game]), dtype=np.int8)
         outputs = np.empty((n, _OUTPUT_ARITY[self.game]), dtype=np.int8)
-        for chunk in chunk_slices(n):
-            k = chunk.stop - chunk.start
-            idx = rng.integers(0, len(space), size=k).astype(np.int8)     # one byte a round for the scans below
-            u = uniform_rng.random(k)
-            ins, outs = inputs[chunk], outputs[chunk]
-            for i, row in enumerate(space):
-                mask = np.flatnonzero(idx == i)
-                ins[mask] = row
-                outs[mask] = self._outputs[row][self._branch(row, u[mask])]
+        scratch = _Scratch(min(n, _DRAW_VALUES))
+        for piece in chunk_slices(n, _DRAW_VALUES):
+            cell = scratch.code[: piece.stop - piece.start]
+            cell.fill(0)
+            add_integers(cell, rng, 0, len(self._space))
+            code, _ = scratch.measure(cell, self._threshold, cell, uniform_rng)
+            _gather(self._code_inputs, code, inputs[piece])
+            _gather(self._code_outputs, code, outputs[piece])
         rng.bit_generator.state = uniform_rng.bit_generator.state
         return RoundColumns(inputs, outputs)
 

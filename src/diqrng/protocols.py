@@ -22,10 +22,11 @@ output bits, held packed at one bit per Rand round; the verdict releases
 them packed, and nothing unpacks them unless ``output_bits`` is read.  The
 chunks come from ``_round_chunks`` as views into one chunk's scratch
 buffers, allocated once per run; a chunk's views hold until the next chunk
-is drawn.  Its ``BinStore`` holds the tally and answers the bin and cell
-counts.  The per-round bin views are ``games.RoundColumns`` with inputs
-(x0, x1, setting) and output (b,), rebuilt on first access by replaying the
-same round stream.
+is drawn.  The bits come from ``games._Scratch.measure``, the one sampling
+kernel, with thresholds 1 - Pr[b = 1].  ``BinStore`` holds the tally and
+answers the bin and cell counts.  The per-round bin views are
+``games.RoundColumns`` with inputs (x0, x1, setting) and output (b,),
+rebuilt on first access by replaying the same round stream.
 
 Certification has one abort rule and one verdict.  Every count condition
 (P's False-bin outcomes, Q's even-weight wins and odd-weight test) is a
@@ -48,7 +49,7 @@ import numpy as np
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import _CHUNK_ROUNDS, _DRAW_VALUES, MAX_ROUNDS, PackedBits, RoundColumns, add_integers, chunk_slices
+from .games import _DRAW_VALUES, MAX_ROUNDS, PackedBits, RoundColumns, _gather, _Scratch, add_integers, chunk_slices
 from .games import read_only_view, skip_ahead
 
 A_STAR = QUANTUM_WIN
@@ -401,44 +402,6 @@ def _verdict(
     )
 
 
-def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """values[index], written into the head of the reused buffer ``out``.
-
-    Every index is in range.  ``mode="clip"`` keeps ``np.take`` from filling
-    a hidden copy of ``out`` first, as its default ``mode="raise"`` does.
-    """
-    return np.take(values, index, out=out[: index.size], mode="clip")
-
-
-class _Scratch:
-    """One chunk's working buffers, allocated once per run and reused by every chunk."""
-
-    def __init__(self, rounds: int):
-        size = min(rounds, _CHUNK_ROUNDS)
-        self.code = np.empty(size, dtype=np.int64)      # a chunk's cells, then its round codes
-        self.index = np.empty(size, dtype=np.int64)     # threshold indices, when they are not the cells
-        self.threshold = np.empty(size)
-        self.uniform = np.empty(size)
-        self.hit = np.empty(size, dtype=bool)
-        self.mask = np.empty((2, size), dtype=bool)     # two gathers from per-code tables
-
-    def measure(
-        self, cell: np.ndarray, threshold: np.ndarray, index: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw each round's bit and turn ``cell``, a head of ``code``, into the round codes 2*cell + b.
-
-        b = 0 iff a fresh uniform from ``rng`` is below threshold[index], the
-        draw ``DevicePair`` defines.  Returns (code, b), b as uint8, both
-        views into the buffers.
-        """
-        u = rng.random(out=self.uniform[: cell.size])
-        hit = np.greater_equal(u, _gather(threshold, index, self.threshold), out=self.hit[: cell.size])
-        b = hit.view(np.uint8)
-        cell *= 2
-        cell += b
-        return cell, b
-
-
 def _round_chunks(
     config: ProtocolConfig, devices: DevicePair, table: np.ndarray, scratch: _Scratch
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -477,12 +440,11 @@ def _round_chunks(
             add_integers(cell, input_rng, 0, 4, n_settings)
             add_integers(cell, setting_rng, 0, n_settings)
 
-    threshold = (1.0 - table).ravel()       # by coin * cells_per_coin + cell
-    cells_per_coin = table[0].size
     coin_per_round = devices.uses_coin and devices.coin_per_round
     if devices.uses_coin and not devices.coin_per_round:
-        coin = int(coin_rng.integers(0, 2))
-        threshold = threshold[coin * cells_per_coin : (coin + 1) * cells_per_coin]
+        table = table[int(coin_rng.integers(0, 2))][None]      # the run's one coin
+    threshold = (1.0 - table).reshape(1, -1)    # one step, by coin * cells_per_coin + cell
+    cells_per_coin = table[0].size
     for chunk in chunk_slices(config.rounds):
         cell = scratch.code[: chunk.stop - chunk.start]
         draw_cells(cell)
@@ -693,22 +655,22 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     capped at 1/2.
 
     Each experiment draws all its x values, then its settings, then one
-    uniform per trial, and counts its wins chunk by chunk with its win mask
+    uniform per trial, and counts its wins piece by piece with its win mask
     over (x, setting, b); its expected rate is exact, from the same mask.
-    The three blocks stream side by side, one chunk at a time: x from
-    ``rng``, the settings from a copy moved past the n x draws, the uniforms
-    from a copy moved past the settings.  ``rng`` ends where the uniform copy
-    does, so the draws and the end state are those of the one-call order,
-    and a check holds one chunk's draws at any trial count.  Each chunk's
-    bits come from ``_Scratch.measure``, the kernel of a protocol run, into
-    buffers allocated once per check.
+    The three blocks stream side by side, one ``_DRAW_VALUES``-trial piece
+    at a time: x from ``rng``, the settings from a copy moved past the n x
+    draws, the uniforms from a copy moved past the settings.  ``rng`` ends
+    where the uniform copy does, so the draws and the end state are those of
+    the one-call order, and a check holds one piece's draws at any trial
+    count.  Each piece's bits come from ``games._Scratch.measure``, the one
+    sampling kernel, into buffers allocated once per check.
     """
     _check_integer("trials", trials)
     if not 1 <= trials <= MAX_ROUNDS:
         raise ValueError(f"trials must lie in [1, {MAX_ROUNDS}], got {trials}")
     table = honest_devices("P").response_table("P")[0]
-    threshold = (1.0 - table).ravel()       # by cell = 3*x + setting
-    scratch = _Scratch(trials)
+    threshold = (1.0 - table).reshape(1, -1)    # one step, by cell = 3*x + setting
+    scratch = _Scratch(min(trials, _DRAW_VALUES))
     checks = []
     for name, x_range, setting_range, win in _guessing_experiments():
         drawn = setting_range[1] - setting_range[0] > 1
@@ -716,8 +678,8 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
         uniform_rng = skip_ahead(setting_rng, trials, *setting_range) if drawn else setting_rng
         win_cells = win.ravel()             # by code = 2*cell + b
         hits = 0
-        for chunk in chunk_slices(trials):
-            cell = scratch.code[: chunk.stop - chunk.start]
+        for piece in chunk_slices(trials, _DRAW_VALUES):
+            cell = scratch.code[: piece.stop - piece.start]
             cell.fill(0 if drawn else setting_range[0])
             add_integers(cell, rng, *x_range, 3)
             if drawn:

@@ -250,6 +250,12 @@ class TestExactScores:
         with pytest.raises(BadDistribution):
             exact_score(GameId.CHSH, strategy, input_distribution={(0, 2): 1.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_weights_rejected(self, bad):
+        dist = {(0, 0): bad, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0}
+        with pytest.raises(BadDistribution):
+            exact_score(GameId.CHSH, paper_strategy(GameId.CHSH), input_distribution=dist)
+
     def test_strategy_game_mismatch(self):
         with pytest.raises(ArityMismatch):
             exact_score(GameId.CHSH, paper_strategy(GameId.CHSH1))
@@ -338,6 +344,16 @@ class TestClassicalStrategies:
             ClassicalStrategy(GameId.CHSH, mixture=((0.5, zeros), (0.6, zeros)))
         with pytest.raises(BadDistribution):
             ClassicalStrategy(GameId.CHSH, mixture=((-0.5, zeros), (1.5, zeros)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mixture_weights_rejected(self, bad):
+        zeros = ClassicalStrategy(GameId.CHSH, tables=((0, 0), (0, 0)))
+        ones = ClassicalStrategy(GameId.CHSH, tables=((1, 1), (1, 1)))
+        with pytest.raises(BadDistribution):
+            ClassicalStrategy(GameId.CHSH, mixture=((bad, zeros), (1.0, ones)))
+        mix = ClassicalStrategy(GameId.CHSH, mixture=((0.3, zeros), (0.7, ones)))
+        with pytest.raises(BadDistribution):
+            mix.renormalized(bad)
 
     def test_argmax_invariance_under_renormalization(self):
         zeros = ClassicalStrategy(GameId.CHSH, tables=((0, 0), (0, 0)))

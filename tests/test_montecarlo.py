@@ -142,10 +142,12 @@ def test_sample_many_of_a_mixture_matches_row_reference():
 
 
 MULTI_CHUNK = (games._CHUNK_ROUNDS, games._CHUNK_ROUNDS + 1, 3 * games._CHUNK_ROUNDS + 17)
+# around one piece of the sampling kernel's draws
+DRAW_EDGES = (games._DRAW_VALUES - 1, games._DRAW_VALUES, games._DRAW_VALUES + 1)
 
 
 @pytest.mark.parametrize("game", list(GameId))
-@pytest.mark.parametrize("n", MULTI_CHUNK)
+@pytest.mark.parametrize("n", DRAW_EDGES + MULTI_CHUNK)
 def test_multi_chunk_sample_many_matches_row_reference(game, n):
     strategy = paper_strategy(game)
     rng, ref_rng = np.random.default_rng(SEEDS[1]), np.random.default_rng(SEEDS[1])
@@ -154,6 +156,60 @@ def test_multi_chunk_sample_many_matches_row_reference(game, n):
     assert np.array_equal(rounds.inputs, np.array([r.inputs for r in ref]))
     assert np.array_equal(rounds.outputs, np.array([r.outputs for r in ref]))
     assert rng.random() == ref_rng.random()
+
+
+class Uniforms:
+    """A stub generator that hands out the given uniforms in order, one per round."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def random(self, out=None):
+        if out is None:
+            return self._values.pop(0)
+        out[:] = [self._values.pop(0) for _ in range(out.size)]
+        return out
+
+
+def chsh_mixture_below_one():
+    """Three CHSH components answering (0, 0), (0, 1) and (1, 0) on input (1, 1) with weights 0.7, 0.2, 0.1.
+
+    That row's float CDF is 0.7, 0.9, 1 - 2**-53: it ends below 1.
+    """
+    zeros = [s for s in games.enumerate_deterministic(GameId.CHSH) if s.tables[0][0] == s.tables[1][0] == 0][:3]
+    return games.ClassicalStrategy(GameId.CHSH, mixture=tuple(zip((0.7, 0.2, 0.1), zeros)))
+
+
+@pytest.mark.parametrize("strategy", [paper_strategy(g) for g in GameId] + [chsh_mixture_below_one()])
+def test_branch_rule_is_capped_searchsorted_at_its_edges(strategy):
+    """At 0.0, exactly at each CDF entry and just past a CDF that ends below 1, both readers of the threshold table agree with the CDF rule."""
+    game = strategy.game
+    sampler = RoundSampler(game, strategy)
+    probs = outcome_tensor(strategy)
+    all_outputs = list(itertools.product((0, 1), repeat=probs.ndim - len(input_space(game)[0])))
+    steps = len(sampler._threshold)
+    ends_below_one = False
+    for i, inputs in enumerate(input_space(game)):
+        row = probs[inputs].ravel()
+        support = np.flatnonzero(row)
+        cdf = np.cumsum(row[support])
+        u = [0.0, *cdf]
+        if cdf[-1] < 1.0:
+            ends_below_one = True
+            u.append(np.nextafter(cdf[-1], 1.0))
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), support.size - 1)
+
+        stub = Uniforms(u)
+        assert [sampler.sample(inputs, stub).outputs for _ in u] == [all_outputs[k] for k in support[want]]
+
+        scratch = games._Scratch(len(u))
+        cell = scratch.code[: len(u)]
+        cell.fill(i)
+        code, branch = scratch.measure(cell, sampler._threshold, cell, Uniforms(u))
+        assert np.array_equal(branch, want)
+        assert np.array_equal(code, (steps + 1) * i + want)
+    if isinstance(strategy, games.ClassicalStrategy):
+        assert steps > 1 and ends_below_one
 
 
 def test_sampled_rounds_index_as_roundio():
@@ -186,7 +242,7 @@ def test_play_game_report_matches_row_reference(game, rounds, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("game", sorted(cli._GAME_NAMES))
-@pytest.mark.parametrize("rounds", MULTI_CHUNK)
+@pytest.mark.parametrize("rounds", DRAW_EDGES + MULTI_CHUNK)
 def test_multi_chunk_play_game_report_matches_row_reference(game, rounds, capsys, monkeypatch):
     argv = ["play-game", "--game", game, "--rounds", str(rounds), "--seed", str(SEEDS[0]), "--deterministic"]
     got = cli_bytes(capsys, argv)
@@ -207,7 +263,7 @@ def test_guessing_bounds_report_matches_one_shot_reference(trials, capsys, monke
         assert got == want
 
 
-@pytest.mark.parametrize("trials", [1, 70_001, 3 * games._CHUNK_ROUNDS + 17])
+@pytest.mark.parametrize("trials", [1, *DRAW_EDGES, 70_001, 3 * games._CHUNK_ROUNDS + 17])
 def test_guessing_bounds_take_the_same_draws(trials):
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     assert protocols.guessing_game_bound_check(trials, rng) == reference_guessing_bounds(trials, ref_rng)
@@ -292,16 +348,16 @@ def test_guessing_bounds_fill_columns_chunk_by_chunk(traced_peak):
     trials = 2_000_000
     protocols.guessing_game_bound_check(1, np.random.default_rng(0))
     _, peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
-    # one chunk of x, setting and uniform draws with their temporaries, and three generator copies
-    assert peak <= 3 * 2**20, f"{peak / 2**20:.2f} MiB"
+    # one piece of x, setting and uniform draws with their buffers, and three generator copies
+    assert peak <= 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_sample_many_fills_columns_chunk_by_chunk(traced_peak):
     n = 1_000_000
     sampler = RoundSampler(GameId.PSEUDO_TELEPATHY3, paper_strategy(GameId.PSEUDO_TELEPATHY3))
     _, peak = traced_peak(lambda: sampler.sample_many(n, np.random.default_rng(2)))
-    # the int8 inputs and outputs (3 + 3 B); one chunk of draws and temporaries
-    assert peak <= 8 * n + 4 * 2**20, f"{peak / n:.1f} B/round"
+    # the int8 inputs and outputs (3 + 3 B); one piece of draws and buffers
+    assert peak <= 6 * n + 2**19, f"{(peak - 6 * n) / 2**20:.2f} MiB past the columns"
 
 
 def test_sample_many_holds_only_its_columns_per_round(traced_slope):

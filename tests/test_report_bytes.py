@@ -26,8 +26,9 @@ from diqrng import cli
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
 ROUNDS = 20_000
-# over two 65,536-round chunks: the emitted bits span packed pieces, and
-# protocol Q's tested prefix ends inside a later piece
+# over two 65,536-round chunks: the emitted bits span packed pieces,
+# protocol Q's tested prefix ends inside a later piece, and the sampled
+# rounds and guessing trials span many draw pieces
 LONG_ROUNDS = 140_000
 SEED = 5
 BITS = "bits.txt"
@@ -51,6 +52,9 @@ def _cases() -> dict[str, list[str]]:
     # analyze reads the bit file its run-protocol case wrote: a balanced stream and a constant one
     for device in ("honest", "always-zero"):
         cases[f"analyze-P-generate-{device}"] = ["analyze", "--bits-in", BITS, *common]
+    for game in sorted(cli._GAME_NAMES):
+        cases[f"play-game-{game}-{LONG_ROUNDS}"] = ["play-game", "--game", game, "--rounds", str(LONG_ROUNDS), *common]
+    cases[f"guessing-bounds-{LONG_ROUNDS}"] = ["guessing-bounds", "--trials", str(LONG_ROUNDS), *common]
     for protocol, mode in (("P", "generate"), ("Q", "test")):
         name = f"{protocol}-{mode}-honest-{LONG_ROUNDS}"
         cases[f"run-protocol-{name}"] = [
