@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import EmptyCondition, MissingCell, TooFewBits
-from .games import _CHUNK_ROUNDS, GameId, PackedBits, chunk_slices, count_bits, win_mask
+from .games import _CHUNK_ROUNDS, GameId, PackedBits, RoundColumns, chunk_slices, count_bits, win_mask
 
 _NORMAL = NormalDist()
 
@@ -94,16 +94,24 @@ def _score_cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return counts.sum(axis=2).reshape(8), (counts * win).sum(axis=2).reshape(8)
 
 
+_FORMS = "a (4, 2, 2) integer count array [x, y, b] or RoundColumns with inputs (x0, x1, y) and outputs (b,)"
+
+
 def _records_to_cells(records) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell (trials, successes) arrays over the eight (x0, x1, y) cells.
 
-    ``records`` is either a run whose ``cell_counts()`` counts its self-test
-    rounds as [x, y, b] with x = 2*x0 + x1, or ``RoundColumns`` with inputs
-    (x0, x1, y) and outputs (b,), counted here into the same shape.
+    ``records`` is either self-test rounds counted as [x, y, b] with
+    x = 2*x0 + x1, or ``RoundColumns`` with inputs (x0, x1, y) and outputs
+    (b,), counted here into the same shape.
     """
-    counts = getattr(records, "cell_counts", None)
-    if callable(counts):
-        return _score_cells(counts())
+    if isinstance(records, np.ndarray):
+        if records.shape != (4, 2, 2) or not np.issubdtype(records.dtype, np.integer):
+            raise ValueError(f"statistic_A scores {_FORMS}; got a {records.dtype} array of shape {records.shape}")
+        if np.any(records < 0):
+            raise ValueError(f"statistic_A scores {_FORMS}; got a negative count")
+        return _score_cells(records)
+    if not isinstance(records, RoundColumns):
+        raise ValueError(f"statistic_A scores {_FORMS}; got {type(records).__name__}")
     inputs, outputs = records.inputs, records.outputs
     if inputs.shape[1:] != (3,) or outputs.shape[1:] != (1,):
         raise ValueError("self-test records have inputs (x0, x1, y) and one output b")
@@ -122,8 +130,10 @@ def statistic_A(check_records, confidence: float = 0.99) -> Estimate:
     The point is the unweighted mean of the per-cell empirical Pr[b == x_y]
     (mirroring the statistic's 1/8 prefactor), NOT the pooled frequency.  The
     interval combines per-cell Hoeffding radii at confidence split evenly
-    across the cells, which is conservative.  ``check_records`` is a protocol
-    P run's ``BinStore`` or self-test ``RoundColumns``.
+    across the cells, which is conservative.  ``check_records`` is the
+    self-test rounds counted as a (4, 2, 2) integer array [x, y, b] with
+    x = 2*x0 + x1, such as ``tally[:, :2]`` of a protocol P run, or
+    self-test ``RoundColumns``; anything else raises ValueError.
     """
     trials, successes = _records_to_cells(check_records)
     if np.any(trials == 0):

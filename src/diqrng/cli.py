@@ -2,7 +2,9 @@
 
 Every command emits a single JSON document whose key order and float
 formatting are fixed, so identical manifests reproduce identical bytes.
-Output bits are dumped separately as ASCII '0'/'1' lines of 64 bits.
+Bound checks, equivalence assertions, entropy and battery results become
+report rows by ``dataclasses.asdict``, so their field order is report key
+order.  Output bits are dumped separately as ASCII '0'/'1' lines of 64 bits.
 
 Exit codes: 0 success/PASS, 2 certification ABORT, 1 usage or runtime error.
 """
@@ -14,6 +16,7 @@ import json
 import os
 import secrets
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -371,15 +374,7 @@ def _cmd_equivalence(opts: dict, seed: int) -> tuple[dict, int]:
             {
                 "pair": pair.value,
                 "passed": result.passed,
-                "assertions": [
-                    {
-                        "name": a.name,
-                        "passed": a.passed,
-                        "observed": a.observed,
-                        "expected": a.expected,
-                    }
-                    for a in result.assertions
-                ],
+                "assertions": [asdict(a) for a in result.assertions],
             }
         )
     report = {
@@ -395,17 +390,7 @@ def _cmd_guessing(opts: dict, seed: int) -> tuple[dict, int]:
     result = protocols.guessing_game_bound_check(int(opts["trials"]), rng)
     report = {
         "manifest": _manifest("guessing-bounds", seed, opts, ["trials"]),
-        "checks": [
-            {
-                "name": c.name,
-                "empirical": c.empirical,
-                "expected": c.expected,
-                "stderr": c.stderr,
-                "trials": c.trials,
-                "within_four_se": c.within_four_se,
-            }
-            for c in result.checks
-        ],
+        "checks": [asdict(c) for c in result.checks],
         "all_within_four_se": result.passed,
     }
     return report, 0
@@ -414,18 +399,9 @@ def _cmd_guessing(opts: dict, seed: int) -> tuple[dict, int]:
 def _bits_sections(bits: games.PackedBits) -> dict:
     sections: dict = {}
     if bits.size:
-        ent = analysis.entropy_report(bits)
-        sections["entropy"] = {
-            "shannon": ent.shannon,
-            "min_entropy": ent.min_entropy,
-            "n_bits": ent.n_bits,
-            "zero_fraction": ent.zero_fraction,
-        }
+        sections["entropy"] = asdict(analysis.entropy_report(bits))
     if bits.size >= 100:
-        sections["battery"] = [
-            {"name": r.name, "statistic": r.statistic, "p_value": r.p_value, "passed": r.passed}
-            for r in analysis.randomness_battery(bits)
-        ]
+        sections["battery"] = [asdict(r) for r in analysis.randomness_battery(bits)]
     return sections
 
 

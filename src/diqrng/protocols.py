@@ -24,16 +24,19 @@ chunks come from ``_round_chunks`` as views into one chunk's scratch
 buffers, allocated once per run; a chunk's views hold until the next chunk
 is drawn.  The bits come from ``games._Scratch.measure``, the one sampling
 kernel, with thresholds 1 - Pr[b = 1].  ``BinStore`` holds the tally and
-answers the bin and cell counts.  The per-round bin views are
+answers the bin counts.  The per-round bin views are
 ``games.RoundColumns`` with inputs (x0, x1, setting) and output (b,),
 rebuilt on first access by replaying the same round stream.
 
-Certification has one abort rule and one verdict.  Every count condition
-(P's False-bin outcomes, Q's even-weight wins and odd-weight test) is a
-``_band_check``: its rate against a target within the Hoeffding radius at
-delta, reported with a Wilson interval.  P's A statistic keeps its own
-cell-averaged estimate.  ``_verdict`` adds ``rand_nonempty`` and decides
-PASS or ABORT for both protocols and both modes.
+Certification is a pure function of counts.  ``certify`` builds every
+condition of a verdict from the run's tally and, for Q's odd test, the
+number of tested Rand rounds and how many of them had b = x1; so a
+multinomial draw of a tally certifies exactly as a run does.  Every count
+condition (P's False-bin outcomes, Q's even-weight wins and odd-weight
+test) is a ``_band_check``: its rate against a target within the Hoeffding
+radius at delta, reported with a Wilson interval.  P's A statistic keeps
+its own cell-averaged estimate.  ``_verdict`` applies the one PASS rule,
+every condition satisfied, for both protocols and both modes.
 """
 
 from __future__ import annotations
@@ -209,7 +212,7 @@ class BinStore:
     """A run's rounds: their tally by (x, setting, b) and their Check/Rand/False bins.
 
     ``tally`` counts the rounds as [x, setting, b], x = 2*x0 + x1; it is all
-    that certification reads besides the Rand bits.  The bin views hold every
+    that ``certify`` reads besides Q's odd-test count.  The bin views hold every
     round's inputs and output, so a run does not keep them: they are rebuilt
     on first access by replaying the run's round stream.
     """
@@ -236,16 +239,14 @@ class BinStore:
         return self._views[_FALSE] if self.protocol == "P" else None
 
     def counts(self) -> dict[str, int]:
-        per_cell = self.tally.sum(axis=2)
-        bin_of = _BIN_OF[self.protocol]
-        names = ("check", "rand", "false") if self.protocol == "P" else ("check", "rand")
-        return {name: int(per_cell[bin_of == k].sum()) for k, name in enumerate(names)}
+        return _bin_counts(self.protocol, self.tally)
 
-    def cell_counts(self) -> np.ndarray:
-        """Protocol P's self-test rounds counted as [x, y, b], the cells ``statistic_A`` scores."""
-        if self.protocol != "P":
-            raise ValueError(f"protocol {self.protocol} runs have no self-test cells")
-        return self.tally[:, :2, :]
+
+def _bin_counts(protocol: str, tally: np.ndarray) -> dict[str, int]:
+    """The number of rounds in each bin of a tally [x, setting, b]."""
+    per_cell = tally.sum(axis=2)
+    names = ("check", "rand", "false") if protocol == "P" else ("check", "rand")
+    return {name: int(per_cell[_BIN_OF[protocol] == k].sum()) for k, name in enumerate(names)}
 
 
 def _draw_space(protocol: str, mode: str) -> tuple[tuple[int, int], ...]:
@@ -384,15 +385,13 @@ def _band_check(
 
 
 def _verdict(
-    conditions: list[ConditionCheck], bits: PackedBits, notes: tuple[str, ...], test_len: int = 0
+    conditions: tuple[ConditionCheck, ...], bits: PackedBits, notes: tuple[str, ...], test_len: int
 ) -> CertificationVerdict:
-    """PASS when every condition holds and the Rand bin is nonempty.
+    """PASS when every condition holds, ABORT otherwise.
 
     A PASS releases the Rand bits past the first ``test_len``, which protocol
     Q spent on its odd test; an ABORT releases none.
     """
-    ok = bits.size > 0
-    conditions = (*conditions, ConditionCheck("rand_nonempty", float(ok), float(ok), float(ok), 1.0, ok))
     passed = all(c.satisfied for c in conditions)
     return CertificationVerdict(
         decision="PASS" if passed else "ABORT",
@@ -479,7 +478,8 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     the measurement randomness are drawn from three fixed substreams of the
     seed, in round order.  The rounds stream through in chunks; the run keeps
     their tally and, packed one bit per Rand round, the Rand bin's bits and,
-    for protocol Q's odd test, whether each Rand bit matched x1.  The verdict
+    for protocol Q's odd test, whether each Rand bit matched x1.  One
+    ``certify`` call builds the conditions from those counts, and the verdict
     takes the bits still packed.
     """
     if config.rounds < 1:
@@ -505,80 +505,60 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     odd_hits = int(np.count_nonzero(odd_matches.unpack(test_len)))
 
     bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), lambda: _bin_views(config, devices, table))
-    notes = (devices.caveat,) if devices.caveat else ()
-    if config.mode == "generate":
-        return bins, _verdict([], bits, notes)
-    if bins.counts()["check"] == 0:
-        raise InsufficientRounds("check bin is empty")
-    if config.protocol == "P":
-        return bins, _verdict(_certify_p(bins, config), bits, notes)
-    conditions = _certify_q(bins, odd_hits, test_len, config)
-    return bins, _verdict(conditions, bits, notes, test_len)
+    conditions = certify(config, bins.tally, odd_hits, test_len)
+    return bins, _verdict(conditions, bits, (devices.caveat,) if devices.caveat else (), test_len)
 
 
-def _certify_p(bins: BinStore, config: ProtocolConfig) -> list[ConditionCheck]:
-    """The A statistic against A*, and the False bin's deterministic outcomes against 1."""
-    n_check = bins.counts()["check"]
-    try:
-        a_hat = analysis.statistic_A(bins, confidence=1.0 - config.delta)
-    except analysis.MissingCell as exc:
-        raise InsufficientRounds(str(exc)) from exc
+def certify(
+    config: ProtocolConfig, tally: np.ndarray, odd_hits: int = 0, test_len: int = 0
+) -> tuple[ConditionCheck, ...]:
+    """Every condition of a run's verdict, from its tally [x, setting, b] and Q's odd test.
 
-    radius = analysis.hoeffding_radius(config.delta, n_check)
-    conditions = [
-        ConditionCheck(
-            name="A_statistic",
-            estimate=a_hat.point,
-            ci_low=a_hat.ci_low,
-            ci_high=a_hat.ci_high,
-            target=A_STAR,
-            satisfied=abs(a_hat.point - A_STAR) <= radius,
-            detail={"radius": radius, "trials": n_check},
-        )
-    ]
-
-    for name, x, want_bit in (
-        ("false_b0_given_x00", 0, 0),
-        ("false_b1_given_x11", 3, 1),
-    ):
-        trials = int(bins.tally[x, 2].sum())
-        if trials == 0:
-            raise InsufficientRounds(f"false bin has no x={'00' if want_bit == 0 else '11'} rounds")
-        hits = int(bins.tally[x, 2, want_bit])
-        conditions.append(_band_check(name, hits, trials, 1.0, config.delta, exceptions=trials - hits))
-    return conditions
-
-
-def _certify_q(bins: BinStore, matches: int, test_len: int, config: ProtocolConfig) -> list[ConditionCheck]:
-    """The Check rounds' even-weight win rate against 1, and the tested Rand bits' match rate with x1 against 1/2.
-
-    ``matches`` of the first ``test_len`` Rand rounds, the tested ones, have a bit equal to x1.
+    Test mode checks P's A statistic against A* and its False-bin outcomes
+    against 1, or Q's even-weight wins against 1 and the match rate with x1
+    of the first ``test_len`` Rand rounds, ``odd_hits`` of which matched,
+    against 1/2.  Both modes end with ``rand_nonempty``.  A test-mode tally
+    without Check rounds, or without a cell that P's conditions score,
+    raises ``InsufficientRounds``.
     """
-    n_check = bins.counts()["check"]
-    even_win = _win(GameId.GAME_G2) & (_BIN_OF["Q"] == _CHECK)[:, :, None]
-    win_count = int(bins.tally[even_win].sum())
-    conditions = [_band_check("even_win", win_count, n_check, 1.0, config.delta, exceptions=n_check - win_count)]
-
-    if test_len > 0:
-        conditions.append(
-            _band_check(
-                "odd_guess_half", matches, test_len, 0.5, config.delta, two_sided=True,
+    n_settings = _BIN_OF[config.protocol].shape[1]
+    if np.shape(tally) != (4, n_settings, 2):
+        raise ValueError(f"a protocol {config.protocol} tally is [x, setting, b] of shape (4, {n_settings}, 2)")
+    n = _bin_counts(config.protocol, tally)
+    conditions = []
+    if config.mode == "test" and n["check"] == 0:
+        raise InsufficientRounds("check bin is empty")
+    if config.mode == "test" and config.protocol == "P":
+        try:
+            a_hat = analysis.statistic_A(tally[:, :2, :], confidence=1.0 - config.delta)
+        except analysis.MissingCell as exc:
+            raise InsufficientRounds(str(exc)) from exc
+        radius = analysis.hoeffding_radius(config.delta, n["check"])
+        conditions.append(ConditionCheck(
+            "A_statistic", a_hat.point, a_hat.ci_low, a_hat.ci_high, A_STAR,
+            abs(a_hat.point - A_STAR) <= radius, {"radius": radius, "trials": n["check"]},
+        ))
+        for name, x, want_bit in (("false_b0_given_x00", 0, 0), ("false_b1_given_x11", 3, 1)):
+            trials = int(tally[x, 2].sum())
+            if trials == 0:
+                raise InsufficientRounds(f"false bin has no x={'00' if want_bit == 0 else '11'} rounds")
+            hits = int(tally[x, 2, want_bit])
+            conditions.append(_band_check(name, hits, trials, 1.0, config.delta, exceptions=trials - hits))
+    if config.mode == "test" and config.protocol == "Q":
+        even_win = _win(GameId.GAME_G2) & (_BIN_OF["Q"] == _CHECK)[:, :, None]
+        wins = int(tally[even_win].sum())
+        conditions.append(_band_check("even_win", wins, n["check"], 1.0, config.delta, exceptions=n["check"] - wins))
+        if test_len > 0:
+            conditions.append(_band_check(
+                "odd_guess_half", odd_hits, test_len, 0.5, config.delta, two_sided=True,
                 gamma=config.gamma, test_portion=test_len,
-            )
-        )
-    else:
-        conditions.append(
-            ConditionCheck(
-                name="odd_guess_half",
-                estimate=0.0,
-                ci_low=0.0,
-                ci_high=0.0,
-                target=0.5,
-                satisfied=False,
-                detail={"trials": 0, "gamma": config.gamma, "test_portion": 0},
-            )
-        )
-    return conditions
+            ))
+        else:
+            conditions.append(ConditionCheck(
+                "odd_guess_half", 0.0, 0.0, 0.0, 0.5, False, {"trials": 0, "gamma": config.gamma, "test_portion": 0}
+            ))
+    ok = n["rand"] > 0
+    return (*conditions, ConditionCheck("rand_nonempty", float(ok), float(ok), float(ok), 1.0, ok))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from diqrng.analysis import (
 )
 from diqrng.errors import EmptyCondition, MissingCell, TooFewBits
 from diqrng.games import GameId, PackedBits, RoundColumns, RoundSampler, exact_score, paper_strategy
-from diqrng.protocols import BinStore
 
 
 def make_records(cells_and_bits):
@@ -25,11 +24,12 @@ def make_records(cells_and_bits):
     return RoundColumns(rounds[:, :3], rounds[:, 3:])
 
 
-def bin_store_counts(rounds):
-    """A protocol P BinStore holding only the [x, setting, b] count of self-test rounds."""
-    x0, x1, y = rounds.inputs.T.astype(np.int64)
-    code = 6 * (2 * x0 + x1) + 2 * y + rounds.outputs[:, 0]
-    return BinStore("P", np.bincount(code, minlength=24).reshape(4, 3, 2), replay=None)
+def self_test_tally(rounds):
+    """Self-test rounds counted as [x, y, b], x = 2*x0 + x1, counted independently of statistic_A."""
+    tally = np.zeros((4, 2, 2), dtype=np.int64)
+    for x0, x1, y, b in np.hstack([rounds.inputs, rounds.outputs]).tolist():
+        tally[2 * x0 + x1, y, b] += 1
+    return tally
 
 
 class TestWilson:
@@ -101,7 +101,7 @@ class TestStatisticA:
         )
         est = statistic_A(records)
         assert est.point == 1.0
-        assert statistic_A(bin_store_counts(records)) == est
+        assert statistic_A(self_test_tally(records)) == est
 
     def test_always_zero_records(self):
         # b = 0 matches x_y in exactly half the eight cells
@@ -163,16 +163,15 @@ class TestStatisticA:
         from diqrng.protocols import ProtocolConfig, honest_devices, run_protocol
 
         bins, _ = run_protocol(ProtocolConfig("P", 2_000, seed=3), honest_devices("P"))
-        assert statistic_A(bins) == statistic_A(bins.check)
-        q_bins, _ = run_protocol(ProtocolConfig("Q", 2_000, seed=3), honest_devices("Q"))
-        with pytest.raises(ValueError, match="no self-test cells"):
-            statistic_A(q_bins)
+        assert statistic_A(bins.tally[:, :2]) == statistic_A(bins.check)
+        with pytest.raises(ValueError, match="count array .* or RoundColumns.*; got BinStore"):
+            statistic_A(bins)
 
     def test_batch_fast_path_matches_record_path(self):
         # the columns path and the counts path score the same rounds alike
         rng = np.random.default_rng(8)
         batch = make_records(rng.integers(0, 2, (500, 4)))
-        assert statistic_A(batch) == statistic_A(bin_store_counts(batch))
+        assert statistic_A(batch) == statistic_A(self_test_tally(batch))
         per_round = [(*io.inputs, *io.outputs) for io in batch]
         assert statistic_A(make_records(per_round)) == statistic_A(batch)
 
@@ -183,9 +182,40 @@ class TestStatisticA:
         sampler = RoundSampler(GameId.TAVAKOLI, strategy)
         rounds = sampler.sample_many(40_000, np.random.default_rng(77))
         est = statistic_A(rounds)
-        assert est == statistic_A(bin_store_counts(rounds))
+        assert est == statistic_A(self_test_tally(rounds))
         eps = hoeffding_radius(1e-6, len(rounds))
         assert abs(est.point - exact) <= 4 * eps
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_tally_scores_as_its_rounds(self, seed):
+        # a tally and the same rounds, expanded and shuffled into RoundColumns, score alike
+        rng = np.random.default_rng(seed)
+        tally = rng.integers(1, 60, size=(4, 2, 2))
+        x, y, b = np.indices(tally.shape).reshape(3, -1)
+        rounds = np.repeat(np.column_stack([x >> 1, x & 1, y, b]), tally.ravel(), axis=0)
+        rounds = rng.permutation(rounds).astype(np.int8)
+        columns = RoundColumns(rounds[:, :3], rounds[:, 3:])
+        assert statistic_A(tally, confidence=0.9) == statistic_A(columns, confidence=0.9)
+
+    @pytest.mark.parametrize(
+        "counts,named",
+        [
+            (np.ones((4, 3, 2), dtype=np.int64), "shape (4, 3, 2)"),      # a whole P tally, settings 0-2
+            (np.ones((8, 2), dtype=np.int64), "shape (8, 2)"),
+            (np.full((4, 2, 2), 2.5), "float64"),                           # not integer counts
+            (np.ones((4, 2, 2), dtype=bool), "bool"),
+            (np.array([[[3, -1], [2, 2]]] * 4), "negative count"),
+        ],
+    )
+    def test_count_array_is_checked(self, counts, named):
+        with pytest.raises(ValueError, match="count array") as err:
+            statistic_A(counts)
+        assert "RoundColumns" in str(err.value) and named in str(err.value)
+
+    @pytest.mark.parametrize("records", [[[[1, 1], [1, 1]]] * 4, "0101", None, 7])
+    def test_other_objects_are_rejected(self, records):
+        with pytest.raises(ValueError, match="count array .* or RoundColumns"):
+            statistic_A(records)
 
 
 class TestEntropy:
