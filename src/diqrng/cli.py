@@ -6,6 +6,10 @@ Bound checks, equivalence assertions, entropy and battery results become
 report rows by ``dataclasses.asdict``, so their field order is report key
 order.  Output bits are dumped separately as ASCII '0'/'1' lines of 64 bits.
 
+Each option is declared once, in the option table (``_SHARED_OPTIONS`` and
+``_COMMAND_OPTIONS``): its default, type and help.  The parser, the config
+file's keys and the type checks all read that table.
+
 Exit codes: 0 success/PASS, 2 certification ABORT, 1 usage or runtime error.
 """
 
@@ -153,81 +157,69 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="diqrng", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: _Parser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-        p.add_argument("--config", type=str, default=None, help="JSON file supplying any flag; flags override it")
-        p.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
-        p.add_argument("--deterministic", action="store_true", default=None,
-                       help="require an explicit seed and omit the timestamp")
-
-    p = sub.add_parser("play-game", help="exact and sampled scores of one game")
-    common(p)
-    p.add_argument("--game", choices=_CHOICES["game"], default=None)
-    p.add_argument("--rounds", type=int, default=None)
-
-    p = sub.add_parser("run-protocol", help="run protocol P or Q and certify")
-    common(p)
-    p.add_argument("--protocol", choices=_CHOICES["protocol"], default=None)
-    p.add_argument("--device", choices=_CHOICES["device"], default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None, help="abort-band confidence parameter")
-    p.add_argument("--gamma", type=float, default=None, help="tested fraction of the Rand bin (protocol Q)")
-    p.add_argument("--mode", choices=_CHOICES["mode"], default=None)
-    p.add_argument("--bits-out", type=str, default=None, help="write output bits to this path")
-    p.add_argument("--coin-per-run", action="store_true", default=None,
-                   help="draw the adversarial shared coin once per run instead of per round")
-
-    p = sub.add_parser("bruteforce-classical", help="enumerate all deterministic strategies")
-    common(p)
-    p.add_argument("--game", choices=_CHOICES["game"], default=None)
-
-    p = sub.add_parser("equivalence-check", help="probability-equivalence checks between games")
-    common(p)
-    p.add_argument("--pair", choices=_CHOICES["pair"], default=None)
-
-    p = sub.add_parser("guessing-bounds", help="simulated no-signaling guessing bounds")
-    common(p)
-    p.add_argument("--trials", type=int, default=None)
-
-    p = sub.add_parser("analyze", help="entropy and randomness battery of a bit dump")
-    common(p)
-    p.add_argument("--bits-in", type=str, default=None, help="bit dump to analyze")
-
-    return parser
-
-
-_DEFAULTS: dict[str, dict] = {
-    "play-game": {"game": "chsh", "rounds": 100_000},
-    "run-protocol": {
-        "protocol": "P",
-        "device": "honest",
-        "rounds": 100_000,
-        "delta": 1e-6,
-        "gamma": 0.5,
-        "mode": "test",
-        "bits_out": None,
-        "coin_per_run": False,
-    },
-    "bruteforce-classical": {"game": "chsh"},
-    "equivalence-check": {"pair": "all"},
-    "guessing-bounds": {"trials": 100_000},
-    "analyze": {"bits_in": None},
+# Every option, declared once: name -> (default, type, help).  A bool option is
+# a store_true flag, and an option named in _CHOICES takes only those values.
+# The shared options come first in --help and last in the known-option list.
+_SHARED_OPTIONS = {
+    "seed": (None, int, "64-bit RNG seed"),
+    "config": (None, str, "JSON file supplying any flag; flags override it"),
+    "out": (None, str, "write the report here instead of stdout"),
+    "deterministic": (False, bool, "require an explicit seed and omit the timestamp"),
+}
+_COMMAND_OPTIONS = {
+    "play-game": ("exact and sampled scores of one game", {
+        "game": ("chsh", str, "game to play"),
+        "rounds": (100_000, int, "rounds to sample"),
+    }),
+    "run-protocol": ("run protocol P or Q and certify", {
+        "protocol": ("P", str, "protocol to run"),
+        "device": ("honest", str, "device pair to run it on"),
+        "rounds": (100_000, int, "protocol rounds"),
+        "delta": (1e-6, float, "abort-band confidence parameter"),
+        "gamma": (0.5, float, "tested fraction of the Rand bin (protocol Q)"),
+        "mode": ("test", str, "protocol mode"),
+        "bits_out": (None, str, "write output bits to this path"),
+        "coin_per_run": (False, bool, "draw the adversarial shared coin once per run instead of per round"),
+    }),
+    "bruteforce-classical": ("enumerate all deterministic strategies", {
+        "game": ("chsh", str, "game to search"),
+    }),
+    "equivalence-check": ("probability-equivalence checks between games", {
+        "pair": ("all", str, "game pair to check"),
+    }),
+    "guessing-bounds": ("simulated no-signaling guessing bounds", {
+        "trials": (100_000, int, "Monte Carlo trials per bound"),
+    }),
+    "analyze": ("entropy and randomness battery of a bit dump", {
+        "bits_in": (None, str, "bit dump to analyze"),
+    }),
 }
 
 
-# the type of each option whose default is None; the others take their default's type
-_NULLABLE_TYPES = {"seed": int, "out": str, "bits_out": str, "bits_in": str}
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="diqrng", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for command, (summary, own) in _COMMAND_OPTIONS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (default, kind, text) in {**_SHARED_OPTIONS, **own}.items():
+            # every flag defaults to None, so that an absent flag leaves the config file's value
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=text)
+            else:
+                if default is not None:
+                    text += f" (default: {default})"
+                p.add_argument(flag, type=kind, choices=_CHOICES.get(name), default=None, help=text)
+    return parser
+
+
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
-def _check_type(key: str, value, default) -> None:
+def _check_type(key: str, value, option: tuple) -> None:
+    default, want, _ = option
     if value is None and default is None:
         return
-    want = _NULLABLE_TYPES[key] if default is None else type(default)
     # JSON has one number type, so a float option also takes an integer; a bool is never a number
     accepted = (int, float) if want is float else want
     if isinstance(value, bool) != (want is bool) or not isinstance(value, accepted):
@@ -236,38 +228,42 @@ def _check_type(key: str, value, default) -> None:
 
 def _merge_options(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, each value checked against its option."""
-    defaults = {**_DEFAULTS[args.command], "seed": None, "out": None, "deterministic": False}
-    merged = dict(defaults)
+    options = {**_COMMAND_OPTIONS[args.command][1], **_SHARED_OPTIONS}
+    del options["config"]       # the file cannot name itself
+    merged = {key: default for key, (default, _, _) in options.items()}
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise DiqrngError("config file must hold a JSON object")
         for key, value in loaded.items():
             key = key.replace("-", "_")
-            if key not in defaults:
-                raise DiqrngError(f"unknown option {key} for {args.command} (known: {', '.join(defaults)})")
+            if key not in options:
+                raise DiqrngError(f"unknown option {key} for {args.command} (known: {', '.join(options)})")
             merged[key] = value
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         merged[key] = value
     for key, value in merged.items():
-        _check_type(key, value, defaults[key])
+        _check_type(key, value, options[key])
     for key, allowed in _CHOICES.items():
-        if key in _DEFAULTS[args.command] and merged[key] not in allowed:
+        if key in options and merged[key] not in allowed:
             raise DiqrngError(f"invalid {key} {merged[key]!r} (choose from {', '.join(allowed)})")
     return merged
 
 
 def _resolve_seed(opts: dict) -> int:
-    if opts.get("seed") is not None:
-        return int(opts["seed"])
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    if opts.get("deterministic"):
-        raise DiqrngError("--deterministic needs an explicit seed (flag, config file, or DIQRNG_SEED)")
-    return secrets.randbits(63)
+    """The seed from the flag or config file, else DIQRNG_SEED, else OS entropy."""
+    seed = opts["seed"]
+    if seed is None and SEED_ENV_VAR in os.environ:
+        seed = int(os.environ[SEED_ENV_VAR])
+    if seed is None:
+        if opts["deterministic"]:
+            raise DiqrngError("--deterministic needs an explicit seed (flag, config file, or DIQRNG_SEED)")
+        return secrets.randbits(63)
+    if seed < 0:
+        raise DiqrngError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _manifest(command: str, seed: int, opts: dict, config_keys: list[str]) -> dict:

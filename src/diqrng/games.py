@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -110,22 +110,26 @@ class RoundColumns(Sequence):
         return RoundIO(tuple(self.inputs[i].tolist()), tuple(self.outputs[i].tolist()))
 
 
-_INPUT_ARITY = {
-    GameId.CHSH: 2,
-    GameId.CHSH1: 2,
-    GameId.GAME_G: 3,
-    GameId.TAVAKOLI: 3,
-    GameId.PSEUDO_TELEPATHY3: 3,
-    GameId.GAME_G2: 3,
-}
+class _Shape(NamedTuple):
+    inputs: int                 # input bits
+    outputs: int                # output bits
+    tables: tuple[int, ...]     # entries per deterministic response table
+    contraction: str            # how the outcome-tensor operands contract to amplitudes
 
-_OUTPUT_ARITY = {
-    GameId.CHSH: 2,
-    GameId.CHSH1: 2,
-    GameId.GAME_G: 2,
-    GameId.TAVAKOLI: 1,
-    GameId.PSEUDO_TELEPATHY3: 3,
-    GameId.GAME_G2: 1,
+
+# A deterministic strategy's tables are tuples of output bits indexed by the
+# canonical (lexicographic) order of that party's inputs.  Contractions:
+# prepare-and-measure games take measurement rows [setting, b, i] against the
+# preparations [x, i]; entangled games take one row stack [input, bit, i] per
+# party against the shared state.  A two-bit input x is 2*x0 + x1; the
+# ellipsis carries a batch.
+_SHAPES = {
+    GameId.CHSH: _Shape(2, 2, (2, 2), "...xai,...ybj,...ij->...xyab"),
+    GameId.CHSH1: _Shape(2, 2, (2, 2), "...xai,...ybj,...ij->...xyab"),
+    GameId.GAME_G: _Shape(3, 2, (4, 2), "...xai,...ybj,...ij->...xyab"),
+    GameId.TAVAKOLI: _Shape(3, 1, (4, 4), "...sbi,...xi->...xsb"),
+    GameId.PSEUDO_TELEPATHY3: _Shape(3, 3, (2, 2, 2), "...xai,...ybj,...zck,...ijk->...xyzabc"),
+    GameId.GAME_G2: _Shape(3, 1, (4, 4), "...sbi,...xi->...xsb"),
 }
 
 
@@ -149,14 +153,11 @@ def _check_io(game: GameId, io: RoundIO) -> None:
                 f"{len(io.inputs)} inputs and {len(io.outputs)} outputs"
             )
     else:
-        if len(io.inputs) != _INPUT_ARITY[game]:
-            raise ArityMismatch(
-                f"{game.value} expects {_INPUT_ARITY[game]} inputs, got {len(io.inputs)}"
-            )
-        if len(io.outputs) != _OUTPUT_ARITY[game]:
-            raise ArityMismatch(
-                f"{game.value} expects {_OUTPUT_ARITY[game]} outputs, got {len(io.outputs)}"
-            )
+        shape = _SHAPES[game]
+        if len(io.inputs) != shape.inputs:
+            raise ArityMismatch(f"{game.value} expects {shape.inputs} inputs, got {len(io.inputs)}")
+        if len(io.outputs) != shape.outputs:
+            raise ArityMismatch(f"{game.value} expects {shape.outputs} outputs, got {len(io.outputs)}")
     for v in io.inputs + io.outputs:
         if v not in (0, 1):
             raise ArityMismatch("inputs and outputs must be bits")
@@ -305,18 +306,6 @@ def paper_strategy(game: GameId) -> QuantumStrategy:
     raise ArityMismatch(f"unknown game {game}")
 
 
-_TABLE_SHAPES = {
-    # (number of tables, entries per table); tables are tuples of output bits
-    # indexed by the canonical (lexicographic) order of that party's inputs
-    GameId.CHSH: (2, (2, 2)),
-    GameId.CHSH1: (2, (2, 2)),
-    GameId.GAME_G: (2, (4, 2)),
-    GameId.TAVAKOLI: (2, (4, 4)),
-    GameId.PSEUDO_TELEPATHY3: (3, (2, 2, 2)),
-    GameId.GAME_G2: (2, (4, 4)),
-}
-
-
 @dataclass(frozen=True)
 class ClassicalStrategy:
     """Deterministic response tables, or a finite mixture of them.
@@ -338,8 +327,8 @@ class ClassicalStrategy:
         if bool(self.tables) == bool(self.mixture):
             raise ValueError("provide exactly one of tables or mixture")
         if self.tables:
-            count, sizes = _TABLE_SHAPES[self.game]
-            if len(self.tables) != count or tuple(len(t) for t in self.tables) != sizes:
+            sizes = _SHAPES[self.game].tables
+            if tuple(len(t) for t in self.tables) != sizes:
                 raise ArityMismatch(
                     f"{self.game.value} strategy tables must have sizes {sizes}"
                 )
@@ -376,20 +365,6 @@ Strategy = QuantumStrategy | ClassicalStrategy
 _BITS = (0, 1)
 _PAIRS = tuple(itertools.product(_BITS, repeat=2))
 _PREPARE_AND_MEASURE = (GameId.TAVAKOLI, GameId.GAME_G2)
-
-# How each game's operands contract to amplitudes.  Prepare-and-measure:
-# measurement rows [setting, b, i] against the preparations [x, i].
-# Entangled: one row stack [input, bit, i] per party against the shared
-# state.  A two-bit input x is 2*x0 + x1; the ellipsis carries a batch.
-_CONTRACTIONS = {
-    GameId.CHSH: "...xai,...ybj,...ij->...xyab",
-    GameId.CHSH1: "...xai,...ybj,...ij->...xyab",
-    GameId.GAME_G: "...xai,...ybj,...ij->...xyab",
-    GameId.TAVAKOLI: "...sbi,...xi->...xsb",
-    GameId.PSEUDO_TELEPATHY3: "...xai,...ybj,...zck,...ijk->...xyzabc",
-    GameId.GAME_G2: "...sbi,...xi->...xsb",
-}
-
 
 def _rows(spec: MeasureSpec) -> np.ndarray:
     """Row b is the bra whose overlap with the qubit is the amplitude of reported bit b.
@@ -435,12 +410,12 @@ def _contract(game: GameId, operands: list[np.ndarray]) -> np.ndarray:
     Weights below ``qcore._PROB_SNAP`` are the residue of exact cancellations
     and are cleared first, so deterministic outcomes stay exactly deterministic.
     """
-    amplitudes = np.einsum(_CONTRACTIONS[game], *operands)
-    n_out = _OUTPUT_ARITY[game]
-    amplitudes = amplitudes.reshape(operands[0].shape[:-3] + (2,) * (_INPUT_ARITY[game] + n_out))
+    shape = _SHAPES[game]
+    amplitudes = np.einsum(shape.contraction, *operands)
+    amplitudes = amplitudes.reshape(operands[0].shape[:-3] + (2,) * (shape.inputs + shape.outputs))
     probs = amplitudes.real ** 2 + amplitudes.imag ** 2
     probs[probs < qcore._PROB_SNAP] = 0.0
-    return probs / probs.sum(axis=tuple(range(-n_out, 0)), keepdims=True)
+    return probs / probs.sum(axis=tuple(range(-shape.outputs, 0)), keepdims=True)
 
 
 def outcome_tensor(strategy: Strategy) -> np.ndarray:
@@ -463,9 +438,10 @@ def win_mask(game: GameId) -> np.ndarray:
 
     Inputs outside the game's input space (pt3's odd weights) never win.
     """
-    mask = np.zeros((2,) * (_INPUT_ARITY[game] + _OUTPUT_ARITY[game]), dtype=bool)
+    shape = _SHAPES[game]
+    mask = np.zeros((2,) * (shape.inputs + shape.outputs), dtype=bool)
     for x in input_space(game):
-        for outputs in itertools.product(_BITS, repeat=_OUTPUT_ARITY[game]):
+        for outputs in itertools.product(_BITS, repeat=shape.outputs):
             mask[x + outputs] = winning_predicate(game, RoundIO(x, outputs))
     mask.setflags(write=False)
     return mask
@@ -473,7 +449,7 @@ def win_mask(game: GameId) -> np.ndarray:
 
 def _win_rates(game: GameId, probs: np.ndarray) -> np.ndarray:
     """Pr[win | inputs] from an outcome tensor (or a batch of them)."""
-    return (probs * win_mask(game)).sum(axis=tuple(range(-_OUTPUT_ARITY[game], 0)))
+    return (probs * win_mask(game)).sum(axis=tuple(range(-_SHAPES[game].outputs, 0)))
 
 
 def _g2_even() -> np.ndarray:
@@ -488,8 +464,8 @@ def _g2_even() -> np.ndarray:
 def branch_distribution(strategy: Strategy, inputs: tuple[int, ...]) -> dict[tuple[int, ...], float]:
     """Exact output distribution of a strategy on fixed inputs, positive entries only."""
     inputs = tuple(inputs)
-    if len(inputs) != _INPUT_ARITY[strategy.game] or any(v not in _BITS for v in inputs):
-        raise ArityMismatch(f"{inputs} are not {_INPUT_ARITY[strategy.game]} input bits")
+    if len(inputs) != _SHAPES[strategy.game].inputs or any(v not in _BITS for v in inputs):
+        raise ArityMismatch(f"{inputs} are not {_SHAPES[strategy.game].inputs} input bits")
     row = outcome_tensor(strategy)[inputs]
     return {tuple(o): float(row[tuple(o)]) for o in np.argwhere(row > 0).tolist()}
 
@@ -498,7 +474,7 @@ def _input_weights(game: GameId, input_distribution) -> np.ndarray:
     """The input distribution as an array over the input bits; uniform by default."""
     space = input_space(game)
     dist = dict(input_distribution) if input_distribution is not None else dict.fromkeys(space, 1.0 / len(space))
-    weights = np.zeros((2,) * _INPUT_ARITY[game])
+    weights = np.zeros((2,) * _SHAPES[game].inputs)
     for x, w in dist.items():
         if tuple(x) not in space:
             raise BadDistribution("distribution supported outside the game's valid inputs")
@@ -750,8 +726,8 @@ class RoundSampler:
         supports = [np.flatnonzero(row) for row in rows]
         steps = max(1, max(s.size for s in supports) - 1)
         self._threshold = np.full((steps, len(rows)), np.inf)
-        self._code_outputs = np.zeros((len(rows) * (steps + 1), _OUTPUT_ARITY[game]), dtype=np.int8)
-        outputs = np.array(list(itertools.product(_BITS, repeat=_OUTPUT_ARITY[game])), dtype=np.int8)
+        self._code_outputs = np.zeros((len(rows) * (steps + 1), _SHAPES[game].outputs), dtype=np.int8)
+        outputs = np.array(list(itertools.product(_BITS, repeat=_SHAPES[game].outputs)), dtype=np.int8)
         for i, (row, support) in enumerate(zip(rows, supports)):
             self._threshold[: support.size - 1, i] = np.cumsum(row[support])[:-1]
             self._code_outputs[i * (steps + 1) : i * (steps + 1) + support.size] = outputs[support]
@@ -774,8 +750,8 @@ class RoundSampler:
         returned int8 columns (6 B/round for pt3) one piece's buffers are held.
         """
         uniform_rng = skip_ahead(rng, n, 0, len(self._space))
-        inputs = np.empty((n, _INPUT_ARITY[self.game]), dtype=np.int8)
-        outputs = np.empty((n, _OUTPUT_ARITY[self.game]), dtype=np.int8)
+        inputs = np.empty((n, _SHAPES[self.game].inputs), dtype=np.int8)
+        outputs = np.empty((n, _SHAPES[self.game].outputs), dtype=np.int8)
         scratch = _Scratch(min(n, _DRAW_VALUES))
         for piece in chunk_slices(n, _DRAW_VALUES):
             cell = scratch.code[: piece.stop - piece.start]
@@ -799,7 +775,7 @@ def sample_round(game: GameId, strategy: Strategy, inputs: tuple[int, ...], rng:
 
 def enumerate_deterministic(game: GameId) -> Iterator[ClassicalStrategy]:
     """All deterministic strategies of a game, in lexicographic table order."""
-    _, sizes = _TABLE_SHAPES[game]
+    sizes = _SHAPES[game].tables
     pools = [itertools.product((0, 1), repeat=size) for size in sizes]
     for tables in itertools.product(*pools):
         yield ClassicalStrategy(game, tables=tuple(tables))
@@ -812,7 +788,7 @@ def _deterministic_wins(game: GameId) -> tuple[list[np.ndarray], np.ndarray]:
     ``enumerate_deterministic`` order.  Returns the tables as (k, size) arrays
     and the wins as a 0/1 array [k, inputs...].
     """
-    _, sizes = _TABLE_SHAPES[game]
+    sizes = _SHAPES[game].tables
     width = sum(sizes)
     bits = (np.arange(2 ** width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
     tables = np.split(bits, np.cumsum(sizes)[:-1], axis=1)

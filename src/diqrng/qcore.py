@@ -101,8 +101,6 @@ X = Gate1Q("X", np.array([[0, 1], [1, 0]]))
 Z = Gate1Q("Z", np.array([[1, 0], [0, -1]]))
 I = Gate1Q("I", np.eye(2))
 
-GATES = {g.name: g for g in (H, S, X, Z, I)}
-
 
 def make_state(amplitudes: Mapping[str, complex] | Sequence[complex]) -> PureState:
     """Build a normalized state from labeled or positional amplitudes.
@@ -302,8 +300,6 @@ COMPUTATIONAL = QubitBasis("computational", KET_ZERO, KET_ONE)
 HADAMARD = QubitBasis("hadamard", KET_PLUS, KET_MINUS)
 PSI = QubitBasis("psi", KET_PSI, KET_PSI_PERP)
 PHI = QubitBasis("phi", KET_PHI, KET_PHI_PERP)
-
-BASES = {b.name: b for b in (COMPUTATIONAL, HADAMARD, PSI, PHI)}
 
 BELL_PHI_PLUS = make_state({"00": _SQRT2_INV, "11": _SQRT2_INV})
 GHZ3 = make_state({"000": _SQRT2_INV, "111": _SQRT2_INV})

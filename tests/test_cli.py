@@ -360,6 +360,22 @@ class TestSeedResolution:
         _, report = run_json(capsys, ["play-game", "--game", "chsh", "--rounds", "100"])
         assert isinstance(report["manifest"]["seed"], int)
 
+    @pytest.mark.parametrize("source,seed", [("flag", -1), ("config", -1), ("env", -2)])
+    @pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+    def test_negative_seed_is_one(self, capsys, monkeypatch, tmp_path, command, source, seed):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        argv = [command, "--deterministic"]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        elif source == "config":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"seed": seed}))
+            argv += ["--config", str(path)]
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: seed must be nonnegative, got {seed}\n")
+
 
 class TestConfigFile:
     def test_file_supplies_flags_and_cli_overrides(self, capsys, tmp_path):
@@ -372,6 +388,31 @@ class TestConfigFile:
         assert report["manifest"]["config"]["game"] == "tavakoli"
         assert report["manifest"]["config"]["rounds"] == 1000
         assert report["manifest"]["seed"] == 3
+
+
+def other_value(name, default, kind):
+    """A valid value of an option that is not its default."""
+    if name in cli._CHOICES:
+        return next(choice for choice in cli._CHOICES[name] if choice != default)
+    if default is None:
+        return 7 if kind is int else "x.txt"
+    return {bool: True, int: default + 1, float: default / 2}[kind]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+def test_flag_and_config_file_merge_alike(tmp_path, command):
+    parser = cli._build_parser()
+    options = {**cli._COMMAND_OPTIONS[command][1], **cli._SHARED_OPTIONS}
+    del options["config"]
+    defaults = {name: default for name, (default, _, _) in options.items()}
+    for name, (default, kind, _) in options.items():
+        value = other_value(name, default, kind)
+        flag = "--" + name.replace("_", "-")
+        by_flag = cli._merge_options(parser.parse_args([command, flag] + ([] if kind is bool else [str(value)])))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({name: value}))
+        by_file = cli._merge_options(parser.parse_args([command, "--config", str(path)]))
+        assert by_flag == by_file == {**defaults, name: value}, name
 
 
 class TestCommands:

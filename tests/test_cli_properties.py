@@ -1,15 +1,17 @@
 """Property tests: generated configs and seeds never end the CLI in a traceback.
 
-Each option of a command is left out, passed as a flag or put in a ``--config``
-file, with values that are valid, out of range or of the wrong type.  Every
-run must either emit a report (exit 0 or 2) or exit 1 with an ``error:``
-line.  Round counts stay small so that each run is quick.
+Every option in the CLI's option table, for every command, is left out,
+passed as a flag or put in a ``--config`` file, with values that are valid,
+out of range or of the wrong type.  Every run must either emit a report
+(exit 0 or 2) or exit 1 with an ``error:`` line.  Round and trial counts stay
+small so that each run is quick.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,36 +31,41 @@ NUMBERS = st.one_of(
     st.sampled_from([1e-6, 0.05, 0.5, 0.75, 1.0]),
     st.integers(-1, 2),
 )
+# paths the runs would write to stay out of the fuzz
+UNFUZZED = ("config", "out", "bits_out")
 
-COMMON = {"seed": SEEDS, "deterministic": st.booleans()}
-OPTIONS = {
-    "run-protocol": {
-        "protocol": st.sampled_from(["P", "Q", "R"]),
-        "device": st.sampled_from(sorted(cli._DEVICE_NAMES) + ["telepathy"]),
-        "rounds": st.integers(-2, 3_000),
-        "delta": NUMBERS,
-        "gamma": NUMBERS,
-        "mode": st.sampled_from(["test", "generate", "both"]),
-        "coin_per_run": st.booleans(),
-    },
-    "play-game": {
-        "game": st.sampled_from(sorted(cli._GAME_NAMES) + ["nope"]),
-        "rounds": st.integers(-2, 1_500),
-    },
-    "guessing-bounds": {"trials": st.integers(-2, 3_000)},
-}
-BOUNDED = ("rounds", "trials")
+
+def fuzzed_options(command):
+    """name -> type of each option of the command that the fuzz sets."""
+    table = {**cli._COMMAND_OPTIONS[command][1], **cli._SHARED_OPTIONS}
+    return {name: kind for name, (_, kind, _) in table.items() if name not in UNFUZZED}
+
+
+def is_count(name, kind):
+    """Round and trial counts: always given, so that no run falls back to a large default."""
+    return kind is int and name != "seed"
+
+
+def values(name, kind, bit_file):
+    """The valid and near-valid values of one option."""
+    if name in cli._CHOICES:
+        return st.sampled_from(cli._CHOICES[name] + ["nope"])
+    if name == "seed":
+        return SEEDS
+    if name == "bits_in":
+        return st.sampled_from([bit_file, "missing.bits", ""])
+    return {bool: st.booleans(), int: st.integers(-2, 3_000), float: NUMBERS}[kind]
 
 
 @st.composite
-def invocations(draw, command):
+def invocations(draw, command, bit_file):
     """(flags, config, DIQRNG_SEED) for one run of the command."""
     flags, config = {}, {}
-    for name, valid in {**COMMON, **OPTIONS[command]}.items():
-        # the round counts are always given, so that no run falls back to a large default
-        where = draw(st.sampled_from(["flag", "config"] if name in BOUNDED else ["absent", "flag", "config"]))
+    for name, kind in fuzzed_options(command).items():
+        where = draw(st.sampled_from(["flag", "config"] if is_count(name, kind) else ["absent", "flag", "config"]))
         if where == "absent":
             continue
+        valid = values(name, kind, bit_file)
         value = draw(st.one_of(valid, JUNK) if draw(st.integers(0, 9)) == 0 else valid)
         (flags if where == "flag" else config)[name] = value
     env_seed = draw(st.one_of(st.none(), SEEDS.map(str), st.sampled_from(["", "x", "1.5"])))
@@ -69,7 +76,7 @@ def argv_of(command, flags, config_path):
     argv = [command]
     for name, value in flags.items():
         flag = "--" + name.replace("_", "-")
-        if isinstance(value, bool) and name in ("deterministic", "coin_per_run"):
+        if isinstance(value, bool) and fuzzed_options(command)[name] is bool:
             argv += [flag] if value else []
         else:
             argv += [flag, value if isinstance(value, str) else json.dumps(value)]
@@ -112,10 +119,18 @@ PROPERTY = settings(
 )
 
 
-@pytest.mark.parametrize("command", sorted(OPTIONS))
-def test_generated_configs_report_or_fail_cleanly(command, capsys, monkeypatch):
+@pytest.fixture(scope="module")
+def bit_file(tmp_path_factory):
+    """A small real bit dump for analyze."""
+    path = tmp_path_factory.mktemp("bits") / "bits.txt"
+    cli.write_bits(path, np.random.default_rng(0).integers(0, 2, 300, dtype=np.uint8))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+def test_generated_configs_report_or_fail_cleanly(command, bit_file, capsys, monkeypatch):
     @PROPERTY
-    @given(invocations(command))
+    @given(invocations(command, bit_file))
     def check(invocation):
         assert_report_or_error(command, invocation, capsys, monkeypatch)
 

@@ -62,6 +62,9 @@ def _cases() -> dict[str, list[str]]:
             "--rounds", str(LONG_ROUNDS), "--bits-out", BITS, *common,
         ]
         cases[f"analyze-{name}"] = ["analyze", "--bits-in", BITS, *common]
+    # every option left at its default; analyze has no default bit file, so it exits 1
+    for command in cli._COMMANDS:
+        cases[f"{command}-defaults"] = [command, *common]
     return cases
 
 
@@ -76,7 +79,7 @@ def record(name: str, workdir: Path) -> dict:
     """Run one case in ``workdir`` and return its exit code and digests."""
     argv, bits = CASES[name], workdir / BITS
     bits.unlink(missing_ok=True)
-    if argv[0] == "analyze":
+    if argv[0] == "analyze" and "--bits-in" in argv:
         assert main_quiet(CASES["run-protocol-" + name.removeprefix("analyze-")], workdir)[0] == 0
     code, out, err = main_quiet(argv, workdir)
     entry = {"exit": code, "report": _sha256(out.encode("utf-8")), "stderr": _sha256(err.encode("utf-8"))}
