@@ -2,15 +2,20 @@
 
 Every command emits a single JSON document whose key order and float
 formatting are fixed, so identical manifests reproduce identical bytes.
-Bound checks, equivalence assertions, entropy and battery results become
-report rows by ``dataclasses.asdict``, so their field order is report key
-order.  Output bits are dumped separately as ASCII '0'/'1' lines of 64 bits.
+Protocol conditions, bound checks, equivalence assertions, entropy and
+battery results become report rows by ``dataclasses.asdict``, so their field
+order is report key order.  Output bits are dumped separately as ASCII
+'0'/'1' lines of 64 bits.
 
 Each option is declared once, in the option table (``_SHARED_OPTIONS`` and
 ``_COMMAND_OPTIONS``): its default, type and help.  The parser, the config
-file's keys and the type checks all read that table.
+file's keys, the type checks and the manifest all read that table.
 
-Exit codes: 0 success/PASS, 2 certification ABORT, 1 usage or runtime error.
+A report is its manifest followed by the command's body.  The manifest's
+``config`` records the command's own options in table order, leaving out
+output paths (names ending in ``_out``) and recording a flag only when it is
+set.  Exit codes: 2 when the body's verdict is ABORT, 1 on a usage or
+runtime error, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -256,7 +261,11 @@ def _resolve_seed(opts: dict) -> int:
     """The seed from the flag or config file, else DIQRNG_SEED, else OS entropy."""
     seed = opts["seed"]
     if seed is None and SEED_ENV_VAR in os.environ:
-        seed = int(os.environ[SEED_ENV_VAR])
+        text = os.environ[SEED_ENV_VAR]
+        try:
+            seed = int(text)
+        except ValueError:
+            raise DiqrngError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
     if seed is None:
         if opts["deterministic"]:
             raise DiqrngError("--deterministic needs an explicit seed (flag, config file, or DIQRNG_SEED)")
@@ -266,18 +275,24 @@ def _resolve_seed(opts: dict) -> int:
     return seed
 
 
-def _manifest(command: str, seed: int, opts: dict, config_keys: list[str]) -> dict:
+def _manifest(command: str, seed: int, opts: dict) -> dict:
     """What produced a report; identical manifests reproduce identical bytes.
 
-    The timestamp is the one non-reproducible field and is omitted under --deterministic.
+    The config holds the command's own options but its output paths, and a
+    flag only when it is set.  The timestamp is the one non-reproducible
+    field and is omitted under --deterministic.
     """
+    own = _COMMAND_OPTIONS[command][1]
     manifest = {
         "command": command,
         "tool_version": __version__,
         "seed": seed,
-        "config": {key: opts[key] for key in config_keys},
+        "config": {
+            key: opts[key] for key, (_, kind, _) in own.items()
+            if not key.endswith("_out") and (kind is not bool or opts[key])
+        },
     }
-    if not opts.get("deterministic"):
+    if not opts["deterministic"]:
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
     return manifest
 
@@ -296,7 +311,7 @@ def _score_dict(score) -> dict:
     return {"value": score.value, "kind": score.kind.value}
 
 
-def _cmd_play_game(opts: dict, seed: int) -> tuple[dict, int]:
+def _cmd_play_game(opts: dict, seed: int) -> dict:
     game = _GAME_NAMES[opts["game"]]
     n_rounds = int(opts["rounds"])
     if n_rounds < 1:
@@ -331,20 +346,13 @@ def _cmd_play_game(opts: dict, seed: int) -> tuple[dict, int]:
         }
     else:
         sampled = {"win_frequency": wins / n_rounds, "rounds": n_rounds}
-    report = {
-        "manifest": _manifest("play-game", seed, opts, ["game", "rounds"]),
-        "game": game.value,
-        "exact": _score_dict(exact),
-        "sampled": sampled,
-    }
-    return report, 0
+    return {"game": game.value, "exact": _score_dict(exact), "sampled": sampled}
 
 
-def _cmd_bruteforce(opts: dict, seed: int) -> tuple[dict, int]:
+def _cmd_bruteforce(opts: dict, seed: int) -> dict:
     game = _GAME_NAMES[opts["game"]]
     max_score, argmax = games.best_classical(game)
     report = {
-        "manifest": _manifest("bruteforce-classical", seed, opts, ["game"]),
         "game": game.value,
         "max_score": max_score,
         "argmax_tables": [list(t) for t in argmax.tables],
@@ -358,10 +366,10 @@ def _cmd_bruteforce(opts: dict, seed: int) -> tuple[dict, int]:
             {"even_win": even, "odd_guess": odd, "count": count}
             for (even, odd), count in sorted(frontier.items())
         ]
-    return report, 0
+    return report
 
 
-def _cmd_equivalence(opts: dict, seed: int) -> tuple[dict, int]:
+def _cmd_equivalence(opts: dict, seed: int) -> dict:
     pairs = list(EquivalencePair) if opts["pair"] == "all" else [_PAIR_NAMES[opts["pair"]]]
     entries = []
     for pair in pairs:
@@ -373,23 +381,13 @@ def _cmd_equivalence(opts: dict, seed: int) -> tuple[dict, int]:
                 "assertions": [asdict(a) for a in result.assertions],
             }
         )
-    report = {
-        "manifest": _manifest("equivalence-check", seed, opts, ["pair"]),
-        "checks": entries,
-        "all_passed": all(e["passed"] for e in entries),
-    }
-    return report, 0
+    return {"checks": entries, "all_passed": all(e["passed"] for e in entries)}
 
 
-def _cmd_guessing(opts: dict, seed: int) -> tuple[dict, int]:
+def _cmd_guessing(opts: dict, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     result = protocols.guessing_game_bound_check(int(opts["trials"]), rng)
-    report = {
-        "manifest": _manifest("guessing-bounds", seed, opts, ["trials"]),
-        "checks": [asdict(c) for c in result.checks],
-        "all_within_four_se": result.passed,
-    }
-    return report, 0
+    return {"checks": [asdict(c) for c in result.checks], "all_within_four_se": result.passed}
 
 
 def _bits_sections(bits: games.PackedBits) -> dict:
@@ -401,7 +399,7 @@ def _bits_sections(bits: games.PackedBits) -> dict:
     return sections
 
 
-def _cmd_run_protocol(opts: dict, seed: int) -> tuple[dict, int]:
+def _cmd_run_protocol(opts: dict, seed: int) -> dict:
     config = ProtocolConfig(
         protocol=opts["protocol"],
         rounds=int(opts["rounds"]),
@@ -418,46 +416,26 @@ def _cmd_run_protocol(opts: dict, seed: int) -> tuple[dict, int]:
     if opts["coin_per_run"] and not pair.uses_coin:
         raise DiqrngError(f"device {opts['device']} shares no coin, so --coin-per-run does not apply to it")
     bins, verdict = protocols.run_protocol(config, pair)
-
-    config_keys = ["protocol", "device", "rounds", "delta", "gamma", "mode"]
-    if opts["coin_per_run"]:
-        config_keys.append("coin_per_run")      # recorded only when set, so default reports keep their bytes
     report = {
-        "manifest": _manifest("run-protocol", seed, opts, config_keys),
         "verdict": verdict.decision,
         "bins": bins.counts(),
-        "conditions": [
-            {
-                "name": c.name,
-                "estimate": c.estimate,
-                "ci": [c.ci_low, c.ci_high],
-                "target": c.target,
-                "satisfied": c.satisfied,
-                "detail": dict(c.detail),
-            }
-            for c in verdict.conditions
-        ],
+        "conditions": [asdict(c) for c in verdict.conditions],
+        **_bits_sections(verdict.bits),
     }
-    report.update(_bits_sections(verdict.bits))
-    if opts.get("bits_out") and verdict.bits.size:
+    if opts["bits_out"] and verdict.bits.size:
         write_bits(opts["bits_out"], verdict.bits)
         report["output_bits_path"] = opts["bits_out"]
     report["emitted_bits"] = verdict.bits.size
     if verdict.notes:
         report["notes"] = list(verdict.notes)
-    return report, 0 if verdict.decision == "PASS" else 2
+    return report
 
 
-def _cmd_analyze(opts: dict, seed: int) -> tuple[dict, int]:
-    if not opts.get("bits_in"):
+def _cmd_analyze(opts: dict, seed: int) -> dict:
+    if not opts["bits_in"]:
         raise DiqrngError("analyze needs --bits-in")
     bits = read_bits(opts["bits_in"])
-    report = {
-        "manifest": _manifest("analyze", seed, opts, ["bits_in"]),
-        "n_bits": bits.size,
-    }
-    report.update(_bits_sections(bits))
-    return report, 0
+    return {"n_bits": bits.size, **_bits_sections(bits)}
 
 
 _COMMANDS = {
@@ -471,24 +449,21 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         opts = _merge_options(args)
         seed = _resolve_seed(opts)
-        report, code = _COMMANDS[args.command](opts, seed)
-    except DiqrngError as exc:
+        body = _COMMANDS[args.command](opts, seed)
+    # a JSONDecodeError is a ValueError
+    except (DiqrngError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, OverflowError, MemoryError) as exc:   # a JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = serialize_report(report)
-    if opts.get("out"):
+    text = serialize_report({"manifest": _manifest(args.command, seed, opts), **body})
+    if opts["out"]:
         Path(opts["out"]).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return code
+    return 2 if body.get("verdict") == "ABORT" else 0
 
 
 if __name__ == "__main__":

@@ -154,7 +154,6 @@ _CHEATS = {
     # no information crosses the channel; m = coin, b = m
     "input_guesser": (None, tuple(((m,) * 4, (0, 0, 1, 1)) for m in (0, 1))),
 }
-ADVERSARY_KINDS = tuple(_CHEATS)
 
 _MIXED_CAVEAT = (
     "mixed_perfect_even passes both statistical conditions while every output "
@@ -266,7 +265,9 @@ class ProtocolConfig:
     ``rounds`` and ``seed`` are integers, the seed nonnegative.
     ``input_weights`` optionally overrides the uniform per-round input draw:
     a mapping from (x0, x1, setting) to probability, supported on the
-    protocol/mode's valid pairs and summing to 1.
+    protocol/mode's valid pairs and summing to 1.  Test-mode weights must
+    reach every cell that certification scores: P's Check and False cells,
+    or at least one of Q's Check cells.
     """
 
     protocol: str
@@ -293,7 +294,9 @@ class ProtocolConfig:
         if not 0.5 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0.5, 1], got {self.gamma}")
         if self.input_weights is not None:
-            _input_probs(self.protocol, self.mode, self.input_weights)
+            probs = _input_probs(self.protocol, self.mode, self.input_weights)
+            if self.mode == "test":
+                _check_scored_cells(self.protocol, probs)
             object.__setattr__(self, "input_weights", dict(self.input_weights))
 
 
@@ -326,14 +329,28 @@ def _input_probs(protocol: str, mode: str, weights: dict) -> np.ndarray:
     return probs / total
 
 
+def _check_scored_cells(protocol: str, probs: np.ndarray) -> None:
+    """Reject test-mode draw probabilities that no run length could certify.
+
+    P's A statistic reads every Check cell and its False conditions both
+    False cells; Q's conditions need Check rounds from any Check cell.
+    """
+    bins = _BIN_OF[protocol]
+    scored = bins != _RAND if protocol == "P" else bins == _CHECK
+    left_out = scored & (probs.reshape(bins.shape) == 0)     # the test-mode draw space is every cell, row-major
+    if protocol == "P" and left_out.any() or protocol == "Q" and np.array_equal(left_out, scored):
+        cells = ", ".join(str((int(x) >> 1, int(x) & 1, int(s))) for x, s in np.argwhere(left_out))
+        need = "every Check and False cell" if protocol == "P" else "a Check cell"
+        raise ValueError(f"input weights leave out {cells}: protocol {protocol} test mode needs {need}")
+
+
 @dataclass(frozen=True)
 class ConditionCheck:
     """One certification condition with its estimate and decision."""
 
     name: str
     estimate: float
-    ci_low: float
-    ci_high: float
+    ci: tuple[float, float]
     target: float
     satisfied: bool
     detail: dict = field(default_factory=dict)
@@ -378,10 +395,10 @@ def _band_check(
     """
     rate = hits / trials
     radius = analysis.hoeffding_radius(delta, trials)
-    lo, hi = analysis.wilson_interval(hits, trials, 1.0 - delta)
+    ci = analysis.wilson_interval(hits, trials, 1.0 - delta)
     satisfied = abs(rate - target) <= radius if two_sided else rate >= target - radius
     detail = {"count": hits, "trials": trials, "radius": radius, **detail}
-    return ConditionCheck(name, rate, lo, hi, target, satisfied, detail)
+    return ConditionCheck(name, rate, ci, target, satisfied, detail)
 
 
 def _verdict(
@@ -535,7 +552,7 @@ def certify(
             raise InsufficientRounds(str(exc)) from exc
         radius = analysis.hoeffding_radius(config.delta, n["check"])
         conditions.append(ConditionCheck(
-            "A_statistic", a_hat.point, a_hat.ci_low, a_hat.ci_high, A_STAR,
+            "A_statistic", a_hat.point, (a_hat.ci_low, a_hat.ci_high), A_STAR,
             abs(a_hat.point - A_STAR) <= radius, {"radius": radius, "trials": n["check"]},
         ))
         for name, x, want_bit in (("false_b0_given_x00", 0, 0), ("false_b1_given_x11", 3, 1)):
@@ -555,10 +572,10 @@ def certify(
             ))
         else:
             conditions.append(ConditionCheck(
-                "odd_guess_half", 0.0, 0.0, 0.0, 0.5, False, {"trials": 0, "gamma": config.gamma, "test_portion": 0}
+                "odd_guess_half", 0.0, (0.0, 0.0), 0.5, False, {"trials": 0, "gamma": config.gamma, "test_portion": 0}
             ))
     ok = n["rand"] > 0
-    return (*conditions, ConditionCheck("rand_nonempty", float(ok), float(ok), float(ok), 1.0, ok))
+    return (*conditions, ConditionCheck("rand_nonempty", float(ok), (float(ok), float(ok)), 1.0, ok))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ import numpy as np
 from .errors import BadDimension, BadTarget, NonNormalizable
 
 NORM_TOL = 1e-9       # state invariants
-ALGEBRA_TOL = 1e-12   # algebraic identities
 _INPUT_NORM_TOL = 1e-6
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)

@@ -376,6 +376,13 @@ class TestSeedResolution:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: seed must be nonnegative, got {seed}\n")
 
+    @pytest.mark.parametrize("value", ["x", "1.5", ""])
+    @pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+    def test_malformed_env_seed_names_the_variable(self, capsys, monkeypatch, command, value):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
+        assert main([command, "--deterministic"]) == 1
+        assert capsys.readouterr() == ("", f"error: DIQRNG_SEED must be an integer, got {value!r}\n")
+
 
 class TestConfigFile:
     def test_file_supplies_flags_and_cli_overrides(self, capsys, tmp_path):
@@ -413,6 +420,48 @@ def test_flag_and_config_file_merge_alike(tmp_path, command):
         path.write_text(json.dumps({name: value}))
         by_file = cli._merge_options(parser.parse_args([command, "--config", str(path)]))
         assert by_flag == by_file == {**defaults, name: value}, name
+
+
+# quick options that give each command a report
+QUICK = {
+    "play-game": ["--rounds", "100"],
+    "run-protocol": ["--rounds", "2000", "--device", "input-guesser", "--mode", "generate"],
+    "bruteforce-classical": [],
+    "equivalence-check": ["--pair", "g1-vs-g2"],
+    "guessing-bounds": ["--trials", "100"],
+    "analyze": [],
+}
+
+
+@pytest.mark.parametrize("flags_set", [False, True])
+@pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+def test_manifest_records_own_options_but_outputs_and_unset_flags(capsys, tmp_path, command, flags_set):
+    bit_file = tmp_path / "in.bits"
+    write_bits(bit_file, np.arange(200) % 2)
+    own = cli._COMMAND_OPTIONS[command][1]
+    argv = [command, "--seed", "5", "--deterministic", *QUICK[command]]
+    for name, (_, kind, _) in own.items():
+        flag = "--" + name.replace("_", "-")
+        if kind is bool and flags_set:
+            argv.append(flag)
+        elif name.endswith("_out"):
+            argv += [flag, str(tmp_path / name)]
+        elif name == "bits_in":
+            argv += [flag, str(bit_file)]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    assert list(report)[0] == "manifest"
+    want = [name for name, (_, kind, _) in own.items() if not name.endswith("_out") and (kind is not bool or flags_set)]
+    assert list(report["manifest"]["config"]) == want
+
+
+@pytest.mark.parametrize("body,code", [({"verdict": "ABORT"}, 2), ({"verdict": "PASS"}, 0), ({"n": 1}, 0)])
+def test_exit_code_follows_the_verdict(capsys, monkeypatch, body, code):
+    monkeypatch.setitem(cli._COMMANDS, "bruteforce-classical", lambda opts, seed: body)
+    assert run_json(capsys, ["bruteforce-classical", "--seed", "1", "--deterministic"]) == (
+        code, {"manifest": {"command": "bruteforce-classical", "tool_version": cli.__version__, "seed": 1,
+                            "config": {"game": "chsh"}}, **body},
+    )
 
 
 class TestCommands:

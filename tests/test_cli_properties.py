@@ -4,10 +4,13 @@ Every option in the CLI's option table, for every command, is left out,
 passed as a flag or put in a ``--config`` file, with values that are valid,
 out of range or of the wrong type.  Every run must either emit a report
 (exit 0 or 2) or exit 1 with an ``error:`` line.  Round and trial counts stay
-small so that each run is quick.
+small so that each run is quick.  Counts, delta and gamma fall outside their
+ranges, and any option takes junk, about one time in ten, so that at least a
+quarter of the run-protocol runs reach a report.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -24,13 +27,27 @@ JUNK = st.one_of(
     st.booleans(),
     st.text(st.characters(codec="utf-8"), max_size=4),
     st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from(["nope", math.nan, math.inf, -math.inf]),
 )
 SEEDS = st.integers(-3, 2**64 + 3)
-NUMBERS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([1e-6, 0.05, 0.5, 0.75, 1.0]),
-    st.integers(-1, 2),
-)
+
+
+def mostly(inside, outside):
+    """Values from ``inside`` nine times in ten, else from ``outside``."""
+    return st.integers(0, 9).flatmap(lambda k: outside if k == 9 else inside)
+
+
+# each float option's range, with its edges and finite values past them now and then
+FLOATS = {
+    "delta": mostly(
+        st.one_of(st.floats(1e-9, 0.5), st.sampled_from([1e-6, 0.05, 0.999])),
+        st.sampled_from([0.0, 1.0, -0.5, 2, 1e-320]),
+    ),
+    "gamma": mostly(
+        st.one_of(st.floats(0.5, 1.0), st.sampled_from([0.5, 0.75, 1])),
+        st.sampled_from([0.0, 0.4999, 1.0001, -1, 2]),
+    ),
+}
 # paths the runs would write to stay out of the fuzz
 UNFUZZED = ("config", "out", "bits_out")
 
@@ -49,12 +66,14 @@ def is_count(name, kind):
 def values(name, kind, bit_file):
     """The valid and near-valid values of one option."""
     if name in cli._CHOICES:
-        return st.sampled_from(cli._CHOICES[name] + ["nope"])
+        return st.sampled_from(cli._CHOICES[name])
     if name == "seed":
         return SEEDS
     if name == "bits_in":
         return st.sampled_from([bit_file, "missing.bits", ""])
-    return {bool: st.booleans(), int: st.integers(-2, 3_000), float: NUMBERS}[kind]
+    if kind is float:
+        return FLOATS[name]
+    return {bool: st.booleans(), int: mostly(st.integers(300, 3_000), st.integers(-2, 299))}[kind]
 
 
 @st.composite
@@ -66,7 +85,7 @@ def invocations(draw, command, bit_file):
         if where == "absent":
             continue
         valid = values(name, kind, bit_file)
-        value = draw(st.one_of(valid, JUNK) if draw(st.integers(0, 9)) == 0 else valid)
+        value = draw(mostly(valid, st.one_of(valid, JUNK)))
         (flags if where == "flag" else config)[name] = value
     env_seed = draw(st.one_of(st.none(), SEEDS.map(str), st.sampled_from(["", "x", "1.5"])))
     return flags, config, env_seed
@@ -108,6 +127,7 @@ def assert_report_or_error(command, invocation, capsys, monkeypatch):
         assert code == 1
         assert "error: " in err
         assert "Traceback" not in err
+    return code
 
 
 PROPERTY = settings(
@@ -129,12 +149,18 @@ def bit_file(tmp_path_factory):
 
 @pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
 def test_generated_configs_report_or_fail_cleanly(command, bit_file, capsys, monkeypatch):
+    codes = []
+
     @PROPERTY
     @given(invocations(command, bit_file))
     def check(invocation):
-        assert_report_or_error(command, invocation, capsys, monkeypatch)
+        codes.append(assert_report_or_error(command, invocation, capsys, monkeypatch))
 
     check()
+    if command == "run-protocol":
+        # the fuzz must reach the run and its certification, not only the option checks
+        reports = sum(code in (0, 2) for code in codes)
+        assert 4 * reports >= len(codes), f"{reports} of {len(codes)} runs reported"
 
 
 def test_round_count_past_the_index_range_is_an_error(capsys, monkeypatch):

@@ -444,9 +444,28 @@ class TestConfigAndVerdict:
 
     def test_input_weights_starving_a_bin_raises(self):
         weights = {(x0, x1, y): 1 / 8 for x0 in (0, 1) for x1 in (0, 1) for y in (0, 1)}
-        config = ProtocolConfig("P", 2_000, seed=4, input_weights=weights)
-        with pytest.raises(InsufficientRounds):
-            run_protocol(config, honest_devices("P"))
+        with pytest.raises(ValueError, match=r"leave out \(0, 0, 2\), \(1, 1, 2\): protocol P test mode"):
+            ProtocolConfig("P", 2_000, seed=4, input_weights=weights)
+
+    @pytest.mark.parametrize(
+        "protocol,weights,named",
+        [
+            # no Check rounds at all
+            ("P", {(0, 1, 2): 0.5, (1, 0, 2): 0.5}, "(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0)"),
+            # five self-test cells left out
+            (
+                "P",
+                {(0, 0, 0): 0.3, (0, 1, 2): 0.2, (1, 0, 1): 0.1, (1, 1, 2): 0.15, (0, 0, 2): 0.05, (1, 1, 0): 0.2},
+                "(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)",
+            ),
+            # every even-weight cell left out, so Q has no Check rounds
+            ("Q", {(0, 0, 1): 0.5, (0, 1, 0): 0.25, (1, 0, 0): 0.25}, "(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)"),
+        ],
+    )
+    def test_input_weights_that_cannot_certify_are_rejected(self, protocol, weights, named):
+        with pytest.raises(ValueError, match="input weights leave out") as err:
+            ProtocolConfig(protocol, 2_000, seed=4, input_weights=weights)
+        assert named in str(err.value)
 
     def test_uniform_weights_match_default_statistics(self):
         weights = {

@@ -20,7 +20,11 @@ from diqrng.protocols import (
 CHUNK = games._CHUNK_ROUNDS
 ROUNDS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17)
 
-P_WEIGHTS = {(0, 0, 0): 0.3, (0, 1, 2): 0.2, (1, 0, 1): 0.1, (1, 1, 2): 0.15, (0, 0, 2): 0.05, (1, 1, 0): 0.2}
+# skewed, and reaching every Check and False cell as a P test must; Rand rounds come from x = 01 only
+P_WEIGHTS = {
+    (0, 0, 0): 0.3, (0, 0, 1): 0.05, (0, 1, 0): 0.05, (0, 1, 1): 0.1, (1, 0, 0): 0.05, (1, 0, 1): 0.1,
+    (1, 1, 0): 0.15, (1, 1, 1): 0.05, (0, 0, 2): 0.05, (1, 1, 2): 0.03, (0, 1, 2): 0.07,
+}
 Q_WEIGHTS = {(0, 0, 0): 0.4, (0, 1, 0): 0.3, (1, 1, 1): 0.3}
 
 # name -> (ProtocolConfig keywords, device pair factory)
@@ -104,12 +108,12 @@ def count_condition(name, hits, trials, target, satisfied, radius, delta, **deta
     """A condition on hits out of trials, reported with its Wilson interval at 1 - delta."""
     lo, hi = analysis.wilson_interval(hits, trials, 1.0 - delta)
     return ConditionCheck(
-        name, hits / trials, lo, hi, target, satisfied, {"count": hits, "trials": trials, "radius": radius, **detail}
+        name, hits / trials, (lo, hi), target, satisfied, {"count": hits, "trials": trials, "radius": radius, **detail}
     )
 
 
 def rand_nonempty(ok):
-    return ConditionCheck("rand_nonempty", float(ok), float(ok), float(ok), 1.0, ok, {})
+    return ConditionCheck("rand_nonempty", float(ok), (float(ok), float(ok)), 1.0, ok, {})
 
 
 def reference_certify_p(bins, config):
@@ -122,7 +126,7 @@ def reference_certify_p(bins, config):
         raise InsufficientRounds(str(exc)) from exc
     radius = analysis.hoeffding_radius(config.delta, len(check))
     conditions = [
-        ConditionCheck("A_statistic", a_hat.point, a_hat.ci_low, a_hat.ci_high, A_STAR,
+        ConditionCheck("A_statistic", a_hat.point, (a_hat.ci_low, a_hat.ci_high), A_STAR,
                        abs(a_hat.point - A_STAR) <= radius, {"radius": radius, "trials": len(check)})
     ]
     false_x = 2 * false.inputs[:, 0] + false.inputs[:, 1]
@@ -162,7 +166,7 @@ def reference_certify_q(bins, config):
             config.delta, gamma=config.gamma, test_portion=test_len,
         ))
     else:
-        conditions.append(ConditionCheck("odd_guess_half", 0.0, 0.0, 0.0, 0.5, False,
+        conditions.append(ConditionCheck("odd_guess_half", 0.0, (0.0, 0.0), 0.5, False,
                                          {"trials": 0, "gamma": config.gamma, "test_portion": 0}))
     conditions.append(rand_nonempty(len(rand) > 0))
     passed = all(c.satisfied for c in conditions)
