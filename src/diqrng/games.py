@@ -664,6 +664,43 @@ def add_integers(out: np.ndarray, rng: np.random.Generator, low: int, high: int,
         out[piece] += draw
 
 
+def draw_cells(n: int, rng: np.random.Generator, ranges: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
+    """n cells in pieces of ``out.size``, each written into the head of ``out`` and overwritten by the next.
+
+    The draw order of every Monte Carlo path.  A cell is the sum of ``scale *
+    integers(low, high)`` over the (low, high, scale) ranges.  Each range
+    draws all its n values, the first from ``rng`` and each later one from a
+    copy of ``rng`` moved past the ranges before it; a Generator draws the
+    same values in pieces as in one call.  A one-value range draws nothing.
+    """
+    fixed = sum(low * scale for low, high, scale in ranges if high - low == 1)
+    drawn = [(low, high, scale) for low, high, scale in ranges if high - low > 1]
+    streams = [rng]
+    for low, high, _ in drawn[:-1]:
+        streams.append(skip_ahead(streams[-1], n, low, high))
+    for piece in chunk_slices(n, out.size):
+        cell = out[: piece.stop - piece.start]
+        cell.fill(fixed)
+        for (low, high, scale), stream in zip(drawn, streams):
+            add_integers(cell, stream, low, high, scale)
+        yield cell
+
+
+def draw_codes(n: int, rng: np.random.Generator, ranges: Sequence, threshold: np.ndarray) -> Iterator[np.ndarray]:
+    """The round codes of n rounds from ``_Scratch.measure``, ``_DRAW_VALUES`` at a time in one reused buffer.
+
+    The cells come from ``draw_cells`` on a copy of ``rng``, and the
+    uniforms from ``rng`` moved past every cell draw: the one-call order.
+    """
+    scratch = _Scratch(max(1, min(n, _DRAW_VALUES)))
+    cells = draw_cells(n, copy.deepcopy(rng), ranges, scratch.code)
+    for low, high, _ in ranges:
+        if high - low > 1:
+            rng.bit_generator.state = skip_ahead(rng, n, low, high).bit_generator.state
+    for cell in cells:
+        yield scratch.measure(cell, threshold, cell, rng)[0]
+
+
 def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
     """values[index] along the first axis, written into the head of the reused buffer ``out``.
 
@@ -721,6 +758,7 @@ class RoundSampler:
         self.game = game
         self.strategy = strategy
         self._space = input_space(game)
+        self._ranges = ((0, len(self._space), 1),)       # one uniform input index per round
         probs = outcome_tensor(strategy)
         rows = [probs[inputs].ravel() for inputs in self._space]
         supports = [np.flatnonzero(row) for row in rows]
@@ -741,26 +779,20 @@ class RoundSampler:
         branch = int(np.count_nonzero(rng.random() >= self._threshold[:, i]))
         return RoundIO(inputs, tuple(self._code_outputs[i * (len(self._threshold) + 1) + branch].tolist()))
 
-    def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
-        """n rounds with uniform inputs, in round order: all n input draws, then n uniforms.
+    def tally(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n rounds counted by code c (``_code_inputs[c]``, ``_code_outputs[c]``), drawn as ``sample_many`` draws."""
+        counts = np.zeros(len(self._code_inputs), dtype=np.int64)
+        for code in draw_codes(n, rng, self._ranges, self._threshold):
+            counts += np.bincount(code, minlength=counts.size)
+        return counts
 
-        The inputs come from ``rng`` and the uniforms from a copy moved past
-        the n input draws, one ``_DRAW_VALUES``-round piece at a time; ``rng``
-        ends where the copy does, as after the one-call order.  Besides the
-        returned int8 columns (6 B/round for pt3) one piece's buffers are held.
-        """
-        uniform_rng = skip_ahead(rng, n, 0, len(self._space))
+    def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
+        """n rounds with uniform inputs, in round order, as int8 columns (6 B/round for pt3)."""
         inputs = np.empty((n, _SHAPES[self.game].inputs), dtype=np.int8)
         outputs = np.empty((n, _SHAPES[self.game].outputs), dtype=np.int8)
-        scratch = _Scratch(min(n, _DRAW_VALUES))
-        for piece in chunk_slices(n, _DRAW_VALUES):
-            cell = scratch.code[: piece.stop - piece.start]
-            cell.fill(0)
-            add_integers(cell, rng, 0, len(self._space))
-            code, _ = scratch.measure(cell, self._threshold, cell, uniform_rng)
+        for piece, code in zip(chunk_slices(n, _DRAW_VALUES), draw_codes(n, rng, self._ranges, self._threshold)):
             _gather(self._code_inputs, code, inputs[piece])
             _gather(self._code_outputs, code, outputs[piece])
-        rng.bit_generator.state = uniform_rng.bit_generator.state
         return RoundColumns(inputs, outputs)
 
 

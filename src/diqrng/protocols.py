@@ -22,11 +22,12 @@ output bits, held packed at one bit per Rand round; the verdict releases
 them packed, and nothing unpacks them unless ``output_bits`` is read.  The
 chunks come from ``_round_chunks`` as views into one chunk's scratch
 buffers, allocated once per run; a chunk's views hold until the next chunk
-is drawn.  The bits come from ``games._Scratch.measure``, the one sampling
-kernel, with thresholds 1 - Pr[b = 1].  ``BinStore`` holds the tally and
-answers the bin counts.  The per-round bin views are
-``games.RoundColumns`` with inputs (x0, x1, setting) and output (b,),
-rebuilt on first access by replaying the same round stream.
+is drawn.  Uniform inputs come from ``games.draw_cells``, the draw loop of
+play-game and the guessing bounds too, and the bits from
+``games._Scratch.measure``, the one kernel, with thresholds 1 - Pr[b = 1].
+``BinStore`` holds the tally and answers the bin counts.  The per-round bin
+views are ``games.RoundColumns`` with inputs (x0, x1, setting) and output
+(b,), rebuilt on first access by replaying the same round stream.
 
 Certification is a pure function of counts.  ``certify`` builds every
 condition of a verdict from the run's tally and, for Q's odd test, the
@@ -53,7 +54,7 @@ from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
 from .games import _DRAW_VALUES, MAX_ROUNDS, PackedBits, RoundColumns, _gather, _Scratch, add_integers, chunk_slices
-from .games import read_only_view, skip_ahead
+from .games import draw_cells, draw_codes, read_only_view
 
 A_STAR = QUANTUM_WIN
 
@@ -428,10 +429,7 @@ def _round_chunks(
     are overwritten by the next chunk.
 
     Inputs, the shared coin and the measurement randomness come from three
-    fixed substreams of the seed.  numpy's Generator draws the same values in
-    chunks as in one call, so the chunk size never shows in a run.  The
-    uniform input draw takes all n values of x before the first setting, so
-    settings come from a copy of the input stream moved past those n draws.
+    fixed substreams of the seed; ``games.draw_cells`` draws uniform inputs.
     """
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
@@ -441,29 +439,24 @@ def _round_chunks(
         probs = _input_probs(config.protocol, config.mode, config.input_weights)
         cells = np.array([n_settings * x + s for x, s in _draw_space(config.protocol, config.mode)])
 
-        def draw_cells(cell: np.ndarray) -> None:
-            for piece in chunk_slices(cell.size, _DRAW_VALUES):     # small temporaries, as in add_integers
-                _gather(cells, input_rng.choice(cells.size, size=piece.stop - piece.start, p=probs), cell[piece])
+        def weighted_cells() -> Iterator[np.ndarray]:
+            for chunk in chunk_slices(config.rounds):
+                cell = scratch.code[: chunk.stop - chunk.start]
+                for piece in chunk_slices(cell.size, _DRAW_VALUES):     # small temporaries, as in add_integers
+                    _gather(cells, input_rng.choice(cells.size, size=piece.stop - piece.start, p=probs), cell[piece])
+                yield cell
+        drawn = weighted_cells()
     elif config.protocol == "P" and config.mode == "generate":
-        def draw_cells(cell: np.ndarray) -> None:
-            cell.fill(2)                                            # setting 2
-            add_integers(cell, input_rng, 1, 3, n_settings)         # x in {01, 10}
+        drawn = draw_cells(config.rounds, input_rng, ((1, 3, n_settings), (2, 3, 1)), scratch.code)
     else:
-        setting_rng = skip_ahead(input_rng, config.rounds, 0, 4)
-
-        def draw_cells(cell: np.ndarray) -> None:
-            cell.fill(0)
-            add_integers(cell, input_rng, 0, 4, n_settings)
-            add_integers(cell, setting_rng, 0, n_settings)
+        drawn = draw_cells(config.rounds, input_rng, ((0, 4, n_settings), (0, n_settings, 1)), scratch.code)
 
     coin_per_round = devices.uses_coin and devices.coin_per_round
     if devices.uses_coin and not devices.coin_per_round:
         table = table[int(coin_rng.integers(0, 2))][None]      # the run's one coin
     threshold = (1.0 - table).reshape(1, -1)    # one step, by coin * cells_per_coin + cell
     cells_per_coin = table[0].size
-    for chunk in chunk_slices(config.rounds):
-        cell = scratch.code[: chunk.stop - chunk.start]
-        draw_cells(cell)
+    for cell in drawn:
         index = cell
         if coin_per_round:
             index = scratch.index[: cell.size]
@@ -607,8 +600,7 @@ AUGMENTED_CHSH_SCORE = (2.0 / 3.0) * A_STAR + 1.0 / 3.0     # the closed form of
 def _guessing_experiments() -> tuple[tuple[str, tuple[int, int], tuple[int, int], np.ndarray], ...]:
     """(name, x range, setting range, win mask [x, setting, b]) of each bound experiment.
 
-    x = 2*x0 + x1 and the setting are uniform over their ranges; a one-value
-    setting range is fixed, not drawn.
+    x = 2*x0 + x1 and the setting are uniform over their ranges.
     """
     x, setting, b = np.indices((4, 3, 2))
     a = x >> 1                      # the preparation's in-basis index
@@ -651,38 +643,19 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     (c) an eavesdropper guessing a Rand-round bit from the preparation label,
     capped at 1/2.
 
-    Each experiment draws all its x values, then its settings, then one
-    uniform per trial, and counts its wins piece by piece with its win mask
-    over (x, setting, b); its expected rate is exact, from the same mask.
-    The three blocks stream side by side, one ``_DRAW_VALUES``-trial piece
-    at a time: x from ``rng``, the settings from a copy moved past the n x
-    draws, the uniforms from a copy moved past the settings.  ``rng`` ends
-    where the uniform copy does, so the draws and the end state are those of
-    the one-call order, and a check holds one piece's draws at any trial
-    count.  Each piece's bits come from ``games._Scratch.measure``, the one
-    sampling kernel, into buffers allocated once per check.
+    Each experiment tallies its trials by code from ``games.draw_codes``,
+    the draw loop that ``RoundSampler`` and ``run_protocol`` share, and
+    counts its wins with its win mask over (x, setting, b); its expected
+    rate is exact, from the same mask.
     """
     _check_integer("trials", trials)
     if not 1 <= trials <= MAX_ROUNDS:
         raise ValueError(f"trials must lie in [1, {MAX_ROUNDS}], got {trials}")
     table = honest_devices("P").response_table("P")[0]
     threshold = (1.0 - table).reshape(1, -1)    # one step, by cell = 3*x + setting
-    scratch = _Scratch(min(trials, _DRAW_VALUES))
     checks = []
     for name, x_range, setting_range, win in _guessing_experiments():
-        drawn = setting_range[1] - setting_range[0] > 1
-        setting_rng = skip_ahead(rng, trials, *x_range)
-        uniform_rng = skip_ahead(setting_rng, trials, *setting_range) if drawn else setting_rng
-        win_cells = win.ravel()             # by code = 2*cell + b
-        hits = 0
-        for piece in chunk_slices(trials, _DRAW_VALUES):
-            cell = scratch.code[: piece.stop - piece.start]
-            cell.fill(0 if drawn else setting_range[0])
-            add_integers(cell, rng, *x_range, 3)
-            if drawn:
-                add_integers(cell, setting_rng, *setting_range)
-            code, _ = scratch.measure(cell, threshold, cell, uniform_rng)
-            hits += int(np.count_nonzero(_gather(win_cells, code, scratch.mask[0])))
-        rng.bit_generator.state = uniform_rng.bit_generator.state
+        codes = draw_codes(trials, rng, ((*x_range, 3), (*setting_range, 1)), threshold)
+        hits = int(sum(np.bincount(code, minlength=win.size) for code in codes) @ win.ravel())  # code = 2*cell + b
         checks.append(_bound_check(name, hits, trials, _exact_rate(table, x_range, setting_range, win)))
     return GuessingBoundsReport(tuple(checks))

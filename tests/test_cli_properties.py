@@ -5,8 +5,9 @@ passed as a flag or put in a ``--config`` file, with values that are valid,
 out of range or of the wrong type.  Every run must either emit a report
 (exit 0 or 2) or exit 1 with an ``error:`` line.  Round and trial counts stay
 small so that each run is quick.  Counts, delta and gamma fall outside their
-ranges, and any option takes junk, about one time in ten, so that at least a
-quarter of the run-protocol runs reach a report.
+ranges, analyze reads no real bit dump, and any option takes junk, about one
+time in ten each, so that at least a quarter of the run-protocol and the
+analyze runs reach a report.
 """
 
 import json
@@ -58,33 +59,33 @@ def fuzzed_options(command):
     return {name: kind for name, (_, kind, _) in table.items() if name not in UNFUZZED}
 
 
-def is_count(name, kind):
-    """Round and trial counts: always given, so that no run falls back to a large default."""
-    return kind is int and name != "seed"
+def always_given(name, kind):
+    """Round and trial counts, so that no run falls back to a large default, and analyze's bit dump."""
+    return kind is int and name != "seed" or name == "bits_in"
 
 
-def values(name, kind, bit_file):
+def values(name, kind, bit_files):
     """The valid and near-valid values of one option."""
     if name in cli._CHOICES:
         return st.sampled_from(cli._CHOICES[name])
     if name == "seed":
         return SEEDS
     if name == "bits_in":
-        return st.sampled_from([bit_file, "missing.bits", ""])
+        return mostly(st.sampled_from(bit_files), st.sampled_from(["missing.bits", ""]))
     if kind is float:
         return FLOATS[name]
     return {bool: st.booleans(), int: mostly(st.integers(300, 3_000), st.integers(-2, 299))}[kind]
 
 
 @st.composite
-def invocations(draw, command, bit_file):
+def invocations(draw, command, bit_files):
     """(flags, config, DIQRNG_SEED) for one run of the command."""
     flags, config = {}, {}
     for name, kind in fuzzed_options(command).items():
-        where = draw(st.sampled_from(["flag", "config"] if is_count(name, kind) else ["absent", "flag", "config"]))
+        where = draw(st.sampled_from(["flag", "config"] if always_given(name, kind) else ["absent", "flag", "config"]))
         if where == "absent":
             continue
-        valid = values(name, kind, bit_file)
+        valid = values(name, kind, bit_files)
         value = draw(mostly(valid, st.one_of(valid, JUNK)))
         (flags if where == "flag" else config)[name] = value
     env_seed = draw(st.one_of(st.none(), SEEDS.map(str), st.sampled_from(["", "x", "1.5"])))
@@ -140,25 +141,28 @@ PROPERTY = settings(
 
 
 @pytest.fixture(scope="module")
-def bit_file(tmp_path_factory):
-    """A small real bit dump for analyze."""
-    path = tmp_path_factory.mktemp("bits") / "bits.txt"
-    cli.write_bits(path, np.random.default_rng(0).integers(0, 2, 300, dtype=np.uint8))
-    return str(path)
+def bit_files(tmp_path_factory):
+    """Small real bit dumps for analyze: entropy only below 100 bits, the battery too from 100."""
+    folder = tmp_path_factory.mktemp("bits")
+    paths = []
+    for n in (1, 99, 100, 300):
+        paths.append(str(folder / f"bits-{n}.txt"))
+        cli.write_bits(paths[-1], np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8))
+    return paths
 
 
 @pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
-def test_generated_configs_report_or_fail_cleanly(command, bit_file, capsys, monkeypatch):
+def test_generated_configs_report_or_fail_cleanly(command, bit_files, capsys, monkeypatch):
     codes = []
 
     @PROPERTY
-    @given(invocations(command, bit_file))
+    @given(invocations(command, bit_files))
     def check(invocation):
         codes.append(assert_report_or_error(command, invocation, capsys, monkeypatch))
 
     check()
-    if command == "run-protocol":
-        # the fuzz must reach the run and its certification, not only the option checks
+    if command in ("run-protocol", "analyze"):
+        # the fuzz must reach the run or the analysis, not only the option checks
         reports = sum(code in (0, 2) for code in codes)
         assert 4 * reports >= len(codes), f"{reports} of {len(codes)} runs reported"
 

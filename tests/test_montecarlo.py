@@ -1,8 +1,8 @@
-"""Columnar Monte Carlo: identity with the row-object versions, exact references, memory bounds.
+"""Monte Carlo by columns and by tallies: identity with the row-object versions, exact references, memory bounds.
 
 The reference implementations below are the per-round versions that the
-columnar ``RoundSampler.sample_many``, ``play-game`` scoring and
-``guessing_game_bound_check`` replaced; reports must keep their bytes.
+columnar ``RoundSampler.sample_many`` and the code tallies of ``play-game``
+and ``guessing_game_bound_check`` replaced; reports must keep their bytes.
 """
 
 import itertools
@@ -206,6 +206,39 @@ def test_branch_rule_is_capped_searchsorted_at_its_edges(strategy):
         assert steps > 1 and ends_below_one
 
 
+def code_counts(sampler, rounds):
+    """How many of the rounds have each code; a round's code is the first with its inputs and outputs."""
+    table = np.hstack([sampler._code_inputs, sampler._code_outputs])
+    match = (np.hstack([rounds.inputs, rounds.outputs])[:, None, :] == table).all(axis=2)    # [round, code]
+    assert match.any(axis=1).all()
+    return np.bincount(match.argmax(axis=1), minlength=len(table))
+
+
+@pytest.mark.parametrize("strategy", [paper_strategy(g) for g in GameId] + [chsh_mixture_below_one()])
+@pytest.mark.parametrize("n", [0, 1, *DRAW_EDGES, 3 * games._DRAW_VALUES + 17])
+def test_tally_counts_the_sampled_rounds_by_code(strategy, n):
+    sampler = RoundSampler(strategy.game, strategy)
+    rng, rounds_rng = np.random.default_rng(SEEDS[2]), np.random.default_rng(SEEDS[2])
+    counts = sampler.tally(n, rng)
+    assert counts.dtype == np.int64 and counts.sum() == n
+    assert np.array_equal(counts, code_counts(sampler, sampler.sample_many(n, rounds_rng)))
+    assert rng.bit_generator.state == rounds_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [((0, 4, 3), (0, 3, 1)), ((1, 3, 3), (2, 3, 1)), ((2, 3, 1), (0, 4, 3)), ((0, 2, 5), (0, 3, 2), (0, 4, 1))],
+)
+@pytest.mark.parametrize("n", [1, games._DRAW_VALUES + 1, 3 * games._CHUNK_ROUNDS + 17])
+def test_draw_cells_equal_the_one_call_order(ranges, n):
+    """Each range's n draws follow the ranges before it in one stream; a one-value range takes none."""
+    ref_rng = np.random.default_rng(SEEDS[0])
+    want = sum(scale * ref_rng.integers(low, high, size=n) for low, high, scale in ranges)
+    out = np.empty(min(n, games._CHUNK_ROUNDS), dtype=np.int64)
+    got = np.concatenate([cell.copy() for cell in games.draw_cells(n, np.random.default_rng(SEEDS[0]), ranges, out)])
+    assert np.array_equal(got, want)
+
+
 def test_sampled_rounds_index_as_roundio():
     rounds = RoundSampler(GameId.GAME_G, paper_strategy(GameId.GAME_G)).sample_many(10, np.random.default_rng(4))
     listed = list(rounds)
@@ -302,13 +335,16 @@ def test_skip_ahead_lands_where_one_call_does(n, low, high):
 
 
 @pytest.mark.parametrize("n", [1, games._DRAW_VALUES - 1, games._DRAW_VALUES + 1, 3 * games._DRAW_VALUES + 17])
-@pytest.mark.parametrize("low,high,scale", [(0, 4, 3), (1, 3, 3), (0, 2, 1)])
+@pytest.mark.parametrize("low,high,scale", [(0, 4, 3), (1, 3, 3), (0, 2, 1), (2, 3, 1)])
 def test_add_integers_adds_one_call_draws(n, low, high, scale):
     rng, ref_rng = np.random.default_rng(SEEDS[1]), np.random.default_rng(SEEDS[1])
     out = np.full(n, 5, dtype=np.int64)
     games.add_integers(out, rng, low, high, scale)
     assert np.array_equal(out, 5 + scale * ref_rng.integers(low, high, size=n))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if high - low == 1:
+        # a one-value range draws nothing, so draw_cells adds it as a constant
+        assert rng.bit_generator.state == np.random.default_rng(SEEDS[1]).bit_generator.state
 
 
 def test_round_columns_leave_the_callers_arrays_writable():
@@ -343,6 +379,16 @@ def test_guessing_bounds_fill_columns_chunk_by_chunk(traced_peak):
     protocols.guessing_game_bound_check(1, np.random.default_rng(0))
     _, peak = traced_peak(lambda: protocols.guessing_game_bound_check(trials, np.random.default_rng(1)))
     # one piece of x, setting and uniform draws with their buffers, and three generator copies
+    assert peak <= 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("game", sorted(cli._GAME_NAMES))
+def test_play_game_holds_no_round_columns(game, traced_peak, capsys):
+    argv = ["play-game", "--game", game, "--seed", "3", "--deterministic", "--rounds"]
+    assert cli.main([*argv, "100"]) == 0          # first-call allocations are not per round
+    code, peak = traced_peak(lambda: cli.main([*argv, "2000000"]))
+    assert code == 0
+    # one piece of draws and buffers: a round column would be 2 MB per int8 bit
     assert peak <= 2**20, f"{peak / 2**20:.2f} MiB"
 
 
