@@ -42,11 +42,13 @@ class Estimate:
 
 
 def wilson_interval(count: int, trials: int, confidence: float) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    """Wilson score interval for a binomial proportion of count successes in trials."""
+    if not 0.0 < confidence < 1.0 or 0.5 + confidence / 2.0 == 1.0:
+        raise ValueError(f"confidence must lie in (0, 1) with 0.5 + confidence/2 below 1 in floats, got {confidence}")
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= count <= trials:
+        raise ValueError(f"count must lie in [0, trials], got count {count} of {trials} trials")
     z = _NORMAL.inv_cdf(0.5 + confidence / 2.0)
     phat = count / trials
     denom = 1.0 + z * z / trials
@@ -135,6 +137,8 @@ def statistic_A(check_records, confidence: float = 0.99) -> Estimate:
     x = 2*x0 + x1, such as ``tally[:, :2]`` of a protocol P run, or
     self-test ``RoundColumns``; anything else raises ValueError.
     """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     trials, successes = _records_to_cells(check_records)
     if np.any(trials == 0):
         empty = [f"{c >> 2 & 1}{c >> 1 & 1}|y={c & 1}" for c in np.flatnonzero(trials == 0)]

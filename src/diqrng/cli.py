@@ -322,13 +322,13 @@ def _cmd_play_game(opts: dict, seed: int) -> dict:
     exact = games.exact_score(game, strategy)
     sampler = games.RoundSampler(game, strategy)
     rng = np.random.default_rng(seed)
-    counts = sampler.tally(n_rounds, rng)
-    won = games.win_mask(game)[(*sampler._code_inputs.T, *sampler._code_outputs.T)]
-    wins = int(counts @ won)
+    tally = sampler.tally(n_rounds, rng)
+    won = tally * games.win_mask(game)
+    wins = int(won.sum())
     if game is GameId.GAME_G2:
         # an odd-weight G2 round wins exactly when its guess b == x1 is right
-        odd = np.bitwise_xor.reduce(sampler._code_inputs, axis=1) == 1
-        n_odd, odd_wins = int(counts @ odd), int(counts @ (won & odd))
+        odd = ~games._g2_even()
+        n_odd, odd_wins = int(tally[odd].sum()), int(won[odd].sum())
         if n_odd in (0, n_rounds):
             raise DiqrngError(
                 f"g2 scores need even- and odd-weight rounds; {n_rounds} round(s) drew only one kind"

@@ -6,7 +6,8 @@ exhaustive search, exact evaluation, round sampling, and the empirical
 game-equivalence checks.
 
 Every strategy compiles to one outcome tensor P[inputs..., outputs...] (see
-``outcome_tensor``); scoring, sampling and the classical search all read it.
+``outcome_tensor``); scoring, sampling and the classical search all read it,
+and ``RoundSampler.tally`` counts sampled rounds on the same axes.
 
 Game roster:
   * CHSH          two-party, win iff x & y == a ^ b, standard strategy;
@@ -664,6 +665,31 @@ def add_integers(out: np.ndarray, rng: np.random.Generator, low: int, high: int,
         out[piece] += draw
 
 
+def _skip_chain(n: int, rng: np.random.Generator, ranges: Sequence) -> Iterator[np.random.Generator]:
+    """``rng``, then copies of it moved past each drawing range's n values in turn, each made when asked for."""
+    yield rng
+    for low, high, _ in ranges:
+        if high - low > 1:
+            rng = skip_ahead(rng, n, low, high)
+            yield rng
+
+
+def _cells(n: int, chain: Iterator[np.random.Generator], ranges: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
+    """The cells of ``draw_cells`` from the streams of ``chain``, whose next stream is then the one past them."""
+    fixed = sum(low * scale for low, high, scale in ranges if high - low == 1)
+    drawn = [(low, high, scale) for low, high, scale in ranges if high - low > 1]
+    streams = [stream for _, stream in zip(drawn, chain)]      # zip stops before taking one more
+
+    def cells() -> Iterator[np.ndarray]:
+        for piece in chunk_slices(n, out.size):
+            cell = out[: piece.stop - piece.start]
+            cell.fill(fixed)
+            for (low, high, scale), stream in zip(drawn, streams):
+                add_integers(cell, stream, low, high, scale)
+            yield cell
+    return cells()
+
+
 def draw_cells(n: int, rng: np.random.Generator, ranges: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
     """n cells in pieces of ``out.size``, each written into the head of ``out`` and overwritten by the next.
 
@@ -673,30 +699,20 @@ def draw_cells(n: int, rng: np.random.Generator, ranges: Sequence, out: np.ndarr
     copy of ``rng`` moved past the ranges before it; a Generator draws the
     same values in pieces as in one call.  A one-value range draws nothing.
     """
-    fixed = sum(low * scale for low, high, scale in ranges if high - low == 1)
-    drawn = [(low, high, scale) for low, high, scale in ranges if high - low > 1]
-    streams = [rng]
-    for low, high, _ in drawn[:-1]:
-        streams.append(skip_ahead(streams[-1], n, low, high))
-    for piece in chunk_slices(n, out.size):
-        cell = out[: piece.stop - piece.start]
-        cell.fill(fixed)
-        for (low, high, scale), stream in zip(drawn, streams):
-            add_integers(cell, stream, low, high, scale)
-        yield cell
+    return _cells(n, _skip_chain(n, rng, ranges), ranges, out)
 
 
 def draw_codes(n: int, rng: np.random.Generator, ranges: Sequence, threshold: np.ndarray) -> Iterator[np.ndarray]:
     """The round codes of n rounds from ``_Scratch.measure``, ``_DRAW_VALUES`` at a time in one reused buffer.
 
-    The cells come from ``draw_cells`` on a copy of ``rng``, and the
-    uniforms from ``rng`` moved past every cell draw: the one-call order.
+    The cells are drawn as ``draw_cells`` draws them from a copy of ``rng``,
+    and the uniforms from ``rng`` moved past every cell draw, each range
+    walked once: the one-call order.
     """
     scratch = _Scratch(max(1, min(n, _DRAW_VALUES)))
-    cells = draw_cells(n, copy.deepcopy(rng), ranges, scratch.code)
-    for low, high, _ in ranges:
-        if high - low > 1:
-            rng.bit_generator.state = skip_ahead(rng, n, low, high).bit_generator.state
+    chain = _skip_chain(n, copy.deepcopy(rng), ranges)
+    cells = _cells(n, chain, ranges, scratch.code)
+    rng.bit_generator.state = next(chain).bit_generator.state
     for cell in cells:
         yield scratch.measure(cell, threshold, cell, rng)[0]
 
@@ -780,11 +796,13 @@ class RoundSampler:
         return RoundIO(inputs, tuple(self._code_outputs[i * (len(self._threshold) + 1) + branch].tolist()))
 
     def tally(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n rounds counted by code c (``_code_inputs[c]``, ``_code_outputs[c]``), drawn as ``sample_many`` draws."""
+        """n rounds drawn as ``sample_many`` draws them, counted as int64 on the axes of ``win_mask``."""
         counts = np.zeros(len(self._code_inputs), dtype=np.int64)
         for code in draw_codes(n, rng, self._ranges, self._threshold):
             counts += np.bincount(code, minlength=counts.size)
-        return counts
+        tally = np.zeros((2,) * (self._code_inputs.shape[1] + self._code_outputs.shape[1]), dtype=np.int64)
+        np.add.at(tally, tuple(np.hstack([self._code_inputs, self._code_outputs]).T), counts)
+        return tally
 
     def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
         """n rounds with uniform inputs, in round order, as int8 columns (6 B/round for pt3)."""

@@ -23,8 +23,10 @@ them packed, and nothing unpacks them unless ``output_bits`` is read.  The
 chunks come from ``_round_chunks`` as views into one chunk's scratch
 buffers, allocated once per run; a chunk's views hold until the next chunk
 is drawn.  Uniform inputs come from ``games.draw_cells``, the draw loop of
-play-game and the guessing bounds too, and the bits from
-``games._Scratch.measure``, the one kernel, with thresholds 1 - Pr[b = 1].
+play-game and the guessing bounds too.  Weighted inputs come from
+``games.draw_codes`` with their CDF as the threshold table, which picks as
+``Generator.choice`` does.  The bits come from ``games._Scratch.measure``,
+the one kernel, with thresholds 1 - Pr[b = 1].
 ``BinStore`` holds the tally and answers the bin counts.  The per-round bin
 views are ``games.RoundColumns`` with inputs (x0, x1, setting) and output
 (b,), rebuilt on first access by replaying the same round stream.
@@ -53,8 +55,8 @@ import numpy as np
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import _DRAW_VALUES, MAX_ROUNDS, PackedBits, RoundColumns, _gather, _Scratch, add_integers, chunk_slices
-from .games import draw_cells, draw_codes, read_only_view
+from .games import MAX_ROUNDS, PackedBits, RoundColumns, _gather, _Scratch, add_integers, draw_cells, draw_codes
+from .games import read_only_view
 
 A_STAR = QUANTUM_WIN
 
@@ -292,6 +294,9 @@ class ProtocolConfig:
             raise ValueError(f"mode must be 'test' or 'generate', got {self.mode!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if 0.5 + (1.0 - self.delta) / 2.0 == 1.0:
+            # the Wilson interval at 1 - delta would need the normal quantile of 1
+            raise ValueError(f"delta must be at least about 1.7e-16, so that 1 - delta/2 is below 1, got {self.delta}")
         if not 0.5 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0.5, 1], got {self.gamma}")
         if self.input_weights is not None:
@@ -429,23 +434,18 @@ def _round_chunks(
     are overwritten by the next chunk.
 
     Inputs, the shared coin and the measurement randomness come from three
-    fixed substreams of the seed; ``games.draw_cells`` draws uniform inputs.
+    fixed substreams of the seed; ``games.draw_cells`` draws uniform inputs
+    and ``games.draw_codes`` weighted ones.
     """
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
     n_settings = table.shape[2]
 
     if config.input_weights is not None:
-        probs = _input_probs(config.protocol, config.mode, config.input_weights)
+        cdf = np.cumsum(_input_probs(config.protocol, config.mode, config.input_weights))
+        picks = draw_codes(config.rounds, input_rng, ((0, 1, 1),), (cdf[:-1] / cdf[-1])[:, None])
         cells = np.array([n_settings * x + s for x, s in _draw_space(config.protocol, config.mode)])
-
-        def weighted_cells() -> Iterator[np.ndarray]:
-            for chunk in chunk_slices(config.rounds):
-                cell = scratch.code[: chunk.stop - chunk.start]
-                for piece in chunk_slices(cell.size, _DRAW_VALUES):     # small temporaries, as in add_integers
-                    _gather(cells, input_rng.choice(cells.size, size=piece.stop - piece.start, p=probs), cell[piece])
-                yield cell
-        drawn = weighted_cells()
+        drawn = (_gather(cells, pick, scratch.code) for pick in picks)
     elif config.protocol == "P" and config.mode == "generate":
         drawn = draw_cells(config.rounds, input_rng, ((1, 3, n_settings), (2, 3, 1)), scratch.code)
     else:

@@ -63,6 +63,18 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(1, 10, 1.5)
 
+    @pytest.mark.parametrize("count", [5, -1])
+    def test_count_outside_the_trials_is_named(self, count):
+        with pytest.raises(ValueError, match=f"count must lie in \\[0, trials\\], got count {count} of 3 trials"):
+            wilson_interval(count, 3, 0.9)
+
+    @pytest.mark.parametrize("confidence", [1.0, 1.0 - 2**-53, 0.0])
+    def test_confidence_whose_quantile_is_not_below_one_is_named(self, confidence):
+        # 0.5 + (1 - 2**-53)/2 rounds to 1, the one value below 1 whose normal quantile is infinite
+        with pytest.raises(ValueError, match=f"confidence must lie in \\(0, 1\\).*got {confidence}$"):
+            wilson_interval(1, 3, confidence)
+        assert wilson_interval(1, 3, 1.0 - 2**-52)[1] < 1.0
+
 
 class TestHoeffding:
     def test_formula(self):
@@ -125,6 +137,12 @@ class TestStatisticA:
         est = statistic_A(records)
         assert est.point == pytest.approx(7 / 8, abs=1e-12)   # unweighted cell mean
         assert est.count / est.trials != est.point            # pooled rate differs
+
+    @pytest.mark.parametrize("confidence", [1.0, 0.0, 1.5])
+    def test_confidence_outside_the_unit_interval_is_named(self, confidence):
+        tally = np.ones((4, 2, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match=f"^confidence must lie in \\(0, 1\\), got {confidence}$"):
+            statistic_A(tally, confidence=confidence)
 
     def test_missing_cell(self):
         records = make_records([(0, 0, 0, 0)] * 5)

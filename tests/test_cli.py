@@ -244,6 +244,14 @@ class TestExitCodes:
         code = main(["play-game", "--game", "chsh", "--rounds", "100", "--deterministic"])
         assert code == 1
 
+    @pytest.mark.parametrize("protocol", ["P", "Q"])
+    @pytest.mark.parametrize("delta", ["1e-16", "1e-17", "5e-324"])
+    def test_delta_below_float_resolution_is_one_naming_it(self, capsys, protocol, delta):
+        code = main(["run-protocol", "--protocol", protocol, "--rounds", "1000", "--delta", delta, "--seed", "1"])
+        assert code == 1
+        message = f"delta must be at least about 1.7e-16, so that 1 - delta/2 is below 1, got {float(delta)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_runtime_error_is_one(self, capsys):
         code = main(["analyze", "--seed", "1"])
         assert code == 1

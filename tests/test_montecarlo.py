@@ -206,22 +206,24 @@ def test_branch_rule_is_capped_searchsorted_at_its_edges(strategy):
         assert steps > 1 and ends_below_one
 
 
-def code_counts(sampler, rounds):
-    """How many of the rounds have each code; a round's code is the first with its inputs and outputs."""
-    table = np.hstack([sampler._code_inputs, sampler._code_outputs])
-    match = (np.hstack([rounds.inputs, rounds.outputs])[:, None, :] == table).all(axis=2)    # [round, code]
-    assert match.any(axis=1).all()
-    return np.bincount(match.argmax(axis=1), minlength=len(table))
+def binned(rounds, shape):
+    """The rounds counted on the axes [inputs..., outputs...] of an outcome tensor of ``shape``."""
+    counts = np.zeros(shape, dtype=np.int64)
+    np.add.at(counts, tuple(np.hstack([rounds.inputs, rounds.outputs]).T), 1)
+    return counts
 
 
 @pytest.mark.parametrize("strategy", [paper_strategy(g) for g in GameId] + [chsh_mixture_below_one()])
 @pytest.mark.parametrize("n", [0, 1, *DRAW_EDGES, 3 * games._DRAW_VALUES + 17])
 def test_tally_counts_the_sampled_rounds_by_code(strategy, n):
+    """The tally counts ``sample_many``'s rounds on the axes of ``win_mask`` and leaves the same end state."""
     sampler = RoundSampler(strategy.game, strategy)
     rng, rounds_rng = np.random.default_rng(SEEDS[2]), np.random.default_rng(SEEDS[2])
     counts = sampler.tally(n, rng)
-    assert counts.dtype == np.int64 and counts.sum() == n
-    assert np.array_equal(counts, code_counts(sampler, sampler.sample_many(n, rounds_rng)))
+    shape = games.win_mask(strategy.game).shape
+    assert counts.dtype == np.int64 and counts.shape == shape == outcome_tensor(strategy).shape
+    assert counts.sum() == n
+    assert np.array_equal(counts, binned(sampler.sample_many(n, rounds_rng), shape))
     assert rng.bit_generator.state == rounds_rng.bit_generator.state
 
 
@@ -237,6 +239,30 @@ def test_draw_cells_equal_the_one_call_order(ranges, n):
     out = np.empty(min(n, games._CHUNK_ROUNDS), dtype=np.int64)
     got = np.concatenate([cell.copy() for cell in games.draw_cells(n, np.random.default_rng(SEEDS[0]), ranges, out)])
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ranges,walks", [(((0, 4, 3), (0, 3, 1)), 2), (((1, 3, 3), (2, 3, 1)), 1), (((2, 3, 1),), 0)])
+def test_draw_codes_walks_each_range_once(ranges, walks, monkeypatch):
+    """The cells and the uniforms share one skip chain; ``draw_cells`` alone makes no walk past its last range."""
+    calls, skip_ahead = [], games.skip_ahead
+
+    def counted_skip_ahead(*args):
+        calls.append(args[1:])
+        return skip_ahead(*args)
+
+    monkeypatch.setattr(games, "skip_ahead", counted_skip_ahead)
+    threshold = np.full((1, 12), 0.5)
+    rng, ref_rng = np.random.default_rng(SEEDS[0]), np.random.default_rng(SEEDS[0])
+    codes = np.concatenate([code.copy() for code in games.draw_codes(1000, rng, ranges, threshold)])
+    assert len(calls) == walks
+    cells = sum(scale * ref_rng.integers(low, high, size=1000) for low, high, scale in ranges)
+    assert np.array_equal(codes, 2 * cells + (ref_rng.random(1000) >= 0.5))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    calls.clear()
+    for _ in games.draw_cells(1000, np.random.default_rng(0), ranges, np.empty(1000, dtype=np.int64)):
+        pass
+    assert len(calls) == max(walks - 1, 0)
 
 
 def test_sampled_rounds_index_as_roundio():

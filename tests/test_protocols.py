@@ -345,6 +345,18 @@ class TestConfigAndVerdict:
         with pytest.raises(ValueError):
             ProtocolConfig("P", 10, seed=1, mode="stream")
 
+    @pytest.mark.parametrize("delta", [1e-16, 1.6e-16, 1e-17, 5e-324])
+    def test_delta_below_float_resolution_is_rejected_by_value(self, delta):
+        # 0.5 + (1 - delta)/2 rounds to 1, so the run's Wilson interval would need an infinite quantile
+        for protocol in ("P", "Q"):
+            with pytest.raises(ValueError, match=f"^delta must be at least about 1.7e-16.*got {delta}$"):
+                ProtocolConfig(protocol, 10, seed=1, delta=delta)
+
+    @pytest.mark.parametrize("protocol", ["P", "Q"])
+    def test_smallest_delta_still_certifies(self, protocol):
+        _, verdict = run_protocol(ProtocolConfig(protocol, 20_000, seed=3, delta=2e-16), honest_devices(protocol))
+        assert verdict.decision == "PASS"
+
     def test_abort_verdict_carries_no_bits(self):
         with pytest.raises(ValueError):
             CertificationVerdict("ABORT", (), np.array([1, 0], dtype=np.uint8))

@@ -26,6 +26,9 @@ P_WEIGHTS = {
     (1, 1, 0): 0.15, (1, 1, 1): 0.05, (0, 0, 2): 0.05, (1, 1, 2): 0.03, (0, 1, 2): 0.07,
 }
 Q_WEIGHTS = {(0, 0, 0): 0.4, (0, 1, 0): 0.3, (1, 1, 1): 0.3}
+# zero weight on the first and last of Q's eight cells, and P generate's two cells, one step apart
+Q_EDGE_WEIGHTS = {(0, 0, 1): 0.5, (0, 1, 0): 0.25, (1, 1, 0): 0.25}
+P_GENERATE_WEIGHTS = {(0, 1, 2): 0.25, (1, 0, 2): 0.75}
 
 # name -> (ProtocolConfig keywords, device pair factory)
 CONFIGS = {
@@ -35,6 +38,11 @@ CONFIGS = {
     "Q-generate": ({"protocol": "Q", "mode": "generate"}, lambda: honest_devices("Q")),
     "P-input-weights": ({"protocol": "P", "input_weights": P_WEIGHTS}, lambda: honest_devices("P")),
     "Q-input-weights": ({"protocol": "Q", "input_weights": Q_WEIGHTS}, lambda: honest_devices("Q")),
+    "Q-input-weights-zero-ends": ({"protocol": "Q", "input_weights": Q_EDGE_WEIGHTS}, lambda: honest_devices("Q")),
+    "P-generate-input-weights": (
+        {"protocol": "P", "mode": "generate", "input_weights": P_GENERATE_WEIGHTS},
+        lambda: honest_devices("P"),
+    ),
     "Q-mixed-coin-per-round": ({"protocol": "Q"}, lambda: adversarial_devices("mixed_perfect_even")),
     "Q-mixed-coin-per-run": (
         {"protocol": "Q"},
@@ -200,6 +208,30 @@ def test_chunked_run_matches_single_draw(name, rounds):
     }
     assert verdict.conditions == want_conditions
     assert np.array_equal(verdict.output_bits, want_bits.astype(np.uint8))
+
+
+def weight_vectors():
+    """Weights with zeros first, last and inside, P generate's one-step weights, and random ones with zeros."""
+    yield from ((0.0, 0.0, 0.5, 0.5), (0.5, 0.5, 0.0, 0.0), (0.0, 0.3, 0.0, 0.7, 0.0))
+    yield from ((1.0, 0.0), (0.0, 1.0), (0.25, 0.75))
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        size = int(rng.integers(2, 13))
+        weights = rng.random(size) * (rng.random(size) < 0.6)
+        weights[rng.integers(size)] += 0.1
+        yield tuple(weights / weights.sum())
+
+
+@pytest.mark.parametrize("n", [1, games._DRAW_VALUES + 1, 3 * games._DRAW_VALUES + 17])
+def test_weighted_picks_equal_generator_choice(n):
+    """A one-cell draw whose table is the CDF less its last entry picks as ``choice`` does and ends where it does."""
+    for seed, weights in enumerate(weight_vectors()):
+        probs = np.array(weights)
+        cdf = np.cumsum(probs)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        picks = [pick.copy() for pick in games.draw_codes(n, rng, ((0, 1, 1),), (cdf[:-1] / cdf[-1])[:, None])]
+        assert np.array_equal(np.concatenate(picks), ref_rng.choice(probs.size, size=n, p=probs)), weights
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
