@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import EmptyCondition, MissingCell, TooFewBits
-from .games import _CHUNK_ROUNDS, GameId, PackedBits, RoundColumns, chunk_slices, count_bits, win_mask
+from .games import _CHUNK_ROUNDS, GameId, PackedBits, chunk_slices, count_bits, win_mask
 
 _NORMAL = NormalDist()
 
@@ -90,56 +90,35 @@ def estimate_conditional(
     return Estimate(count / trials, count, trials, lo, hi, confidence)
 
 
-def _score_cells(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (trials, successes) from rounds counted as [x, y, b], cell = 2*x + y."""
+_FORM = "a (4, 2, 2) integer count array [x, y, b]"
+
+
+def _score_cells(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell (trials, successes) over the eight (x0, x1, y) cells, cell = 2*x + y, of a ``_FORM`` array."""
+    if not isinstance(counts, np.ndarray):
+        raise ValueError(f"statistic_A scores {_FORM}; got {type(counts).__name__}")
+    if counts.shape != (4, 2, 2) or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"statistic_A scores {_FORM}; got a {counts.dtype} array of shape {counts.shape}")
+    if np.any(counts < 0):
+        raise ValueError(f"statistic_A scores {_FORM}; got a negative count")
     win = win_mask(GameId.TAVAKOLI).reshape(4, 2, 2)
     return counts.sum(axis=2).reshape(8), (counts * win).sum(axis=2).reshape(8)
 
 
-_FORMS = "a (4, 2, 2) integer count array [x, y, b] or RoundColumns with inputs (x0, x1, y) and outputs (b,)"
-
-
-def _records_to_cells(records) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (trials, successes) arrays over the eight (x0, x1, y) cells.
-
-    ``records`` is either self-test rounds counted as [x, y, b] with
-    x = 2*x0 + x1, or ``RoundColumns`` with inputs (x0, x1, y) and outputs
-    (b,), counted here into the same shape.
-    """
-    if isinstance(records, np.ndarray):
-        if records.shape != (4, 2, 2) or not np.issubdtype(records.dtype, np.integer):
-            raise ValueError(f"statistic_A scores {_FORMS}; got a {records.dtype} array of shape {records.shape}")
-        if np.any(records < 0):
-            raise ValueError(f"statistic_A scores {_FORMS}; got a negative count")
-        return _score_cells(records)
-    if not isinstance(records, RoundColumns):
-        raise ValueError(f"statistic_A scores {_FORMS}; got {type(records).__name__}")
-    inputs, outputs = records.inputs, records.outputs
-    if inputs.shape[1:] != (3,) or outputs.shape[1:] != (1,):
-        raise ValueError("self-test records have inputs (x0, x1, y) and one output b")
-    columns = (*inputs.T, outputs[:, 0])
-    for name, column in zip(("x0", "x1", "y", "b"), columns):
-        bad = column[(column != 0) & (column != 1)]
-        if bad.size:
-            raise ValueError(f"self-test records must have {name} in {{0, 1}}, got {bad[0]}")
-    x0, x1, y, b = columns
-    return _score_cells(np.bincount(8 * x0 + 4 * x1 + 2 * y + b, minlength=16).reshape(4, 2, 2))
-
-
-def statistic_A(check_records, confidence: float = 0.99) -> Estimate:
+def statistic_A(counts: np.ndarray, confidence: float = 0.99) -> Estimate:
     """Cell-averaged self-test statistic over the eight (x0, x1, y) cells.
 
     The point is the unweighted mean of the per-cell empirical Pr[b == x_y]
     (mirroring the statistic's 1/8 prefactor), NOT the pooled frequency.  The
     interval combines per-cell Hoeffding radii at confidence split evenly
-    across the cells, which is conservative.  ``check_records`` is the
-    self-test rounds counted as a (4, 2, 2) integer array [x, y, b] with
-    x = 2*x0 + x1, such as ``tally[:, :2]`` of a protocol P run, or
-    self-test ``RoundColumns``; anything else raises ValueError.
+    across the cells, which is conservative.  ``counts`` is the self-test
+    rounds counted as a (4, 2, 2) integer array [x, y, b] with
+    x = 2*x0 + x1, such as ``tally[:, :2]`` of a protocol P run; anything
+    else, per-round ``RoundColumns`` included, raises ValueError.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    trials, successes = _records_to_cells(check_records)
+    trials, successes = _score_cells(counts)
     if np.any(trials == 0):
         empty = [f"{c >> 2 & 1}{c >> 1 & 1}|y={c & 1}" for c in np.flatnonzero(trials == 0)]
         raise MissingCell(f"no records in cell(s) {', '.join(empty)}")

@@ -27,6 +27,7 @@ import copy
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -538,6 +539,18 @@ _DRAW_VALUES = 1 << 13      # int64 values per piece of a chunked integer draw: 
 MAX_ROUNDS = int(np.iinfo(np.int64).max)    # the most rounds or trials an int64 tally can count
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value, low: int = 0) -> None:
+    """Reject a round or trial count that is not an integer in [low, ``MAX_ROUNDS``]."""
+    _check_integer(name, value)
+    if not low <= value <= MAX_ROUNDS:
+        raise ValueError(f"{name} must lie in [{low}, {MAX_ROUNDS}], got {value}")
+
+
 def chunk_slices(n: int, size: int = _CHUNK_ROUNDS) -> Iterator[slice]:
     """Consecutive slices of at most ``size`` rounds covering range(n)."""
     return (slice(start, min(start + size, n)) for start in range(0, n, size))
@@ -588,7 +601,12 @@ class PackedBits:
         self._counts = None
 
     def drop(self, n: int = 0) -> PackedBits:
-        """A sealed copy of these bits past the first n (none by default), sharing their packed pieces."""
+        """A sealed copy of these bits past the first n (none by default), sharing their packed pieces.
+
+        A nonnegative n past the end drops every bit; a negative n raises ValueError.
+        """
+        if n < 0:
+            raise ValueError(f"drop takes n >= 0 bits, got {n}")
         rest = PackedBits()
         n = min(n, self.size)
         skip, first = self._skip + n, 0
@@ -626,7 +644,9 @@ class PackedBits:
         return self._counts
 
     def unpack(self, n: int | None = None) -> np.ndarray:
-        """The first n bits, all of them by default, as one exact-size uint8 array."""
+        """The first n bits, all of them by default, as one exact-size uint8 array; n must lie in [0, size]."""
+        if n is not None and not 0 <= n <= self.size:
+            raise ValueError(f"unpack takes n in [0, {self.size}] bits, got {n}")
         bits = np.empty(self.size if n is None else n, dtype=np.uint8)
         for start, block in zip(range(0, bits.size, _CHUNK_ROUNDS), self.blocks()):
             bits[start : start + block.size] = block[: bits.size - start]
@@ -797,6 +817,7 @@ class RoundSampler:
 
     def tally(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n rounds drawn as ``sample_many`` draws them, counted as int64 on the axes of ``win_mask``."""
+        _check_count("n", n)
         counts = np.zeros(len(self._code_inputs), dtype=np.int64)
         for code in draw_codes(n, rng, self._ranges, self._threshold):
             counts += np.bincount(code, minlength=counts.size)
@@ -806,6 +827,7 @@ class RoundSampler:
 
     def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
         """n rounds with uniform inputs, in round order, as int8 columns (6 B/round for pt3)."""
+        _check_count("n", n)
         inputs = np.empty((n, _SHAPES[self.game].inputs), dtype=np.int8)
         outputs = np.empty((n, _SHAPES[self.game].outputs), dtype=np.int8)
         for piece, code in zip(chunk_slices(n, _DRAW_VALUES), draw_codes(n, rng, self._ranges, self._threshold)):

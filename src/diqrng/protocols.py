@@ -27,9 +27,10 @@ play-game and the guessing bounds too.  Weighted inputs come from
 ``games.draw_codes`` with their CDF as the threshold table, which picks as
 ``Generator.choice`` does.  The bits come from ``games._Scratch.measure``,
 the one kernel, with thresholds 1 - Pr[b = 1].
-``BinStore`` holds the tally and answers the bin counts.  The per-round bin
-views are ``games.RoundColumns`` with inputs (x0, x1, setting) and output
-(b,), rebuilt on first access by replaying the same round stream.
+``BinStore`` holds the tally and answers the bin counts.  Its one per-round
+view, the Rand bin's rounds as ``games.RoundColumns`` with inputs (x0, x1,
+setting) and output (b,), is rebuilt on first access by replaying the same
+round stream and keeping only its Rand rounds.
 
 Certification is a pure function of counts.  ``certify`` builds every
 condition of a verdict from the run's tally and, for Q's odd test, the
@@ -55,13 +56,13 @@ import numpy as np
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import MAX_ROUNDS, PackedBits, RoundColumns, _gather, _Scratch, add_integers, draw_cells, draw_codes
-from .games import read_only_view
+from .games import MAX_ROUNDS, PackedBits, RoundColumns, _check_count, _check_integer, _gather, _Scratch
+from .games import add_integers, draw_cells, draw_codes, read_only_view
 
 A_STAR = QUANTUM_WIN
 
 # The bin of each (x, setting) cell, x = 2*x0 + x1: 0 Check, 1 Rand, 2 False.
-_CHECK, _RAND, _FALSE = 0, 1, 2
+_CHECK, _RAND = 0, 1
 _BIN_OF = {
     "P": np.array([[0, 0, 2], [0, 0, 1], [0, 0, 1], [0, 0, 2]]),   # Rand/False only at y = 2
     "Q": np.array([[0, 1], [1, 0], [1, 0], [0, 1]]),               # Check iff x0 + x1 + x2 is even
@@ -211,34 +212,24 @@ def _win(game: GameId) -> np.ndarray:
 
 
 class BinStore:
-    """A run's rounds: their tally by (x, setting, b) and their Check/Rand/False bins.
+    """A run's rounds: their tally by (x, setting, b), its bin counts and the Rand bin's rounds.
 
     ``tally`` counts the rounds as [x, setting, b], x = 2*x0 + x1; it is all
-    that ``certify`` reads besides Q's odd-test count.  The bin views hold every
-    round's inputs and output, so a run does not keep them: they are rebuilt
+    that ``certify`` reads besides Q's odd-test count, and ``counts()`` reads
+    the Check, Rand and (for P) False bin sizes from it.  ``rand`` holds every
+    Rand round's inputs and output, so a run does not keep it: it is rebuilt
     on first access by replaying the run's round stream.
     """
 
-    def __init__(self, protocol: str, tally: np.ndarray, replay: Callable[[], tuple[RoundColumns, ...]]):
+    def __init__(self, protocol: str, tally: np.ndarray, replay: Callable[[], RoundColumns]):
         self.protocol = protocol
         self.tally = read_only_view(tally)
         self._replay = replay
 
     @functools.cached_property
-    def _views(self) -> tuple[RoundColumns, ...]:
-        return self._replay()
-
-    @property
-    def check(self) -> RoundColumns:
-        return self._views[_CHECK]
-
-    @property
     def rand(self) -> RoundColumns:
-        return self._views[_RAND]
-
-    @property
-    def false_bin(self) -> RoundColumns | None:
-        return self._views[_FALSE] if self.protocol == "P" else None
+        """The Rand rounds in round order: int8 ``inputs`` (x0, x1, setting) and ``outputs`` (b,)."""
+        return self._replay()
 
     def counts(self) -> dict[str, int]:
         return _bin_counts(self.protocol, self.tally)
@@ -304,11 +295,6 @@ class ProtocolConfig:
             if self.mode == "test":
                 _check_scored_cells(self.protocol, probs)
             object.__setattr__(self, "input_weights", dict(self.input_weights))
-
-
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _input_probs(protocol: str, mode: str, weights: dict) -> np.ndarray:
@@ -465,20 +451,17 @@ def _round_chunks(
         yield scratch.measure(cell, threshold, index, meas_rng)
 
 
-def _bin_views(config: ProtocolConfig, devices: DevicePair, table: np.ndarray) -> tuple[RoundColumns, ...]:
-    """Replay the run's rounds into its Check, Rand and False bins, each in round order.
+def _rand_view(config: ProtocolConfig, devices: DevicePair, table: np.ndarray, is_rand: np.ndarray) -> RoundColumns:
+    """Replay the run's Rand rounds, those whose code is in ``is_rand``, in round order.
 
-    A bin's ``inputs`` are (x0, x1, setting) and its ``outputs`` are (b,), both int8.
+    ``inputs`` are (x0, x1, setting) and ``outputs`` are (b,), both int8.
     """
-    bin_of = _BIN_OF[config.protocol]
-    pieces: list[list] = [[] for _ in range(bin_of.max() + 1)]
-    for code, b in _round_chunks(config, devices, table, _Scratch(config.rounds)):
-        x, setting = np.divmod(code >> 1, bin_of.shape[1])
-        rounds = np.column_stack([x >> 1, x & 1, setting, b]).astype(np.int8)
-        which = bin_of[x, setting]
-        for k, bin_pieces in enumerate(pieces):
-            bin_pieces.append(rounds[which == k])
-    return tuple(RoundColumns(*np.hsplit(np.concatenate(p), [3])) for p in pieces)
+    pieces = []
+    for code, _ in _round_chunks(config, devices, table, _Scratch(config.rounds)):
+        code = code[is_rand[code]]
+        x, setting = np.divmod(code >> 1, table.shape[2])
+        pieces.append(np.column_stack([x >> 1, x & 1, setting, code & 1]).astype(np.int8))
+    return RoundColumns(*np.hsplit(np.concatenate(pieces), [3]))
 
 
 def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore, CertificationVerdict]:
@@ -514,7 +497,8 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     test_len = math.ceil(config.gamma * odd_matches.size)
     odd_hits = int(np.count_nonzero(odd_matches.unpack(test_len)))
 
-    bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), lambda: _bin_views(config, devices, table))
+    replay = functools.partial(_rand_view, config, devices, table, is_rand)
+    bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), replay)
     conditions = certify(config, bins.tally, odd_hits, test_len)
     return bins, _verdict(conditions, bits, (devices.caveat,) if devices.caveat else (), test_len)
 
@@ -602,11 +586,10 @@ def _guessing_experiments() -> tuple[tuple[str, tuple[int, int], tuple[int, int]
 
     x = 2*x0 + x1 and the setting are uniform over their ranges.
     """
-    x, setting, b = np.indices((4, 3, 2))
-    a = x >> 1                      # the preparation's in-basis index
-    xp = a ^ (x & 1)
-    # y < 2 plays CHSH; y = 2 matches b to a deterministically when x' = 0 and is condition-free when x' = 1
-    augmented = np.where(setting < 2, (xp & setting) == (a ^ b), (xp == 1) | (b == a))
+    x, _, b = np.indices((4, 3, 2))
+    a, x1 = x >> 1, x & 1           # a is the preparation's in-basis index
+    # y < 2 plays the self-test; y = 2 matches b to a when x' = a ^ x1 is 0 and is condition-free when it is 1
+    augmented = np.concatenate([_win(GameId.TAVAKOLI), ((b == a) | (a != x1))[:, 2:]], axis=1)
     return (
         ("augmented_chsh_score", (0, 4), (0, 3), augmented),
         ("output_guess_rate", (0, 4), (2, 3), b == a),
@@ -648,9 +631,7 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     counts its wins with its win mask over (x, setting, b); its expected
     rate is exact, from the same mask.
     """
-    _check_integer("trials", trials)
-    if not 1 <= trials <= MAX_ROUNDS:
-        raise ValueError(f"trials must lie in [1, {MAX_ROUNDS}], got {trials}")
+    _check_count("trials", trials, 1)
     table = honest_devices("P").response_table("P")[0]
     threshold = (1.0 - table).reshape(1, -1)    # one step, by cell = 3*x + setting
     checks = []

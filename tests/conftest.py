@@ -2,7 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from diqrng import games, protocols
 
 
 def _traced_peak(fn):
@@ -34,3 +37,20 @@ def traced_peak():
 @pytest.fixture
 def traced_slope():
     return _traced_slope
+
+
+def _replay_rounds(config, devices):
+    """Every round of a protocol run in round order, as int64 columns (x, setting, b) with x = 2*x0 + x1.
+
+    A replay of ``protocols._round_chunks``, the round stream that ``run_protocol`` tallies.
+    """
+    table = devices.response_table(config.protocol)
+    chunks = protocols._round_chunks(config, devices, table, games._Scratch(config.rounds))
+    code = np.concatenate([code.copy() for code, _ in chunks])     # each chunk's views are overwritten by the next
+    x, setting = np.divmod(code >> 1, table.shape[2])
+    return x, setting, code & 1
+
+
+@pytest.fixture
+def replay_rounds():
+    return _replay_rounds

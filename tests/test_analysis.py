@@ -111,16 +111,16 @@ class TestStatisticA:
         records = make_records(
             [(x0, x1, y, (x0, x1)[y]) for x0 in (0, 1) for x1 in (0, 1) for y in (0, 1)] * 10
         )
-        est = statistic_A(records)
+        est = statistic_A(self_test_tally(records))
         assert est.point == 1.0
-        assert statistic_A(self_test_tally(records)) == est
+        assert est.count == est.trials == 80
 
     def test_always_zero_records(self):
         # b = 0 matches x_y in exactly half the eight cells
         records = make_records(
             [(x0, x1, y, 0) for x0 in (0, 1) for x1 in (0, 1) for y in (0, 1)] * 10
         )
-        assert statistic_A(records).point == 0.5
+        assert statistic_A(self_test_tally(records)).point == 0.5
 
     def test_cell_averaged_not_pooled(self):
         # one cell sampled 90 times at rate 0, others once at rate 1
@@ -134,7 +134,7 @@ class TestStatisticA:
                 if (x0, x1, y) != (0, 0, 0)
             ]
         )
-        est = statistic_A(records)
+        est = statistic_A(self_test_tally(records))
         assert est.point == pytest.approx(7 / 8, abs=1e-12)   # unweighted cell mean
         assert est.count / est.trials != est.point            # pooled rate differs
 
@@ -147,73 +147,63 @@ class TestStatisticA:
     def test_missing_cell(self):
         records = make_records([(0, 0, 0, 0)] * 5)
         with pytest.raises(MissingCell):
-            statistic_A(records)
-
-    def test_rejects_rand_settings(self):
-        records = make_records([(0, 1, 0, 0)] * 8 + [(0, 1, 2, 0)])
-        with pytest.raises(ValueError, match="y in"):
-            statistic_A(records)
-
-    @pytest.mark.parametrize("column,value", [(0, 2), (1, -1), (2, -1), (3, 5), (3, -1)])
-    def test_rejects_non_bit_values(self, column, value):
-        # eight perfect records plus one whose x0, x1, y or b is not a bit
-        perfect = [(x0, x1, y, (x0, x1)[y]) for x0 in (0, 1) for x1 in (0, 1) for y in (0, 1)]
-        extra = [0, 0, 0, 0]
-        extra[column] = value
-        name = ("x0", "x1", "y", "b")[column]
-        with pytest.raises(ValueError, match=f"{name} in {{0, 1}}, got {value}"):
-            statistic_A(make_records(perfect + [tuple(extra)]))
+            statistic_A(self_test_tally(records))
 
     def test_rejects_other_arities(self):
+        # another game's tally has its own axes, CHSH's [x, y, a, b]
         chsh = RoundSampler(GameId.CHSH, paper_strategy(GameId.CHSH))
-        with pytest.raises(ValueError, match="one output b"):
-            statistic_A(chsh.sample_many(100, np.random.default_rng(1)))
+        with pytest.raises(ValueError, match=r"count array .*; got a int64 array of shape \(2, 2, 2, 2\)$"):
+            statistic_A(chsh.tally(100, np.random.default_rng(1)))
 
-    @pytest.mark.parametrize("bin_name", ["rand", "false_bin"])
-    def test_run_bins_at_setting_two_rejected(self, bin_name):
+    def test_run_counts_path(self, replay_rounds):
         from diqrng.protocols import ProtocolConfig, honest_devices, run_protocol
 
-        bins, _ = run_protocol(ProtocolConfig("P", 2_000, seed=3), honest_devices("P"))
-        with pytest.raises(ValueError, match="y in"):
-            statistic_A(getattr(bins, bin_name))
-
-    def test_run_counts_path(self):
-        from diqrng.protocols import ProtocolConfig, honest_devices, run_protocol
-
-        bins, _ = run_protocol(ProtocolConfig("P", 2_000, seed=3), honest_devices("P"))
-        assert statistic_A(bins.tally[:, :2]) == statistic_A(bins.check)
-        with pytest.raises(ValueError, match="count array .* or RoundColumns.*; got BinStore"):
+        config = ProtocolConfig("P", 2_000, seed=3)
+        bins, _ = run_protocol(config, honest_devices("P"))
+        # the Check rounds of the run's round stream, counted here
+        x, setting, b = replay_rounds(config, honest_devices("P"))
+        check = setting < 2
+        counts = np.bincount(4 * x[check] + 2 * setting[check] + b[check], minlength=16).reshape(4, 2, 2)
+        assert statistic_A(bins.tally[:, :2]) == statistic_A(counts)
+        with pytest.raises(ValueError, match="count array .*; got BinStore"):
             statistic_A(bins)
 
     def test_batch_fast_path_matches_record_path(self):
-        # the columns path and the counts path score the same rounds alike
-        rng = np.random.default_rng(8)
-        batch = make_records(rng.integers(0, 2, (500, 4)))
-        assert statistic_A(batch) == statistic_A(self_test_tally(batch))
-        per_round = [(*io.inputs, *io.outputs) for io in batch]
-        assert statistic_A(make_records(per_round)) == statistic_A(batch)
+        # the counts path scores as the per-cell mean of Pr[b == x_y] counted round by round
+        rounds = np.random.default_rng(8).integers(0, 2, (500, 4))
+        est = statistic_A(self_test_tally(make_records(rounds)))
+        rates = []
+        for x0 in (0, 1):
+            for x1 in (0, 1):
+                for y in (0, 1):
+                    cell = [b == (x0, x1)[y] for r0, r1, ry, b in rounds.tolist() if (r0, r1, ry) == (x0, x1, y)]
+                    rates.append(sum(cell) / len(cell))
+        assert est.point == pytest.approx(sum(rates) / 8, abs=1e-15)
+        assert est.trials == 500
+        assert est.count == sum(int(b == (r0, r1)[ry]) for r0, r1, ry, b in rounds.tolist())
 
     def test_matches_strategy_exact_score(self):
         # sampled rounds from the optimal strategy reproduce the exact statistic
         strategy = paper_strategy(GameId.TAVAKOLI)
         exact = exact_score(GameId.TAVAKOLI, strategy).value
         sampler = RoundSampler(GameId.TAVAKOLI, strategy)
-        rounds = sampler.sample_many(40_000, np.random.default_rng(77))
-        est = statistic_A(rounds)
-        assert est == statistic_A(self_test_tally(rounds))
-        eps = hoeffding_radius(1e-6, len(rounds))
+        tally = sampler.tally(40_000, np.random.default_rng(77)).reshape(4, 2, 2)
+        est = statistic_A(tally)
+        # the tally counts the rounds that sample_many draws
+        assert est == statistic_A(self_test_tally(sampler.sample_many(40_000, np.random.default_rng(77))))
+        eps = hoeffding_radius(1e-6, est.trials)
         assert abs(est.point - exact) <= 4 * eps
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_tally_scores_as_its_rounds(self, seed):
-        # a tally and the same rounds, expanded and shuffled into RoundColumns, score alike
+        # a tally and the same rounds, expanded, shuffled and counted back round by round, score alike
         rng = np.random.default_rng(seed)
         tally = rng.integers(1, 60, size=(4, 2, 2))
         x, y, b = np.indices(tally.shape).reshape(3, -1)
         rounds = np.repeat(np.column_stack([x >> 1, x & 1, y, b]), tally.ravel(), axis=0)
-        rounds = rng.permutation(rounds).astype(np.int8)
-        columns = RoundColumns(rounds[:, :3], rounds[:, 3:])
-        assert statistic_A(tally, confidence=0.9) == statistic_A(columns, confidence=0.9)
+        counted = self_test_tally(make_records(rng.permutation(rounds)))
+        assert np.array_equal(counted, tally)
+        assert statistic_A(tally, confidence=0.9) == statistic_A(counted, confidence=0.9)
 
     @pytest.mark.parametrize(
         "counts,named",
@@ -228,11 +218,14 @@ class TestStatisticA:
     def test_count_array_is_checked(self, counts, named):
         with pytest.raises(ValueError, match="count array") as err:
             statistic_A(counts)
-        assert "RoundColumns" in str(err.value) and named in str(err.value)
+        assert "a (4, 2, 2) integer count array [x, y, b]" in str(err.value) and named in str(err.value)
 
-    @pytest.mark.parametrize("records", [[[[1, 1], [1, 1]]] * 4, "0101", None, 7])
+    # per-round RoundColumns are refused too: statistic_A scores counts only
+    @pytest.mark.parametrize(
+        "records", [[[[1, 1], [1, 1]]] * 4, "0101", None, 7, make_records([(0, 1, 0, 1)] * 8)]
+    )
     def test_other_objects_are_rejected(self, records):
-        with pytest.raises(ValueError, match="count array .* or RoundColumns"):
+        with pytest.raises(ValueError, match=f"count array .*; got {type(records).__name__}$"):
             statistic_A(records)
 
 

@@ -227,6 +227,25 @@ def test_tally_counts_the_sampled_rounds_by_code(strategy, n):
     assert rng.bit_generator.state == rounds_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [-5, -1, games.MAX_ROUNDS + 1])
+def test_sampler_rejects_round_counts_out_of_range(n):
+    sampler = RoundSampler(GameId.CHSH, paper_strategy(GameId.CHSH))
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for draw in (sampler.tally, sampler.sample_many):
+        with pytest.raises(ValueError, match=rf"^n must lie in \[0, {games.MAX_ROUNDS}\], got {n}$"):
+            draw(n, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+def test_sampler_rejects_round_counts_that_are_not_integers(n):
+    sampler = RoundSampler(GameId.CHSH, paper_strategy(GameId.CHSH))
+    for draw in (sampler.tally, sampler.sample_many):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            draw(n, np.random.default_rng(1))
+
+
 @pytest.mark.parametrize(
     "ranges",
     [((0, 4, 3), (0, 3, 1)), ((1, 3, 3), (2, 3, 1)), ((2, 3, 1), (0, 4, 3)), ((0, 2, 5), (0, 3, 2), (0, 4, 1))],

@@ -147,11 +147,10 @@ class TestAdversarialDevices:
     def test_input_guesser_success_is_half(self):
         config = ProtocolConfig("P", 40_000, seed=321)
         bins, _ = run_protocol(config, adversarial_devices("input_guesser"))
-        hits = trials = 0
-        for batch in (bins.check, bins.rand, bins.false_bin):
-            xp = batch.inputs[:, 0] ^ batch.inputs[:, 1]
-            hits += int(np.count_nonzero(batch.outputs[:, 0] == xp))
-            trials += len(batch)
+        # the rounds of every bin whose b is x' = x0 ^ x1, counted from the tally [x, setting, b]
+        x, _, b = np.indices(bins.tally.shape)
+        hits = int(bins.tally[b == (x >> 1) ^ (x & 1)].sum())
+        trials = int(bins.tally.sum())
         assert trials == config.rounds
         assert abs(hits / trials - 0.5) <= 4 * math.sqrt(0.25 / trials)
 
@@ -160,9 +159,9 @@ class TestAdversarialDevices:
         pair = adversarial_devices("input_guesser", coin_per_round=False)
         assert pair.uses_coin and not pair.coin_per_round
         bins, _ = run_protocol(ProtocolConfig(protocol, 5_000, seed=29), pair)
-        # the guesser answers its coin in every cell, so the run's bits are its coin column
-        batches = [bins.check, bins.rand] + ([bins.false_bin] if protocol == "P" else [])
-        assert np.unique(np.concatenate([batch.outputs for batch in batches])).size == 1
+        # the guesser answers its coin in every cell, so every round of every bin has the one coin as b
+        per_b = bins.tally.sum(axis=(0, 1))
+        assert sorted(per_b.tolist()) == [0, 5_000]
 
 
 class TestRunProtocolP:
@@ -180,31 +179,36 @@ class TestRunProtocolP:
     def test_bin_partition(self):
         config = ProtocolConfig("P", 9_999, seed=5)
         bins, _ = run_protocol(config, honest_devices("P"))
-        views = {"check": bins.check, "rand": bins.rand, "false": bins.false_bin}
-        assert {name: len(view) for name, view in views.items()} == bins.counts()
+        # each bin's rounds by the bin rule, from the tally [x, setting, b] and the Rand view
+        rule = {"check": bins.tally[:, :2], "rand": bins.tally[[1, 2], 2], "false": bins.tally[[0, 3], 2]}
+        assert {name: int(cells.sum()) for name, cells in rule.items()} == bins.counts()
+        assert len(bins.rand) == bins.counts()["rand"]
         assert sum(bins.counts().values()) == config.rounds
 
     def test_bin_membership_rules(self):
         bins, _ = run_protocol(ProtocolConfig("P", 5_000, seed=6), honest_devices("P"))
-        assert np.all(bins.check.inputs[:, 2] < 2)
+        # every round at setting < 2 is a Check round, and every other round sits at setting 2
+        assert bins.counts()["check"] == int(bins.tally[:, :2].sum())
+        assert bins.counts()["rand"] + bins.counts()["false"] == int(bins.tally[:, 2].sum())
         assert np.all(bins.rand.inputs[:, 2] == 2)
         assert np.all(bins.rand.inputs[:, 0] != bins.rand.inputs[:, 1])
-        assert np.all(bins.false_bin.inputs[:, 2] == 2)
-        assert np.all(bins.false_bin.inputs[:, 0] == bins.false_bin.inputs[:, 1])
+        # so the False rounds are the setting-2 rounds with x0 == x1
+        false = bins.counts()["false"]
+        assert false == int(bins.tally[:, 2].sum()) - len(bins.rand) == int(bins.tally[[0, 3], 2].sum())
 
     def test_false_bin_deterministic_everywhere(self):
         bins, _ = run_protocol(ProtocolConfig("P", 60_000, seed=77), honest_devices("P"))
-        x = 2 * bins.false_bin.inputs[:, 0] + bins.false_bin.inputs[:, 1]
-        assert np.all(bins.false_bin.outputs[x == 0] == 0)
-        assert np.all(bins.false_bin.outputs[x == 3] == 1)
+        # tally [x, setting, b]: no x = 00 False round has b = 1, no x = 11 one b = 0
+        assert bins.tally[0, 2, 1] == 0 and bins.tally[0, 2, 0] > 0
+        assert bins.tally[3, 2, 0] == 0 and bins.tally[3, 2, 1] > 0
 
     def test_replay_determinism(self):
         config = ProtocolConfig("P", 20_000, seed=12345)
         bins1, verdict1 = run_protocol(config, honest_devices("P"))
         bins2, verdict2 = run_protocol(config, honest_devices("P"))
-        for a, b in ((bins1.check, bins2.check), (bins1.rand, bins2.rand), (bins1.false_bin, bins2.false_bin)):
-            assert np.array_equal(a.inputs, b.inputs)
-            assert np.array_equal(a.outputs, b.outputs)
+        assert np.array_equal(bins1.tally, bins2.tally)
+        assert np.array_equal(bins1.rand.inputs, bins2.rand.inputs)
+        assert np.array_equal(bins1.rand.outputs, bins2.rand.outputs)
         assert verdict1.decision == verdict2.decision
         assert np.array_equal(verdict1.output_bits, verdict2.output_bits)
         assert verdict1.conditions == verdict2.conditions
@@ -231,7 +235,7 @@ class TestRunProtocolP:
         assert verdict.decision == "PASS"
         assert verdict.output_bits.size == config.rounds
         assert len(bins.rand) == config.rounds
-        assert len(bins.check) == 0
+        assert bins.counts()["check"] == 0 and not bins.tally[:, :2].any()
 
     def test_zero_rounds(self):
         with pytest.raises(InsufficientRounds):
@@ -265,11 +269,13 @@ class TestRunProtocolQ:
 
     def test_every_check_round_wins(self):
         bins, _ = run_protocol(ProtocolConfig("Q", 50_000, seed=3), honest_devices("Q"))
-        x0 = bins.check.inputs[:, 0].astype(int)
-        x1 = bins.check.inputs[:, 1].astype(int)
-        x2 = bins.check.inputs[:, 2].astype(int)
-        b = bins.check.outputs[:, 0].astype(int)
-        assert np.all((x0 + x1 + x2) // 2 == b + (x0 & (x0 ^ x1)))
+        # the tally [x, setting, b] holds no even-weight (Check) round that loses
+        x, x2, b = np.indices(bins.tally.shape)
+        x0, x1 = x >> 1, x & 1
+        even = (x0 + x1 + x2) % 2 == 0
+        wins = (x0 + x1 + x2) // 2 == b + (x0 & (x0 ^ x1))
+        assert bins.tally[even & ~wins].sum() == 0
+        assert bins.tally[even].sum() == bins.counts()["check"] > 0
 
     def test_x1_forwarder_aborts_with_exact_one(self):
         config = ProtocolConfig("Q", 10_000, seed=11)
@@ -515,18 +521,18 @@ class TestGuessingBounds:
 class TestRoundBatch:
     def test_records_view(self):
         bins, _ = run_protocol(ProtocolConfig("P", 200, seed=55), honest_devices("P"))
-        assert isinstance(bins.check, RoundColumns)
-        assert bins.check.inputs.dtype == bins.check.outputs.dtype == np.int8
-        record = bins.check[0]
-        assert record.inputs == tuple(int(v) for v in bins.check.inputs[0])
-        assert record.outputs == (int(bins.check.outputs[0, 0]),)
+        assert isinstance(bins.rand, RoundColumns)
+        assert bins.rand.inputs.dtype == bins.rand.outputs.dtype == np.int8
+        record = bins.rand[0]
+        assert record.inputs == tuple(int(v) for v in bins.rand.inputs[0])
+        assert record.outputs == (int(bins.rand.outputs[0, 0]),)
         assert record.outputs[0] in (0, 1)
-        assert len(list(bins.check)) == len(bins.check)
+        assert len(list(bins.rand)) == len(bins.rand)
 
 
 class TestRunnerDeviceConsistency:
     @pytest.mark.parametrize("protocol", ["P", "Q"])
-    def test_vectorized_run_matches_per_round_device_calls(self, protocol):
+    def test_vectorized_run_matches_per_round_device_calls(self, protocol, replay_rounds):
         # replay the run's randomness streams through a qcore reference table, round by round
         config = ProtocolConfig(protocol, 500, seed=99)
         pair = honest_devices(protocol)
@@ -547,18 +553,17 @@ class TestRunnerDeviceConsistency:
             expected.append(0 if u[i] < 1.0 - p1 else 1)
         expected = np.array(expected)
 
-        # each bin holds its rounds in round order
+        # the run's round stream holds every round in round order, and the Rand bin its Rand rounds
+        got_x, got_setting, got_b = replay_rounds(config, pair)
+        assert got_x.tolist() == x.tolist() and got_setting.tolist() == setting.tolist()
+        assert got_b.tolist() == expected.tolist()
         if protocol == "P":
-            in_bin = [setting < 2, (setting == 2) & ((x == 1) | (x == 2)), (setting == 2) & ((x == 0) | (x == 3))]
-            batches = [bins.check, bins.rand, bins.false_bin]
+            in_rand = (setting == 2) & ((x == 1) | (x == 2))
         else:
-            even = ((x >> 1) + (x & 1) + setting) % 2 == 0
-            in_bin, batches = [even, ~even], [bins.check, bins.rand]
-        seen = 0
-        for batch, mask in zip(batches, in_bin):
-            assert [record.outputs for record in batch] == [(int(b),) for b in expected[mask]]
-            seen += len(batch)
-        assert seen == n
+            in_rand = ((x >> 1) + (x & 1) + setting) % 2 == 1
+        assert [record.outputs for record in bins.rand] == [(int(b),) for b in expected[in_rand]]
+        assert np.array_equal(bins.tally.ravel(), np.bincount(2 * (bins.tally.shape[1] * x + setting) + expected,
+                                                              minlength=bins.tally.size))
 
     def test_estimate_conditional_on_rand_records(self):
         from diqrng.analysis import estimate_conditional

@@ -60,8 +60,8 @@ CONFIGS = {
 # reference: the whole run drawn at once, binned by masks, certified per round
 # ---------------------------------------------------------------------------
 
-def reference_run(config, devices):
-    """Return (check, rand, false) RoundColumns, conditions and output bits."""
+def reference_rounds(config, devices):
+    """Return every round as columns (x, setting, b), x = 2*x0 + x1, and the (check, rand, false) RoundColumns."""
     table = devices.response_table(config.protocol)
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
@@ -103,13 +103,17 @@ def reference_run(config, devices):
     else:
         even = ((x >> 1) + (x & 1) + setting) % 2 == 0
         check, rand, false = batch(even), batch(~even), None
-    bins = (check, rand, false)
+    return (x, setting, b), (check, rand, false)
 
+
+def reference_certify(bins, config):
+    """Return the conditions and output bits of a run's (check, rand, false) RoundColumns."""
     if config.mode == "generate":
-        return bins, (rand_nonempty(len(rand) > 0),), rand.outputs[:, 0]
+        rand = bins[1]
+        return (rand_nonempty(len(rand) > 0),), rand.outputs[:, 0]
     if config.protocol == "P":
-        return (bins,) + reference_certify_p(bins, config)
-    return (bins,) + reference_certify_q(bins, config)
+        return reference_certify_p(bins, config)
+    return reference_certify_q(bins, config)
 
 
 def count_condition(name, hits, trials, target, satisfied, radius, delta, **detail):
@@ -124,12 +128,18 @@ def rand_nonempty(ok):
     return ConditionCheck("rand_nonempty", float(ok), (float(ok), float(ok)), 1.0, ok, {})
 
 
+def self_test_counts(check):
+    """Self-test rounds counted as [x, y, b], x = 2*x0 + x1."""
+    x0, x1, y = check.inputs.T.astype(np.int64)
+    return np.bincount(8 * x0 + 4 * x1 + 2 * y + check.outputs[:, 0], minlength=16).reshape(4, 2, 2)
+
+
 def reference_certify_p(bins, config):
     check, rand, false = bins
     if len(check) == 0:
         raise InsufficientRounds("check bin is empty")
     try:
-        a_hat = analysis.statistic_A(check, confidence=1.0 - config.delta)
+        a_hat = analysis.statistic_A(self_test_counts(check), confidence=1.0 - config.delta)
     except MissingCell as exc:
         raise InsufficientRounds(str(exc)) from exc
     radius = analysis.hoeffding_radius(config.delta, len(check))
@@ -183,11 +193,15 @@ def reference_certify_q(bins, config):
 
 @pytest.mark.parametrize("rounds", ROUNDS)
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_chunked_run_matches_single_draw(name, rounds):
+def test_chunked_run_matches_single_draw(name, rounds, replay_rounds):
     keywords, make_pair = CONFIGS[name]
     config = ProtocolConfig(rounds=rounds, seed=20_000 + rounds, **keywords)
+    want_rounds, want_bins = reference_rounds(config, make_pair())
+    # the chunked stream that a run tallies is the single draw, round by round
+    for got, want in zip(replay_rounds(config, make_pair()), want_rounds, strict=True):
+        assert np.array_equal(got, want)
     try:
-        want_bins, want_conditions, want_bits = reference_run(config, make_pair())
+        want_conditions, want_bits = reference_certify(want_bins, config)
     except InsufficientRounds as exc:
         with pytest.raises(InsufficientRounds) as got:
             run_protocol(config, make_pair())
@@ -195,14 +209,10 @@ def test_chunked_run_matches_single_draw(name, rounds):
         return
 
     bins, verdict = run_protocol(config, make_pair())
-    for got, want in zip((bins.check, bins.rand, bins.false_bin), want_bins):
-        if want is None:
-            assert got is None
-            continue
-        for column in ("inputs", "outputs"):
-            got_col, want_col = getattr(got, column), getattr(want, column)
-            assert got_col.dtype == want_col.dtype
-            assert np.array_equal(got_col, want_col)
+    for column in ("inputs", "outputs"):
+        got_col, want_col = getattr(bins.rand, column), getattr(want_bins[1], column)
+        assert got_col.dtype == want_col.dtype and got_col.shape == want_col.shape
+        assert np.array_equal(got_col, want_col)
     assert bins.counts() == {
         key: len(batch) for key, batch in zip(("check", "rand", "false"), want_bins) if batch is not None
     }
@@ -296,8 +306,8 @@ def test_packed_bits_blocks_past_a_dropped_prefix(sizes):
     for piece in pieces:
         packed.append(piece)
     want = np.concatenate(pieces)
-    # prefixes that end inside a piece, on a piece's edge, or past the end
-    for n in sorted({0, 3, sizes[0], sizes[0] + 1, want.size // 2, want.size - 1, want.size, want.size + 5}):
+    # prefixes that end inside a piece, on a piece's edge, or past the end (none negative: drop rejects those)
+    for n in sorted({0, 3, sizes[0], sizes[0] + 1, want.size // 2, max(want.size - 1, 0), want.size, want.size + 5}):
         rest = packed.drop(n)
         assert rest.size == max(want.size - n, 0)
         blocks = [block.copy() for block in rest.blocks()]
@@ -329,3 +339,18 @@ def test_dropped_bits_are_sealed_and_share_read_only_pieces():
     packed.append(np.zeros(4, dtype=np.uint8))     # the original still grows, apart from its sealed copy
     assert sealed.size == 8 and packed.size == 14 and list(sealed.unpack()) == [1] * 8
     assert not any(piece.flags.writeable for piece, _ in packed._pieces)
+
+
+@pytest.mark.parametrize("n", [-1, -5])
+def test_packed_bits_drop_rejects_a_negative_count(n):
+    packed = games.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"drop takes n >= 0 bits, got {n}$"):
+        packed.drop(n)
+
+
+@pytest.mark.parametrize("n", [-1, 4, 10])
+def test_packed_bits_unpack_rejects_a_count_past_its_bits(n):
+    packed = games.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
+    with pytest.raises(ValueError, match=rf"unpack takes n in \[0, 3\] bits, got {n}$"):
+        packed.unpack(n)
+    assert list(packed.unpack(3)) == [1, 0, 1] and packed.unpack(0).size == 0
