@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import EmptyCondition, MissingCell, TooFewBits
-from .games import _CHUNK_ROUNDS, GameId, PackedBits, chunk_slices, count_bits, win_mask
+from .games import _CHUNK_ROUNDS, GameId, PackedBits, bit_array, chunk_slices, count_bits, win_mask
 
 _NORMAL = NormalDist()
 
@@ -153,24 +153,14 @@ def _as_bits(bits) -> np.ndarray | PackedBits:
     if isinstance(bits, str):
         if any(c not in "01" for c in bits):
             raise ValueError("bit strings may contain only '0' and '1'")
-        arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    else:
-        arr = np.asarray(bits)
-        if arr.dtype != np.uint8:
-            if arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
-                raise ValueError("bits must be 0/1 valued")
-            arr = arr.astype(np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits must be 0/1 valued")
-    return arr
+        return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+    return bit_array(bits)
 
 
 def _blocks(bits: np.ndarray | PackedBits) -> Iterator[np.ndarray]:
     """The bits of an ``_as_bits`` result in order, as uint8 blocks of ``_CHUNK_ROUNDS`` bits.
 
-    Only the last block may be shorter, and a block may be overwritten by the next.
+    Only the last block may be shorter.
     """
     if isinstance(bits, PackedBits):
         return bits.blocks()

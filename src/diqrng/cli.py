@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, games, protocols
-from .errors import DiqrngError
+from .errors import BadDistribution, DiqrngError
 from .games import EquivalencePair, GameId
 from .protocols import ProtocolConfig
 
@@ -321,25 +321,14 @@ def _cmd_play_game(opts: dict, seed: int) -> dict:
     strategy = games.paper_strategy(game)
     exact = games.exact_score(game, strategy)
     sampler = games.RoundSampler(game, strategy)
-    rng = np.random.default_rng(seed)
-    tally = sampler.tally(n_rounds, rng)
-    won = tally * games.win_mask(game)
-    wins = int(won.sum())
-    if game is GameId.GAME_G2:
-        # an odd-weight G2 round wins exactly when its guess b == x1 is right
-        odd = ~games._g2_even()
-        n_odd, odd_wins = int(tally[odd].sum()), int(won[odd].sum())
-        if n_odd in (0, n_rounds):
-            raise DiqrngError(
-                f"g2 scores need even- and odd-weight rounds; {n_rounds} round(s) drew only one kind"
-            )
-        sampled = {
-            "even_win": (wins - odd_wins) / (n_rounds - n_odd),
-            "odd_guess": odd_wins / n_odd,
-            "rounds": n_rounds,
-        }
-    else:
-        sampled = {"win_frequency": wins / n_rounds, "rounds": n_rounds}
+    try:
+        scores = games.mass_score(game, sampler.tally(n_rounds, np.random.default_rng(seed)))
+    except BadDistribution:
+        raise DiqrngError(
+            f"g2 scores need even- and odd-weight rounds; {n_rounds} round(s) drew only one kind"
+        ) from None
+    names = ("even_win", "odd_guess") if game is GameId.GAME_G2 else ("win_frequency",)
+    sampled = {**dict(zip(names, scores)), "rounds": n_rounds}
     return {"game": game.value, "exact": _score_dict(exact), "sampled": sampled}
 
 

@@ -137,13 +137,10 @@ _SHAPES = {
 
 def input_space(game: GameId) -> tuple[tuple[int, ...], ...]:
     """All valid input tuples of a game, in lexicographic order."""
-    if game in (GameId.CHSH, GameId.CHSH1):
-        return tuple(itertools.product((0, 1), repeat=2))
-    if game in (GameId.GAME_G, GameId.TAVAKOLI, GameId.GAME_G2):
-        return tuple(itertools.product((0, 1), repeat=3))
-    if game is GameId.PSEUDO_TELEPATHY3:
-        return tuple(x for x in itertools.product((0, 1), repeat=3) if sum(x) % 2 == 0)
-    raise ArityMismatch(f"unknown game {game}")
+    if not isinstance(game, GameId):
+        raise ArityMismatch(f"unknown game {game}")
+    space = itertools.product(_BITS, repeat=_SHAPES[game].inputs)
+    return tuple(x for x in space if game is not GameId.PSEUDO_TELEPATHY3 or sum(x) % 2 == 0)
 
 
 def _check_io(game: GameId, io: RoundIO) -> None:
@@ -459,6 +456,20 @@ def _g2_even() -> np.ndarray:
     return np.indices((2, 2, 2)).sum(axis=0) % 2 == 0
 
 
+def mass_score(game: GameId, mass: np.ndarray) -> tuple[float, ...]:
+    """The won share (win,) of a mass tensor [inputs..., outputs...], such as weighted outcomes or a tally.
+
+    GAME_G2's is (even_win, odd_guess), by input parity class; a class without mass raises BadDistribution.
+    """
+    won = mass * win_mask(game)
+    if game is not GameId.GAME_G2:
+        return (float(won.sum() / mass.sum()),)
+    even = _g2_even()
+    if not (mass[even].sum() and mass[~even].sum()):
+        raise BadDistribution("G2 needs mass on both parity classes")
+    return tuple(float(won[side].sum() / mass[side].sum()) for side in (even, ~even))
+
+
 # ---------------------------------------------------------------------------
 # exact evaluation
 # ---------------------------------------------------------------------------
@@ -490,7 +501,7 @@ def _input_weights(game: GameId, input_distribution) -> np.ndarray:
 
 
 def exact_score(game: GameId, strategy: Strategy, input_distribution=None) -> GameScore | G2Score:
-    """Exact expected score: the input-weighted win mass of the outcome tensor.
+    """Exact expected score: ``mass_score`` of the input-weighted outcome tensor.
 
     For GAME_G2 returns the (even_win, odd_guess, augmented) triple, the
     even/odd scores being conditional on the input parity class.
@@ -498,15 +509,11 @@ def exact_score(game: GameId, strategy: Strategy, input_distribution=None) -> Ga
     if strategy.game is not game:
         raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
     weights = _input_weights(game, input_distribution)
-    win_mass = weights * _win_rates(game, outcome_tensor(strategy))
+    mass = weights.reshape(weights.shape + (1,) * _SHAPES[game].outputs) * outcome_tensor(strategy)
+    scores = mass_score(game, mass)
 
     if game is GameId.GAME_G2:
-        even = _g2_even()
-        even_mass, odd_mass = weights[even].sum(), weights[~even].sum()
-        if even_mass == 0.0 or odd_mass == 0.0:
-            raise BadDistribution("G2 needs mass on both parity classes")
-        even_win = float(win_mass[even].sum() / even_mass)
-        odd_guess = float(win_mass[~even].sum() / odd_mass)
+        even_win, odd_guess = scores
         return G2Score(
             even_win=GameScore(even_win, ScoreKind.EVEN_WIN),
             odd_guess=GameScore(odd_guess, ScoreKind.ODD_GUESS),
@@ -514,7 +521,7 @@ def exact_score(game: GameId, strategy: Strategy, input_distribution=None) -> Ga
         )
 
     kind = ScoreKind.STATISTIC_A if game is GameId.TAVAKOLI else ScoreKind.WIN_PROBABILITY
-    return GameScore(float(win_mass.sum()), kind)
+    return GameScore(scores[0], kind)
 
 
 def pt3_odd_extension_score(strategy: Strategy) -> float:
@@ -569,12 +576,27 @@ def count_bits(blocks: Iterable[np.ndarray]) -> tuple[int, int]:
     return ones, changes
 
 
+def bit_array(bits) -> np.ndarray:
+    """0/1 values as a 1-D uint8 array; any other value, or an array that is not 1-D, raises ValueError."""
+    arr = np.asarray(bits)
+    if arr.dtype != np.uint8:
+        if arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("bits must be 0/1 valued")
+        arr = arr.astype(np.uint8)
+    if arr.ndim != 1:
+        raise ValueError("bits must be one-dimensional")
+    if arr.size and arr.max() > 1:
+        raise ValueError("bits must be 0/1 valued")
+    return arr
+
+
 class PackedBits:
     """Bits appended piece by piece and held packed, one bit each, with each piece's count.
 
-    A piece holds at most ``_CHUNK_ROUNDS`` bits, so the bits are read block
-    by block and never need to be unpacked all at once.  The pieces are
-    read-only.  ``drop`` gives a sealed copy that shares them and refuses
+    Every piece but the last holds ``_CHUNK_ROUNDS`` bits, so a piece
+    unpacked is a block and the bits never need to be unpacked all at once.
+    The pieces are read-only: ``append`` replaces a short last piece rather
+    than writing to it.  ``drop`` gives a sealed copy that refuses
     ``append``, so its bits never change.  Two ``PackedBits`` are equal when
     they hold the same bits.
     """
@@ -583,59 +605,48 @@ class PackedBits:
 
     def __init__(self, bits: np.ndarray | None = None) -> None:
         self._pieces: list[tuple[np.ndarray, int]] | tuple[tuple[np.ndarray, int], ...] = []
-        self._skip = 0          # bits of the first piece that ``drop`` hid
         self._counts = None     # ``counts()``, kept until the next ``append``
         self.size = 0
         if bits is not None:
             self.append(bits)
 
-    def append(self, bits: np.ndarray) -> None:
-        """Append 0/1 values, packed in pieces of at most ``_CHUNK_ROUNDS``; sealed bits raise ValueError."""
+    def append(self, bits) -> None:
+        """Append 0/1 values (see ``bit_array``), filling a short last piece first; sealed bits raise ValueError."""
         if isinstance(self._pieces, tuple):
             raise ValueError("sealed bits take no more bits")
+        bits = bit_array(bits)
+        self.size += bits.size
+        self._counts = None
+        if self._pieces and self._pieces[-1][1] < _CHUNK_ROUNDS:
+            packed, count = self._pieces.pop()
+            bits = np.concatenate([np.unpackbits(packed, count=count), bits])
         for piece in chunk_slices(bits.size):
             packed = np.packbits(bits[piece])
             packed.setflags(write=False)
             self._pieces.append((packed, piece.stop - piece.start))
-        self.size += bits.size
-        self._counts = None
 
     def drop(self, n: int = 0) -> PackedBits:
-        """A sealed copy of these bits past the first n (none by default), sharing their packed pieces.
+        """A sealed copy of these bits past the first n (none by default); an n past the end drops every bit.
 
-        A nonnegative n past the end drops every bit; a negative n raises ValueError.
+        It shares the pieces past n when n is a multiple of ``_CHUNK_ROUNDS``
+        and packs the bits past n anew otherwise.  A negative n raises ValueError.
         """
         if n < 0:
             raise ValueError(f"drop takes n >= 0 bits, got {n}")
+        first, skip = divmod(min(n, self.size), _CHUNK_ROUNDS)
         rest = PackedBits()
-        n = min(n, self.size)
-        skip, first = self._skip + n, 0
-        while first < len(self._pieces) and skip >= self._pieces[first][1]:
-            skip -= self._pieces[first][1]
-            first += 1
-        rest._pieces, rest._skip, rest.size = tuple(self._pieces[first:]), skip, self.size - n
+        if skip:
+            for packed, count in self._pieces[first:]:
+                rest.append(np.unpackbits(packed, count=count)[skip:])
+                skip = 0
+        else:
+            rest._pieces, rest.size = self._pieces[first:], self.size - first * _CHUNK_ROUNDS
+        rest._pieces = tuple(rest._pieces)
         return rest
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """The bits in order as uint8 blocks of ``_CHUNK_ROUNDS`` bits; only the last may be shorter.
-
-        Every block is a view into one buffer, overwritten by the next block.
-        """
-        block = np.empty(min(_CHUNK_ROUNDS, self.size), dtype=np.uint8)
-        filled, skip = 0, self._skip
-        for packed, count in self._pieces:
-            bits = np.unpackbits(packed, count=count)[skip:]
-            skip = 0
-            while bits.size:
-                take = min(block.size - filled, bits.size)
-                block[filled : filled + take] = bits[:take]
-                bits, filled = bits[take:], filled + take
-                if filled == block.size:
-                    yield block
-                    filled = 0
-            del bits        # freed before the next piece is unpacked
-        if filled:
-            yield block[:filled]
+        """The bits in order, one unpacked piece per uint8 block; only the last may be short."""
+        return (np.unpackbits(packed, count=count) for packed, count in self._pieces)
 
     def counts(self) -> tuple[int, int]:
         """The number of ones and of adjacent unequal pairs, from one pass over the blocks."""

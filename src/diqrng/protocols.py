@@ -18,9 +18,10 @@ with the same seed are bit-identical.
 
 A run streams its rounds in fixed-size chunks and keeps only what
 certification reads: a tally of rounds by (x, setting, b) and the Rand bin's
-output bits, held packed at one bit per Rand round; the verdict releases
-them packed, and nothing unpacks them unless ``output_bits`` is read.  The
-chunks come from ``_round_chunks`` as views into one chunk's scratch
+output bits, packed at one bit per Rand round in pieces of 65,536.  The
+verdict releases them packed; a Q test re-packs those past its tested
+prefix piece by piece, and only ``output_bits`` unpacks them all at once.
+The chunks come from ``_round_chunks`` as views into one chunk's scratch
 buffers, allocated once per run; a chunk's views hold until the next chunk
 is drawn.  Uniform inputs come from ``games.draw_cells``, the draw loop of
 play-game and the guessing bounds too.  Weighted inputs come from

@@ -142,6 +142,17 @@ class TestWinningPredicate:
         with pytest.raises(ArityMismatch):
             winning_predicate(GameId.CHSH, RoundIO((1, 2), (0, 1)))
 
+    @pytest.mark.parametrize("game", list(GameId))
+    def test_input_space_is_every_valid_input_in_order(self, game):
+        bits = itertools.product((0, 1), repeat=ARITY[game][0])
+        want = [x for x in bits if game is not GameId.PSEUDO_TELEPATHY3 or sum(x) % 2 == 0]
+        assert list(input_space(game)) == want
+
+    @pytest.mark.parametrize("game", ["chsh", None, [GameId.CHSH]])
+    def test_input_space_rejects_an_unknown_game(self, game):
+        with pytest.raises(ArityMismatch, match="unknown game"):
+            input_space(game)
+
 
 class TestExactScores:
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diqrng import analysis, games, protocols
+from diqrng import analysis, cli, games, protocols
 from diqrng.games import RoundColumns
 from diqrng.errors import InsufficientRounds, MissingCell
 from diqrng.protocols import (
@@ -339,6 +339,64 @@ def test_dropped_bits_are_sealed_and_share_read_only_pieces():
     packed.append(np.zeros(4, dtype=np.uint8))     # the original still grows, apart from its sealed copy
     assert sealed.size == 8 and packed.size == 14 and list(sealed.unpack()) == [1] * 8
     assert not any(piece.flags.writeable for piece, _ in packed._pieces)
+
+
+# append sizes that fill, split and overrun pieces; and drop points by kind, from the total size
+LAYOUT_SIZES = [(0,), (1, 7), (CHUNK - 1, 1, 7), (CHUNK, 0, CHUNK + 1), (7, CHUNK + 1, 1, CHUNK - 1, CHUNK)]
+DROP_POINTS = {
+    "aligned": lambda size: CHUNK if size > CHUNK else 0,
+    "unaligned": lambda size: CHUNK + 3 if size > CHUNK + 3 else size // 2 + 1,
+    "past-the-end": lambda size: size + 5,
+}
+
+
+@pytest.mark.parametrize("drop", list(DROP_POINTS))
+@pytest.mark.parametrize("sizes", LAYOUT_SIZES)
+def test_packed_bits_pieces_are_whole_blocks(tmp_path, sizes, drop):
+    rng = np.random.default_rng(sum(sizes))
+    pieces = [rng.integers(0, 2, size=k).astype(np.uint8) for k in sizes]
+    packed = games.PackedBits()
+    for piece in pieces:
+        packed.append(piece)
+    want = np.concatenate(pieces)
+    n = DROP_POINTS[drop](want.size)
+    rest = packed.drop(n)
+    for bits in (packed, rest):
+        counts = [count for _, count in bits._pieces]
+        assert all(count == CHUNK for count in counts[:-1]) and all(counts)
+        assert [block.size for block in bits.blocks()] == counts
+    if n % CHUNK == 0 and n <= want.size:
+        assert len(rest._pieces) == len(packed._pieces) - n // CHUNK
+        assert all(a is b for (a, _), (b, _) in zip(rest._pieces, packed._pieces[n // CHUNK :]))
+    assert rest.size == max(want.size - n, 0) and np.array_equal(rest.unpack(), want[n:])
+    path = tmp_path / "rest.bits"
+    cli.write_bits(path, rest)
+    tail = rest.size % 64
+    assert [len(line) for line in path.read_bytes().splitlines()] == [64] * (rest.size // 64) + [tail] * (tail > 0)
+
+
+@pytest.mark.parametrize(
+    "values", [np.array([0, 2, 255, 1], dtype=np.uint8), np.array([3, 0]), np.array([0.5, 1.0]), [0.0, np.nan]],
+)
+def test_packed_bits_take_only_0_and_1(values):
+    with pytest.raises(ValueError, match="bits must be 0/1 valued$"):
+        games.PackedBits(values)
+    packed = games.PackedBits(np.ones(3, dtype=np.uint8))
+    with pytest.raises(ValueError, match="bits must be 0/1 valued$"):
+        packed.append(values)
+    assert packed.size == 3 and list(packed.unpack()) == [1, 1, 1]
+    with pytest.raises(ValueError, match="bits must be 0/1 valued$"):
+        analysis.entropy_report(values)
+    with pytest.raises(ValueError, match="bits must be 0/1 valued$"):
+        protocols.CertificationVerdict("PASS", (), values)
+
+
+def test_packed_bits_take_0_and_1_of_any_type():
+    want = games.PackedBits(np.array([0, 1, 1], dtype=np.uint8))
+    for bits in ([0, 1, 1], np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1]) > 0):
+        assert games.PackedBits(bits) == want
+    with pytest.raises(ValueError, match="bits must be one-dimensional$"):
+        games.PackedBits(np.zeros((2, 64), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("n", [-1, -5])
