@@ -9,6 +9,8 @@ The package splits along the problem's own seams:
   Pr[b = 1] over (coin, x, setting) built from a strategy's outcome tensor;
   the two protocol runners with their Check/Rand/False binning and abort
   logic; guessing-game bounds;
+* :mod:`diqrng.stream`     the chunked round draw, the one sampling kernel and
+  the packed bit stream, shared by games, protocols, analysis and the CLI;
 * :mod:`diqrng.analysis`   estimators, entropy, and a small test battery;
 * :mod:`diqrng.cli`        the ``diqrng`` command-line front end.
 """

@@ -5,7 +5,8 @@ sane at frequencies of 0 and 1 where the protocols' deterministic conditions
 live.  The self-test statistic averages the eight input cells with equal
 weight regardless of how often each cell was sampled.  The test battery is a
 deliberately small trio: monobit frequency, runs, and lag-1 serial
-correlation.
+correlation.  The entropy and the battery take packed bits, 0/1 values or
+'0'/'1' text through ``stream.as_bits`` and read them block by block.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import EmptyCondition, MissingCell, TooFewBits
-from .games import _CHUNK_ROUNDS, GameId, PackedBits, bit_array, chunk_slices, count_bits, win_mask
+from .games import GameId, win_mask
+from .stream import CHUNK_ROUNDS, PackedBits, as_bits, bit_blocks, bit_counts
 
 _NORMAL = NormalDist()
 
@@ -146,45 +148,15 @@ class EntropyReport:
     zero_fraction: float
 
 
-def _as_bits(bits) -> np.ndarray | PackedBits:
-    """``PackedBits`` as they are; a string or array checked as 0/1 values, as a 1-D uint8 array."""
-    if isinstance(bits, PackedBits):
-        return bits
-    if isinstance(bits, str):
-        if any(c not in "01" for c in bits):
-            raise ValueError("bit strings may contain only '0' and '1'")
-        return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
-    return bit_array(bits)
-
-
-def _blocks(bits: np.ndarray | PackedBits) -> Iterator[np.ndarray]:
-    """The bits of an ``_as_bits`` result in order, as uint8 blocks of ``_CHUNK_ROUNDS`` bits.
-
-    Only the last block may be shorter.
-    """
-    if isinstance(bits, PackedBits):
-        return bits.blocks()
-    return (bits[piece] for piece in chunk_slices(bits.size))
-
-
-def _counts(bits: np.ndarray | PackedBits) -> tuple[int, int]:
-    """The number of ones and of adjacent unequal pairs, counted block by block.
-
-    ``PackedBits`` keep their counts, so the entropy and the battery of the
-    same packed bits count them once.
-    """
-    return bits.counts() if isinstance(bits, PackedBits) else count_bits(_blocks(bits))
-
-
 def entropy_report(bits) -> EntropyReport:
     """Shannon and min-entropy of the empirical 0/1 frequencies.
 
-    ``bits`` are 0/1 values, a '0'/'1' string or ``games.PackedBits``.
+    ``bits`` are 0/1 values, a '0'/'1' string or ``stream.PackedBits``.
     """
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     if bits.size == 0:
         raise ValueError("need at least one bit")
-    p1 = _counts(bits)[0] / bits.size       # a float64 sum of 0/1 values is exact, so this is their mean
+    p1 = bit_counts(bits)[0] / bits.size       # a float64 sum of 0/1 values is exact, so this is their mean
     p0 = 1.0 - p1
     shannon = 0.0
     for p in (p0, p1):
@@ -224,7 +196,7 @@ def _runs(n: int, ones: int, changes: int, significance: float) -> BatteryResult
 def _serial(bits: np.ndarray | PackedBits, ones: int, significance: float) -> BatteryResult:
     # the float64 column of bit - mean, filled block by block
     x = np.empty(bits.size)
-    for start, block in zip(range(0, bits.size, _CHUNK_ROUNDS), _blocks(bits)):
+    for start, block in zip(range(0, bits.size, CHUNK_ROUNDS), bit_blocks(bits)):
         np.subtract(block, ones / bits.size, out=x[start : start + block.size])
     denom = float(np.dot(x, x))
     if denom == 0.0:
@@ -238,12 +210,12 @@ def _serial(bits: np.ndarray | PackedBits, ones: int, significance: float) -> Ba
 def randomness_battery(bits, significance: float = 0.01) -> list[BatteryResult]:
     """Monobit, runs, and lag-1 serial tests, each judged at the significance level.
 
-    ``bits`` are 0/1 values, a '0'/'1' string or ``games.PackedBits``.
+    ``bits`` are 0/1 values, a '0'/'1' string or ``stream.PackedBits``.
     """
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     if bits.size < 100:
         raise TooFewBits(f"battery needs at least 100 bits, got {bits.size}")
-    ones, changes = _counts(bits)
+    ones, changes = bit_counts(bits)
     return [
         _monobit(bits.size, ones, significance),
         _runs(bits.size, ones, changes, significance),

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, games, protocols
+from . import __version__, analysis, games, protocols, stream
 from .errors import BadDistribution, DiqrngError
 from .games import EquivalencePair, GameId
 from .protocols import ProtocolConfig
@@ -119,15 +119,15 @@ _READ_BYTES = 65 << 10      # 1,024 full lines with LF breaks
 def write_bits(path: str | Path, bits) -> None:
     """Dump bits as ASCII '0'/'1' lines of 64 (final line may be shorter).
 
-    ``bits`` are 0/1 values or ``games.PackedBits``.  Anything else raises
+    ``bits`` are 0/1 values or ``stream.PackedBits``.  Anything else raises
     ValueError before the file is opened.  The lines are written block by
     block, from one block's buffer.
     """
-    bits = analysis._as_bits(bits)
-    lines = np.empty((games._CHUNK_ROUNDS // _LINE_BITS, _LINE_BITS + 1), dtype=np.uint8)
+    bits = stream.as_bits(bits)
+    lines = np.empty((stream.CHUNK_ROUNDS // _LINE_BITS, _LINE_BITS + 1), dtype=np.uint8)
     lines[:, _LINE_BITS] = ord("\n")
     with Path(path).open("wb") as out:
-        for block in analysis._blocks(bits):
+        for block in stream.bit_blocks(bits):
             rows, tail = divmod(block.size, _LINE_BITS)
             np.add(block[: rows * _LINE_BITS].reshape(rows, _LINE_BITS), ord("0"), out=lines[:rows, :_LINE_BITS])
             out.write(lines[:rows].data)
@@ -135,19 +135,16 @@ def write_bits(path: str | Path, bits) -> None:
                 out.write((block[rows * _LINE_BITS :] + ord("0")).tobytes() + b"\n")
 
 
-def read_bits(path: str | Path) -> games.PackedBits:
-    """Parse a bit dump into sealed ``games.PackedBits``; line breaks may be LF, CRLF or CR.
+def read_bits(path: str | Path) -> stream.PackedBits:
+    """Parse a bit dump into sealed ``stream.PackedBits``; line breaks may be LF, CRLF or CR.
 
     The file is read block by block; ``unpack()`` gives the bits as one
     uint8 array.
     """
-    bits = games.PackedBits()
+    bits = stream.PackedBits()
     with Path(path).open("rb") as dump:
         while block := dump.read(_READ_BYTES):
-            values = np.frombuffer(block.translate(None, b"\r\n"), dtype=np.uint8) - ord("0")
-            if values.size and values.max() > 1:
-                raise ValueError("bit strings may contain only '0' and '1'")
-            bits.append(values)
+            bits.append(stream.parse_bits(block.translate(None, b"\r\n")))
     return bits.drop()
 
 
@@ -316,8 +313,8 @@ def _cmd_play_game(opts: dict, seed: int) -> dict:
     n_rounds = int(opts["rounds"])
     if n_rounds < 1:
         raise DiqrngError(f"play-game needs at least one round, got {n_rounds}")
-    if n_rounds > games.MAX_ROUNDS:
-        raise ValueError(f"play-game takes at most {games.MAX_ROUNDS} rounds, got {n_rounds}")
+    if n_rounds > stream.MAX_ROUNDS:
+        raise ValueError(f"play-game takes at most {stream.MAX_ROUNDS} rounds, got {n_rounds}")
     strategy = games.paper_strategy(game)
     exact = games.exact_score(game, strategy)
     sampler = games.RoundSampler(game, strategy)
@@ -373,7 +370,7 @@ def _cmd_guessing(opts: dict, seed: int) -> dict:
     return {"checks": [asdict(c) for c in result.checks], "all_within_four_se": result.passed}
 
 
-def _bits_sections(bits: games.PackedBits) -> dict:
+def _bits_sections(bits: stream.PackedBits) -> dict:
     sections: dict = {}
     if bits.size:
         sections["entropy"] = asdict(analysis.entropy_report(bits))
@@ -437,15 +434,15 @@ def main(argv: list[str] | None = None) -> int:
         opts = _merge_options(args)
         seed = _resolve_seed(opts)
         body = _COMMANDS[args.command](opts, seed)
+        text = serialize_report({"manifest": _manifest(args.command, seed, opts), **body})
+        if opts["out"]:
+            Path(opts["out"]).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     # a JSONDecodeError is a ValueError
     except (DiqrngError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = serialize_report({"manifest": _manifest(args.command, seed, opts), **body})
-    if opts["out"]:
-        Path(opts["out"]).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
     return 2 if body.get("verdict") == "ABORT" else 0
 
 

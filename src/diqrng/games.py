@@ -7,7 +7,9 @@ game-equivalence checks.
 
 Every strategy compiles to one outcome tensor P[inputs..., outputs...] (see
 ``outcome_tensor``); scoring, sampling and the classical search all read it,
-and ``RoundSampler.tally`` counts sampled rounds on the same axes.
+and ``RoundSampler.tally`` counts sampled rounds on the same axes.  Sampled
+rounds come from ``stream.draw_codes``, the draw loop and kernel that the
+protocol runs share.
 
 Game roster:
   * CHSH          two-party, win iff x & y == a ^ b, standard strategy;
@@ -23,18 +25,16 @@ Game roster:
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import qcore
+from . import qcore, stream
 from .errors import ArityMismatch, BadDistribution, BadInput
 from .qcore import Gate1Q, PureState, QubitBasis
 
@@ -406,14 +406,14 @@ def _table_operands(game: GameId, tables: list[np.ndarray]) -> list[np.ndarray]:
 def _contract(game: GameId, operands: list[np.ndarray]) -> np.ndarray:
     """Born weights of the contracted amplitudes, each input row divided by its sum.
 
-    Weights below ``qcore._PROB_SNAP`` are the residue of exact cancellations
+    Weights below ``qcore.PROB_SNAP`` are the residue of exact cancellations
     and are cleared first, so deterministic outcomes stay exactly deterministic.
     """
     shape = _SHAPES[game]
     amplitudes = np.einsum(shape.contraction, *operands)
     amplitudes = amplitudes.reshape(operands[0].shape[:-3] + (2,) * (shape.inputs + shape.outputs))
     probs = amplitudes.real ** 2 + amplitudes.imag ** 2
-    probs[probs < qcore._PROB_SNAP] = 0.0
+    probs[probs < qcore.PROB_SNAP] = 0.0
     return probs / probs.sum(axis=tuple(range(-shape.outputs, 0)), keepdims=True)
 
 
@@ -541,253 +541,6 @@ def pt3_odd_extension_score(strategy: Strategy) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROUNDS = 1 << 16     # rounds per chunk of every full-length Monte Carlo draw
-_DRAW_VALUES = 1 << 13      # int64 values per piece of a chunked integer draw: 64 KB
-MAX_ROUNDS = int(np.iinfo(np.int64).max)    # the most rounds or trials an int64 tally can count
-
-
-def _check_integer(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_count(name: str, value, low: int = 0) -> None:
-    """Reject a round or trial count that is not an integer in [low, ``MAX_ROUNDS``]."""
-    _check_integer(name, value)
-    if not low <= value <= MAX_ROUNDS:
-        raise ValueError(f"{name} must lie in [{low}, {MAX_ROUNDS}], got {value}")
-
-
-def chunk_slices(n: int, size: int = _CHUNK_ROUNDS) -> Iterator[slice]:
-    """Consecutive slices of at most ``size`` rounds covering range(n)."""
-    return (slice(start, min(start + size, n)) for start in range(0, n, size))
-
-
-def count_bits(blocks: Iterable[np.ndarray]) -> tuple[int, int]:
-    """The number of ones and of adjacent unequal pairs in consecutive blocks of 0/1 values."""
-    ones = changes = 0
-    last = None
-    for block in blocks:
-        if last is not None:
-            changes += int(last != block[0])
-        ones += int(np.count_nonzero(block))
-        changes += int(np.count_nonzero(np.diff(block)))
-        last = int(block[-1])
-    return ones, changes
-
-
-def bit_array(bits) -> np.ndarray:
-    """0/1 values as a 1-D uint8 array; any other value, or an array that is not 1-D, raises ValueError."""
-    arr = np.asarray(bits)
-    if arr.dtype != np.uint8:
-        if arr.dtype != np.bool_ and not ((arr == 0) | (arr == 1)).all():
-            raise ValueError("bits must be 0/1 valued")
-        arr = arr.astype(np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bits must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits must be 0/1 valued")
-    return arr
-
-
-class PackedBits:
-    """Bits appended piece by piece and held packed, one bit each, with each piece's count.
-
-    Every piece but the last holds ``_CHUNK_ROUNDS`` bits, so a piece
-    unpacked is a block and the bits never need to be unpacked all at once.
-    The pieces are read-only: ``append`` replaces a short last piece rather
-    than writing to it.  ``drop`` gives a sealed copy that refuses
-    ``append``, so its bits never change.  Two ``PackedBits`` are equal when
-    they hold the same bits.
-    """
-
-    __hash__ = None     # equal by content, so not hashable
-
-    def __init__(self, bits: np.ndarray | None = None) -> None:
-        self._pieces: list[tuple[np.ndarray, int]] | tuple[tuple[np.ndarray, int], ...] = []
-        self._counts = None     # ``counts()``, kept until the next ``append``
-        self.size = 0
-        if bits is not None:
-            self.append(bits)
-
-    def append(self, bits) -> None:
-        """Append 0/1 values (see ``bit_array``), filling a short last piece first; sealed bits raise ValueError."""
-        if isinstance(self._pieces, tuple):
-            raise ValueError("sealed bits take no more bits")
-        bits = bit_array(bits)
-        self.size += bits.size
-        self._counts = None
-        if self._pieces and self._pieces[-1][1] < _CHUNK_ROUNDS:
-            packed, count = self._pieces.pop()
-            bits = np.concatenate([np.unpackbits(packed, count=count), bits])
-        for piece in chunk_slices(bits.size):
-            packed = np.packbits(bits[piece])
-            packed.setflags(write=False)
-            self._pieces.append((packed, piece.stop - piece.start))
-
-    def drop(self, n: int = 0) -> PackedBits:
-        """A sealed copy of these bits past the first n (none by default); an n past the end drops every bit.
-
-        It shares the pieces past n when n is a multiple of ``_CHUNK_ROUNDS``
-        and packs the bits past n anew otherwise.  A negative n raises ValueError.
-        """
-        if n < 0:
-            raise ValueError(f"drop takes n >= 0 bits, got {n}")
-        first, skip = divmod(min(n, self.size), _CHUNK_ROUNDS)
-        rest = PackedBits()
-        if skip:
-            for packed, count in self._pieces[first:]:
-                rest.append(np.unpackbits(packed, count=count)[skip:])
-                skip = 0
-        else:
-            rest._pieces, rest.size = self._pieces[first:], self.size - first * _CHUNK_ROUNDS
-        rest._pieces = tuple(rest._pieces)
-        return rest
-
-    def blocks(self) -> Iterator[np.ndarray]:
-        """The bits in order, one unpacked piece per uint8 block; only the last may be short."""
-        return (np.unpackbits(packed, count=count) for packed, count in self._pieces)
-
-    def counts(self) -> tuple[int, int]:
-        """The number of ones and of adjacent unequal pairs, from one pass over the blocks."""
-        if self._counts is None:
-            self._counts = count_bits(self.blocks())
-        return self._counts
-
-    def unpack(self, n: int | None = None) -> np.ndarray:
-        """The first n bits, all of them by default, as one exact-size uint8 array; n must lie in [0, size]."""
-        if n is not None and not 0 <= n <= self.size:
-            raise ValueError(f"unpack takes n in [0, {self.size}] bits, got {n}")
-        bits = np.empty(self.size if n is None else n, dtype=np.uint8)
-        for start, block in zip(range(0, bits.size, _CHUNK_ROUNDS), self.blocks()):
-            bits[start : start + block.size] = block[: bits.size - start]
-        return bits
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedBits):
-            return NotImplemented
-        return self.size == other.size and all(map(np.array_equal, self.blocks(), other.blocks()))
-
-
-def skip_ahead(rng: np.random.Generator, n: int, low: int, high: int) -> np.random.Generator:
-    """A copy of ``rng`` left where ``rng.integers(low, high, size=n)`` would leave it.
-
-    The n draws are made and discarded piece by piece on the copy, as in
-    ``add_integers``; ``rng`` itself does not move.  The copy then yields
-    the block of draws that follows those n.
-    """
-    ahead = copy.deepcopy(rng)
-    for piece in chunk_slices(n, _DRAW_VALUES):
-        ahead.integers(low, high, size=piece.stop - piece.start)
-    return ahead
-
-
-def add_integers(out: np.ndarray, rng: np.random.Generator, low: int, high: int, scale: int = 1) -> None:
-    """``out += scale * rng.integers(low, high, size=out.size)``, with the same draws and end state.
-
-    ``Generator.integers`` cannot write into a buffer, so the values are
-    drawn ``_DRAW_VALUES`` at a time.  A 64 KB piece stays under glibc's
-    default 128 KB trim threshold: each freed piece is reused by the next
-    one instead of being returned to the system and faulted back in.
-    """
-    for piece in chunk_slices(out.size, _DRAW_VALUES):
-        draw = rng.integers(low, high, size=piece.stop - piece.start)
-        draw *= scale
-        out[piece] += draw
-
-
-def _skip_chain(n: int, rng: np.random.Generator, ranges: Sequence) -> Iterator[np.random.Generator]:
-    """``rng``, then copies of it moved past each drawing range's n values in turn, each made when asked for."""
-    yield rng
-    for low, high, _ in ranges:
-        if high - low > 1:
-            rng = skip_ahead(rng, n, low, high)
-            yield rng
-
-
-def _cells(n: int, chain: Iterator[np.random.Generator], ranges: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
-    """The cells of ``draw_cells`` from the streams of ``chain``, whose next stream is then the one past them."""
-    fixed = sum(low * scale for low, high, scale in ranges if high - low == 1)
-    drawn = [(low, high, scale) for low, high, scale in ranges if high - low > 1]
-    streams = [stream for _, stream in zip(drawn, chain)]      # zip stops before taking one more
-
-    def cells() -> Iterator[np.ndarray]:
-        for piece in chunk_slices(n, out.size):
-            cell = out[: piece.stop - piece.start]
-            cell.fill(fixed)
-            for (low, high, scale), stream in zip(drawn, streams):
-                add_integers(cell, stream, low, high, scale)
-            yield cell
-    return cells()
-
-
-def draw_cells(n: int, rng: np.random.Generator, ranges: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
-    """n cells in pieces of ``out.size``, each written into the head of ``out`` and overwritten by the next.
-
-    The draw order of every Monte Carlo path.  A cell is the sum of ``scale *
-    integers(low, high)`` over the (low, high, scale) ranges.  Each range
-    draws all its n values, the first from ``rng`` and each later one from a
-    copy of ``rng`` moved past the ranges before it; a Generator draws the
-    same values in pieces as in one call.  A one-value range draws nothing.
-    """
-    return _cells(n, _skip_chain(n, rng, ranges), ranges, out)
-
-
-def draw_codes(n: int, rng: np.random.Generator, ranges: Sequence, threshold: np.ndarray) -> Iterator[np.ndarray]:
-    """The round codes of n rounds from ``_Scratch.measure``, ``_DRAW_VALUES`` at a time in one reused buffer.
-
-    The cells are drawn as ``draw_cells`` draws them from a copy of ``rng``,
-    and the uniforms from ``rng`` moved past every cell draw, each range
-    walked once: the one-call order.
-    """
-    scratch = _Scratch(max(1, min(n, _DRAW_VALUES)))
-    chain = _skip_chain(n, copy.deepcopy(rng), ranges)
-    cells = _cells(n, chain, ranges, scratch.code)
-    rng.bit_generator.state = next(chain).bit_generator.state
-    for cell in cells:
-        yield scratch.measure(cell, threshold, cell, rng)[0]
-
-
-def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """values[index] along the first axis, written into the head of the reused buffer ``out``.
-
-    Every index is in range.  ``mode="clip"`` keeps ``np.take`` from filling
-    a hidden copy of ``out`` first, as its default ``mode="raise"`` does.
-    """
-    return np.take(values, index, axis=0, out=out[: index.size], mode="clip")
-
-
-class _Scratch:
-    """One chunk's buffers, allocated once per call and reused by every chunk, and the one sampling kernel."""
-
-    def __init__(self, rounds: int):
-        size = min(rounds, _CHUNK_ROUNDS)
-        self.code = np.empty(size, dtype=np.int64)      # a chunk's cells, then its round codes
-        self.index = np.empty(size, dtype=np.int64)     # threshold indices, when they are not the cells
-        self.threshold = np.empty(size)
-        self.uniform = np.empty(size)
-        self.hit = np.empty(size, dtype=bool)
-        self.mask = np.empty((2, size), dtype=bool)     # two gathers from per-code tables
-
-    def measure(
-        self, cell: np.ndarray, threshold: np.ndarray, index: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw each round's branch and turn ``cell`` into the round codes (steps + 1)*cell + branch.
-
-        The branch is the number of steps whose threshold[step, index] a fresh
-        uniform from ``rng`` reaches: with one step, 1 - Pr[b = 1], it is the
-        bit b of ``DevicePair``.  Returns (code, branch), the branch as uint8.
-        """
-        u = rng.random(out=self.uniform[: cell.size])
-        hit = np.greater_equal(u, _gather(threshold[0], index, self.threshold), out=self.hit[: cell.size])
-        branch = hit.view(np.uint8) if len(threshold) == 1 else hit.astype(np.uint8)
-        for row in threshold[1:]:
-            branch += np.greater_equal(u, _gather(row, index, self.threshold), out=hit)
-        cell *= len(threshold) + 1
-        cell += branch
-        return cell, branch
-
-
 class RoundSampler:
     """Draws rounds from a strategy's outcome tensor as a threshold table [step, input].
 
@@ -828,9 +581,9 @@ class RoundSampler:
 
     def tally(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n rounds drawn as ``sample_many`` draws them, counted as int64 on the axes of ``win_mask``."""
-        _check_count("n", n)
+        stream.check_count("n", n)
         counts = np.zeros(len(self._code_inputs), dtype=np.int64)
-        for code in draw_codes(n, rng, self._ranges, self._threshold):
+        for code in stream.draw_codes(n, rng, self._ranges, self._threshold):
             counts += np.bincount(code, minlength=counts.size)
         tally = np.zeros((2,) * (self._code_inputs.shape[1] + self._code_outputs.shape[1]), dtype=np.int64)
         np.add.at(tally, tuple(np.hstack([self._code_inputs, self._code_outputs]).T), counts)
@@ -838,12 +591,13 @@ class RoundSampler:
 
     def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
         """n rounds with uniform inputs, in round order, as int8 columns (6 B/round for pt3)."""
-        _check_count("n", n)
+        stream.check_count("n", n)
         inputs = np.empty((n, _SHAPES[self.game].inputs), dtype=np.int8)
         outputs = np.empty((n, _SHAPES[self.game].outputs), dtype=np.int8)
-        for piece, code in zip(chunk_slices(n, _DRAW_VALUES), draw_codes(n, rng, self._ranges, self._threshold)):
-            _gather(self._code_inputs, code, inputs[piece])
-            _gather(self._code_outputs, code, outputs[piece])
+        codes = stream.draw_codes(n, rng, self._ranges, self._threshold)
+        for piece, code in zip(stream.chunk_slices(n, stream.DRAW_VALUES), codes):
+            stream.gather(self._code_inputs, code, inputs[piece])
+            stream.gather(self._code_outputs, code, outputs[piece])
         return RoundColumns(inputs, outputs)
 
 

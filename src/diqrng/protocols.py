@@ -18,15 +18,15 @@ with the same seed are bit-identical.
 
 A run streams its rounds in fixed-size chunks and keeps only what
 certification reads: a tally of rounds by (x, setting, b) and the Rand bin's
-output bits, packed at one bit per Rand round in pieces of 65,536.  The
+output bits, as ``stream.PackedBits`` in pieces of 65,536 bits.  The
 verdict releases them packed; a Q test re-packs those past its tested
 prefix piece by piece, and only ``output_bits`` unpacks them all at once.
 The chunks come from ``_round_chunks`` as views into one chunk's scratch
 buffers, allocated once per run; a chunk's views hold until the next chunk
-is drawn.  Uniform inputs come from ``games.draw_cells``, the draw loop of
+is drawn.  Uniform inputs come from ``stream.draw_cells``, the draw loop of
 play-game and the guessing bounds too.  Weighted inputs come from
-``games.draw_codes`` with their CDF as the threshold table, which picks as
-``Generator.choice`` does.  The bits come from ``games._Scratch.measure``,
+``stream.draw_codes`` with their CDF as the threshold table, which picks as
+``Generator.choice`` does.  The bits come from ``stream.Scratch.measure``,
 the one kernel, with thresholds 1 - Pr[b = 1].
 ``BinStore`` holds the tally and answers the bin counts.  Its one per-round
 view, the Rand bin's rounds as ``games.RoundColumns`` with inputs (x0, x1,
@@ -57,8 +57,9 @@ import numpy as np
 from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import MAX_ROUNDS, PackedBits, RoundColumns, _check_count, _check_integer, _gather, _Scratch
-from .games import add_integers, draw_cells, draw_codes, read_only_view
+from .games import RoundColumns, read_only_view
+from .stream import MAX_ROUNDS, PackedBits, Scratch, add_integers, as_bits, check_count, check_integer, draw_cells
+from .stream import draw_codes, gather
 
 A_STAR = QUANTUM_WIN
 
@@ -277,7 +278,7 @@ class ProtocolConfig:
         if self.protocol not in ("P", "Q"):
             raise ValueError(f"protocol must be 'P' or 'Q', got {self.protocol!r}")
         for name in ("rounds", "seed"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name))
         if self.rounds > MAX_ROUNDS:
             raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
         if self.seed < 0:
@@ -365,7 +366,7 @@ class CertificationVerdict:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        bits = analysis._as_bits(self.bits)
+        bits = as_bits(self.bits)
         object.__setattr__(self, "bits", (bits if isinstance(bits, PackedBits) else PackedBits(bits)).drop())
         if self.decision == "ABORT" and self.bits.size:
             raise ValueError("ABORT verdicts carry no output bits")
@@ -412,7 +413,7 @@ def _verdict(
 
 
 def _round_chunks(
-    config: ProtocolConfig, devices: DevicePair, table: np.ndarray, scratch: _Scratch
+    config: ProtocolConfig, devices: DevicePair, table: np.ndarray, scratch: Scratch
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The run's rounds in round order, one chunk at a time, as (code, b) views into ``scratch``.
 
@@ -421,8 +422,8 @@ def _round_chunks(
     are overwritten by the next chunk.
 
     Inputs, the shared coin and the measurement randomness come from three
-    fixed substreams of the seed; ``games.draw_cells`` draws uniform inputs
-    and ``games.draw_codes`` weighted ones.
+    fixed substreams of the seed; ``stream.draw_cells`` draws uniform inputs
+    and ``stream.draw_codes`` weighted ones.
     """
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
@@ -432,7 +433,7 @@ def _round_chunks(
         cdf = np.cumsum(_input_probs(config.protocol, config.mode, config.input_weights))
         picks = draw_codes(config.rounds, input_rng, ((0, 1, 1),), (cdf[:-1] / cdf[-1])[:, None])
         cells = np.array([n_settings * x + s for x, s in _draw_space(config.protocol, config.mode)])
-        drawn = (_gather(cells, pick, scratch.code) for pick in picks)
+        drawn = (gather(cells, pick, scratch.code) for pick in picks)
     elif config.protocol == "P" and config.mode == "generate":
         drawn = draw_cells(config.rounds, input_rng, ((1, 3, n_settings), (2, 3, 1)), scratch.code)
     else:
@@ -458,7 +459,7 @@ def _rand_view(config: ProtocolConfig, devices: DevicePair, table: np.ndarray, i
     ``inputs`` are (x0, x1, setting) and ``outputs`` are (b,), both int8.
     """
     pieces = []
-    for code, _ in _round_chunks(config, devices, table, _Scratch(config.rounds)):
+    for code, _ in _round_chunks(config, devices, table, Scratch(config.rounds)):
         code = code[is_rand[code]]
         x, setting = np.divmod(code >> 1, table.shape[2])
         pieces.append(np.column_stack([x >> 1, x & 1, setting, code & 1]).astype(np.int8))
@@ -486,13 +487,13 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
 
     counts = np.zeros(4 * n_settings * 2, dtype=np.int64)
     bits, odd_matches = PackedBits(), PackedBits()
-    scratch = _Scratch(config.rounds)
+    scratch = Scratch(config.rounds)
     for code, b in _round_chunks(config, devices, table, scratch):
         counts += np.bincount(code, minlength=counts.size)
-        rand = _gather(is_rand, code, scratch.mask[0])
+        rand = gather(is_rand, code, scratch.mask[0])
         bits.append(b[rand])
         if odd_test:
-            odd_matches.append(_gather(odd_match, code, scratch.mask[1])[rand])
+            odd_matches.append(gather(odd_match, code, scratch.mask[1])[rand])
     del scratch         # the chunk buffers go before the tested matches are unpacked
     # Q's odd test spends the first test_len Rand rounds
     test_len = math.ceil(config.gamma * odd_matches.size)
@@ -627,12 +628,12 @@ def guessing_game_bound_check(trials: int, rng: np.random.Generator) -> Guessing
     (c) an eavesdropper guessing a Rand-round bit from the preparation label,
     capped at 1/2.
 
-    Each experiment tallies its trials by code from ``games.draw_codes``,
+    Each experiment tallies its trials by code from ``stream.draw_codes``,
     the draw loop that ``RoundSampler`` and ``run_protocol`` share, and
     counts its wins with its win mask over (x, setting, b); its expected
     rate is exact, from the same mask.
     """
-    _check_count("trials", trials, 1)
+    check_count("trials", trials, 1)
     table = honest_devices("P").response_table("P")[0]
     threshold = (1.0 - table).reshape(1, -1)    # one step, by cell = 3*x + setting
     checks = []

@@ -165,7 +165,7 @@ def _residuals(state: PureState, basis: "QubitBasis", target: int) -> np.ndarray
     return basis._vconj @ tensor
 
 
-_PROB_SNAP = 1e-18
+PROB_SNAP = 1e-18
 # at <= 8 dimensions with O(1) amplitudes, any Born weight this small is the
 # floating-point residue of an exact cancellation; snapping keeps nominally
 # deterministic outcomes exactly deterministic
@@ -184,9 +184,9 @@ def _branch_probabilities(p0: float, p1: float) -> tuple[float, float]:
     """Normalise two unnormalised Born weights, snapping residues to 0."""
     total = p0 + p1
     p0, p1 = p0 / total, p1 / total
-    if p0 < _PROB_SNAP:
+    if p0 < PROB_SNAP:
         return 0.0, 1.0
-    if p1 < _PROB_SNAP:
+    if p1 < PROB_SNAP:
         return 1.0, 0.0
     return p0, p1
 

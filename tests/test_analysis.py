@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diqrng import analysis
+from diqrng import stream
 from diqrng.analysis import (
     entropy_report,
     estimate_conditional,
@@ -15,7 +15,8 @@ from diqrng.analysis import (
     wilson_interval,
 )
 from diqrng.errors import EmptyCondition, MissingCell, TooFewBits
-from diqrng.games import GameId, PackedBits, RoundColumns, RoundSampler, exact_score, paper_strategy
+from diqrng.games import GameId, RoundColumns, RoundSampler, exact_score, paper_strategy
+from diqrng.stream import PackedBits
 
 
 def make_records(cells_and_bits):
@@ -329,7 +330,7 @@ def whole_array_serial(arr: np.ndarray) -> float:
 def assert_same_report(packed: PackedBits, arr: np.ndarray) -> None:
     """Counts, entropy and battery rows of packed bits equal those of their array, bit for bit."""
     want = (int(np.count_nonzero(arr)), int(np.count_nonzero(arr[1:] != arr[:-1])))
-    assert analysis._counts(packed) == analysis._counts(arr) == want
+    assert stream.bit_counts(packed) == stream.bit_counts(arr) == want
     report = entropy_report(packed)
     assert report == entropy_report(arr)
     assert report.n_bits == arr.size and report.zero_fraction == 1.0 - float(np.mean(arr))

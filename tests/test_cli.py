@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from diqrng import cli, games
+from diqrng import cli, stream
 from diqrng.cli import main, read_bits, serialize_report, write_bits
 
 
@@ -90,13 +90,13 @@ class TestBitDumps:
         lf = path.read_bytes()
         for newline in (b"\n", b"\r\n", b"\r"):
             path.write_bytes(lf.replace(b"\n", newline))
-            assert read_bits(path) == games.PackedBits(bits)
+            assert read_bits(path) == stream.PackedBits(bits)
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 65_537, 150_000])
     def test_packed_bits_dump_as_their_array(self, tmp_path, n):
         bits = np.random.default_rng(n).integers(0, 2, n).astype(np.uint8)
         write_bits(tmp_path / "array.bits", bits)
-        write_bits(tmp_path / "packed.bits", games.PackedBits(bits))
+        write_bits(tmp_path / "packed.bits", stream.PackedBits(bits))
         data = (tmp_path / "packed.bits").read_bytes()
         assert data == (tmp_path / "array.bits").read_bytes()
         assert [len(line) for line in data.splitlines()] == [64] * (n // 64) + [n % 64] * (n % 64 > 0)
@@ -113,7 +113,7 @@ class TestBitDumps:
 
     def test_write_holds_one_block_of_lines(self, tmp_path, traced_peak):
         bits = np.random.default_rng(3).integers(0, 2, 2_000_000).astype(np.uint8)
-        for given in (bits, games.PackedBits(bits)):
+        for given in (bits, stream.PackedBits(bits)):
             _, peak = traced_peak(lambda: write_bits(tmp_path / "dump.bits", given))
             # 1,024 lines of 65 bytes and one block of unpacked bits, at any length
             assert peak <= 2**18, f"{peak / bits.size:.3f} B/bit"
@@ -145,22 +145,22 @@ class TestReportMemory:
         assert peak <= 8 * self.N + 2**20, f"{peak / self.N:.3f} B/bit"
 
     def test_bits_sections_of_packed_bits(self, traced_peak):
-        packed = games.PackedBits(np.random.default_rng(10).integers(0, 2, self.N).astype(np.uint8))
+        packed = stream.PackedBits(np.random.default_rng(10).integers(0, 2, self.N).astype(np.uint8))
         sections, peak = traced_peak(lambda: cli._bits_sections(packed))
         assert sections["entropy"]["n_bits"] == self.N and len(sections["battery"]) == 3
         assert peak <= 8 * self.N + 2**20, f"{peak / self.N:.3f} B/bit"
 
 
 def test_report_reads_its_bits_in_two_passes(monkeypatch):
-    packed = games.PackedBits(np.random.default_rng(11).integers(0, 2, 3 * 65_536 + 7).astype(np.uint8)).drop()
+    packed = stream.PackedBits(np.random.default_rng(11).integers(0, 2, 3 * 65_536 + 7).astype(np.uint8)).drop()
     passes = []
-    blocks = games.PackedBits.blocks
+    blocks = stream.PackedBits.blocks
 
     def counted_blocks(self):
         passes.append(self.size)
         return blocks(self)
 
-    monkeypatch.setattr(games.PackedBits, "blocks", counted_blocks)
+    monkeypatch.setattr(stream.PackedBits, "blocks", counted_blocks)
     sections = cli._bits_sections(packed)
     assert sections["entropy"]["n_bits"] == packed.size and len(sections["battery"]) == 3
     # one pass counts the ones and the changes for the entropy and the battery; one fills the serial column
@@ -255,6 +255,14 @@ class TestExitCodes:
     def test_runtime_error_is_one(self, capsys):
         code = main(["analyze", "--seed", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_report_path_is_one(self, capsys, tmp_path, where):
+        out = tmp_path / "missing" / "report.json" if where == "missing directory" else tmp_path
+        code = main(["play-game", "--game", "chsh", "--rounds", "10", "--seed", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and str(out) in captured.err
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,11 +7,14 @@ out of range or of the wrong type.  Every run must either emit a report
 small so that each run is quick.  Counts, delta and gamma fall outside their
 ranges, analyze reads no real bit dump, and any option takes junk, about one
 time in ten each, so that at least a quarter of the run-protocol and the
-analyze runs reach a report.
+analyze runs reach a report.  Each run works in a temporary directory of its
+own, and the output paths name a fresh file there, a file under a missing
+directory or the directory itself; a report written to a file is read from it.
 """
 
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diqrng import cli, games
+from diqrng import cli, stream
 
 # values of the wrong type or form, for flags and config files alike
 JUNK = st.one_of(
@@ -49,8 +52,13 @@ FLOATS = {
         st.sampled_from([0.0, 0.4999, 1.0001, -1, 2]),
     ),
 }
-# paths the runs would write to stay out of the fuzz
-UNFUZZED = ("config", "out", "bits_out")
+# the config file is the fuzz's own
+UNFUZZED = ("config",)
+# output paths, relative to the run's temporary directory: half of them a fresh file there
+OUTPUTS = ("out", "bits_out")
+PATHS = st.one_of(st.just("report.out"), st.sampled_from(["missing/report.out", "."]))
+# junk paths without a "/" stay inside that directory too
+PATH_JUNK = JUNK.filter(lambda value: not isinstance(value, str) or "/" not in value)
 
 
 def fuzzed_options(command):
@@ -72,6 +80,8 @@ def values(name, kind, bit_files):
         return SEEDS
     if name == "bits_in":
         return mostly(st.sampled_from(bit_files), st.sampled_from(["missing.bits", ""]))
+    if name in OUTPUTS:
+        return PATHS
     if kind is float:
         return FLOATS[name]
     return {bool: st.booleans(), int: mostly(st.integers(300, 3_000), st.integers(-2, 299))}[kind]
@@ -86,7 +96,7 @@ def invocations(draw, command, bit_files):
         if where == "absent":
             continue
         valid = values(name, kind, bit_files)
-        value = draw(mostly(valid, st.one_of(valid, JUNK)))
+        value = draw(mostly(valid, st.one_of(valid, PATH_JUNK if name in OUTPUTS else JUNK)))
         (flags if where == "flag" else config)[name] = value
     env_seed = draw(st.one_of(st.none(), SEEDS.map(str), st.sampled_from(["", "x", "1.5"])))
     return flags, config, env_seed
@@ -105,22 +115,38 @@ def argv_of(command, flags, config_path):
     return argv
 
 
+def report_path(flags, config):
+    """Where a run writes its report: ``--out`` as ``argv_of`` passes it, else the config file's text, else stdout (None)."""
+    if "out" in flags:
+        return flags["out"] if isinstance(flags["out"], str) else json.dumps(flags["out"])
+    return config["out"] if isinstance(config.get("out"), str) else None
+
+
 def assert_report_or_error(command, invocation, capsys, monkeypatch):
     flags, config, env_seed = invocation
     if env_seed is None:
         monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     else:
         monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        config_path = None
-        if config:
-            config_path = Path(tmp) / "config.json"
-            config_path.write_text(json.dumps(config), encoding="utf-8")
+        os.chdir(tmp)
         try:
-            code = cli.main(argv_of(command, flags, config_path))
-        except SystemExit as exc:       # argparse's usage errors
-            code = exc.code
-    out, err = capsys.readouterr()
+            config_path = None
+            if config:
+                config_path = Path(tmp) / "config.json"
+                config_path.write_text(json.dumps(config), encoding="utf-8")
+            try:
+                code = cli.main(argv_of(command, flags, config_path))
+            except SystemExit as exc:       # argparse's usage errors
+                code = exc.code
+            out, err = capsys.readouterr()
+            path = report_path(flags, config)
+            if code in (0, 2) and path:
+                assert out == ""
+                out = Path(path).read_text(encoding="utf-8")
+        finally:
+            os.chdir(cwd)
     if code in (0, 2):
         report = json.loads(out)
         assert report["manifest"]["command"] == command
@@ -174,5 +200,5 @@ def test_round_count_past_the_index_range_is_an_error(capsys, monkeypatch):
             assert cli.main([*argv, str(count), "--seed", "1"]) == 1
             err = capsys.readouterr().err
             # the explicit int64 limit, not an incidental overflow of a list or an array shape
-            assert err.startswith("error: ") and str(games.MAX_ROUNDS) in err, (argv, count, err)
+            assert err.startswith("error: ") and str(stream.MAX_ROUNDS) in err, (argv, count, err)
             assert "Traceback" not in err

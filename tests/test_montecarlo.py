@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from diqrng import cli, games, protocols
+from diqrng import cli, games, protocols, stream
 from diqrng.errors import DiqrngError
 from diqrng.games import GameId, RoundIO, RoundSampler, input_space, outcome_tensor, paper_strategy
 
@@ -135,9 +135,9 @@ def test_sample_many_of_a_mixture_matches_row_reference():
     assert list(rounds) == reference_sample_many(GameId.CHSH, mix, 5000, np.random.default_rng(8))
 
 
-MULTI_CHUNK = (games._CHUNK_ROUNDS, games._CHUNK_ROUNDS + 1, 3 * games._CHUNK_ROUNDS + 17)
+MULTI_CHUNK = (stream.CHUNK_ROUNDS, stream.CHUNK_ROUNDS + 1, 3 * stream.CHUNK_ROUNDS + 17)
 # around one piece of the sampling kernel's draws
-DRAW_EDGES = (games._DRAW_VALUES - 1, games._DRAW_VALUES, games._DRAW_VALUES + 1)
+DRAW_EDGES = (stream.DRAW_VALUES - 1, stream.DRAW_VALUES, stream.DRAW_VALUES + 1)
 
 
 @pytest.mark.parametrize("game", list(GameId))
@@ -196,7 +196,7 @@ def test_branch_rule_is_capped_searchsorted_at_its_edges(strategy):
         stub = Uniforms(u)
         assert [sampler.sample(inputs, stub).outputs for _ in u] == [all_outputs[k] for k in support[want]]
 
-        scratch = games._Scratch(len(u))
+        scratch = stream.Scratch(len(u))
         cell = scratch.code[: len(u)]
         cell.fill(i)
         code, branch = scratch.measure(cell, sampler._threshold, cell, Uniforms(u))
@@ -214,7 +214,7 @@ def binned(rounds, shape):
 
 
 @pytest.mark.parametrize("strategy", [paper_strategy(g) for g in GameId] + [chsh_mixture_below_one()])
-@pytest.mark.parametrize("n", [0, 1, *DRAW_EDGES, 3 * games._DRAW_VALUES + 17])
+@pytest.mark.parametrize("n", [0, 1, *DRAW_EDGES, 3 * stream.DRAW_VALUES + 17])
 def test_tally_counts_the_sampled_rounds_by_code(strategy, n):
     """The tally counts ``sample_many``'s rounds on the axes of ``win_mask`` and leaves the same end state."""
     sampler = RoundSampler(strategy.game, strategy)
@@ -227,13 +227,13 @@ def test_tally_counts_the_sampled_rounds_by_code(strategy, n):
     assert rng.bit_generator.state == rounds_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("n", [-5, -1, games.MAX_ROUNDS + 1])
+@pytest.mark.parametrize("n", [-5, -1, stream.MAX_ROUNDS + 1])
 def test_sampler_rejects_round_counts_out_of_range(n):
     sampler = RoundSampler(GameId.CHSH, paper_strategy(GameId.CHSH))
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     for draw in (sampler.tally, sampler.sample_many):
-        with pytest.raises(ValueError, match=rf"^n must lie in \[0, {games.MAX_ROUNDS}\], got {n}$"):
+        with pytest.raises(ValueError, match=rf"^n must lie in \[0, {stream.MAX_ROUNDS}\], got {n}$"):
             draw(n, rng)
     assert rng.bit_generator.state == state
 
@@ -250,36 +250,36 @@ def test_sampler_rejects_round_counts_that_are_not_integers(n):
     "ranges",
     [((0, 4, 3), (0, 3, 1)), ((1, 3, 3), (2, 3, 1)), ((2, 3, 1), (0, 4, 3)), ((0, 2, 5), (0, 3, 2), (0, 4, 1))],
 )
-@pytest.mark.parametrize("n", [1, games._DRAW_VALUES + 1, 3 * games._CHUNK_ROUNDS + 17])
+@pytest.mark.parametrize("n", [1, stream.DRAW_VALUES + 1, 3 * stream.CHUNK_ROUNDS + 17])
 def test_draw_cells_equal_the_one_call_order(ranges, n):
     """Each range's n draws follow the ranges before it in one stream; a one-value range takes none."""
     ref_rng = np.random.default_rng(SEEDS[0])
     want = sum(scale * ref_rng.integers(low, high, size=n) for low, high, scale in ranges)
-    out = np.empty(min(n, games._CHUNK_ROUNDS), dtype=np.int64)
-    got = np.concatenate([cell.copy() for cell in games.draw_cells(n, np.random.default_rng(SEEDS[0]), ranges, out)])
+    out = np.empty(min(n, stream.CHUNK_ROUNDS), dtype=np.int64)
+    got = np.concatenate([cell.copy() for cell in stream.draw_cells(n, np.random.default_rng(SEEDS[0]), ranges, out)])
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("ranges,walks", [(((0, 4, 3), (0, 3, 1)), 2), (((1, 3, 3), (2, 3, 1)), 1), (((2, 3, 1),), 0)])
 def test_draw_codes_walks_each_range_once(ranges, walks, monkeypatch):
     """The cells and the uniforms share one skip chain; ``draw_cells`` alone makes no walk past its last range."""
-    calls, skip_ahead = [], games.skip_ahead
+    calls, skip_ahead = [], stream.skip_ahead
 
     def counted_skip_ahead(*args):
         calls.append(args[1:])
         return skip_ahead(*args)
 
-    monkeypatch.setattr(games, "skip_ahead", counted_skip_ahead)
+    monkeypatch.setattr(stream, "skip_ahead", counted_skip_ahead)
     threshold = np.full((1, 12), 0.5)
     rng, ref_rng = np.random.default_rng(SEEDS[0]), np.random.default_rng(SEEDS[0])
-    codes = np.concatenate([code.copy() for code in games.draw_codes(1000, rng, ranges, threshold)])
+    codes = np.concatenate([code.copy() for code in stream.draw_codes(1000, rng, ranges, threshold)])
     assert len(calls) == walks
     cells = sum(scale * ref_rng.integers(low, high, size=1000) for low, high, scale in ranges)
     assert np.array_equal(codes, 2 * cells + (ref_rng.random(1000) >= 0.5))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     calls.clear()
-    for _ in games.draw_cells(1000, np.random.default_rng(0), ranges, np.empty(1000, dtype=np.int64)):
+    for _ in stream.draw_cells(1000, np.random.default_rng(0), ranges, np.empty(1000, dtype=np.int64)):
         pass
     assert len(calls) == max(walks - 1, 0)
 
@@ -335,7 +335,7 @@ def test_guessing_bounds_report_matches_one_shot_reference(trials, capsys, monke
         assert got == want
 
 
-@pytest.mark.parametrize("trials", [1, *DRAW_EDGES, 70_001, 3 * games._CHUNK_ROUNDS + 17])
+@pytest.mark.parametrize("trials", [1, *DRAW_EDGES, 70_001, 3 * stream.CHUNK_ROUNDS + 17])
 def test_guessing_bounds_take_the_same_draws(trials):
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     assert protocols.guessing_game_bound_check(trials, rng) == reference_guessing_bounds(trials, ref_rng)
@@ -353,7 +353,7 @@ def test_exact_references_match_closed_forms():
 @pytest.mark.parametrize("low,high", [(0, 2), (1, 3), (0, 3), (0, 4), (0, 8)])
 def test_chunked_draws_equal_one_call(low, high):
     """The property every chunked column relies on: chunk sizes never show in a PCG64 stream."""
-    sizes = (1, 7, games._CHUNK_ROUNDS, 1001, 1, 7)
+    sizes = (1, 7, stream.CHUNK_ROUNDS, 1001, 1, 7)
     one, chunked = np.random.default_rng(SEEDS[2]), np.random.default_rng(SEEDS[2])
     want = one.integers(low, high, size=sum(sizes))
     got = np.concatenate([chunked.integers(low, high, size=k) for k in sizes])
@@ -365,13 +365,13 @@ def test_chunked_draws_equal_one_call(low, high):
 
 
 @pytest.mark.parametrize(
-    "n", [1, games._CHUNK_ROUNDS - 1, games._CHUNK_ROUNDS, games._CHUNK_ROUNDS + 1, 3 * games._CHUNK_ROUNDS + 17]
+    "n", [1, stream.CHUNK_ROUNDS - 1, stream.CHUNK_ROUNDS, stream.CHUNK_ROUNDS + 1, 3 * stream.CHUNK_ROUNDS + 17]
 )
 @pytest.mark.parametrize("low,high", [(0, 4), (1, 3), (0, 3)])
 def test_skip_ahead_lands_where_one_call_does(n, low, high):
     rng, ref_rng = np.random.default_rng(SEEDS[2]), np.random.default_rng(SEEDS[2])
     start = rng.bit_generator.state
-    ahead = games.skip_ahead(rng, n, low, high)
+    ahead = stream.skip_ahead(rng, n, low, high)
     ref_rng.integers(low, high, size=n)
     assert ahead.bit_generator.state == ref_rng.bit_generator.state
     assert rng.bit_generator.state == start
@@ -379,12 +379,12 @@ def test_skip_ahead_lands_where_one_call_does(n, low, high):
     assert ahead.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("n", [1, games._DRAW_VALUES - 1, games._DRAW_VALUES + 1, 3 * games._DRAW_VALUES + 17])
+@pytest.mark.parametrize("n", [1, stream.DRAW_VALUES - 1, stream.DRAW_VALUES + 1, 3 * stream.DRAW_VALUES + 17])
 @pytest.mark.parametrize("low,high,scale", [(0, 4, 3), (1, 3, 3), (0, 2, 1), (2, 3, 1)])
 def test_add_integers_adds_one_call_draws(n, low, high, scale):
     rng, ref_rng = np.random.default_rng(SEEDS[1]), np.random.default_rng(SEEDS[1])
     out = np.full(n, 5, dtype=np.int64)
-    games.add_integers(out, rng, low, high, scale)
+    stream.add_integers(out, rng, low, high, scale)
     assert np.array_equal(out, 5 + scale * ref_rng.integers(low, high, size=n))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if high - low == 1:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diqrng import games, protocols, qcore
+from diqrng import protocols, qcore, stream
 from diqrng.errors import (
     DeviceArityMismatch,
     InsufficientRounds,
@@ -385,7 +385,7 @@ class TestConfigAndVerdict:
         assert verdict.bits.size == released.size and np.array_equal(verdict.bits.unpack(), released)
 
     def test_verdict_keeps_its_bits_when_the_callers_grow(self):
-        bits = games.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
+        bits = stream.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
         verdict = CertificationVerdict("PASS", (), bits)
         bits.append(np.ones(5, dtype=np.uint8))
         assert verdict.bits.size == 3 and list(verdict.output_bits) == [1, 0, 1]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from diqrng import analysis, cli, games, protocols
+from diqrng import analysis, cli, protocols, stream
 from diqrng.games import RoundColumns
 from diqrng.errors import InsufficientRounds, MissingCell
 from diqrng.protocols import (
@@ -17,7 +17,7 @@ from diqrng.protocols import (
     run_protocol,
 )
 
-CHUNK = games._CHUNK_ROUNDS
+CHUNK = stream.CHUNK_ROUNDS
 ROUNDS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17)
 
 # skewed, and reaching every Check and False cell as a P test must; Rand rounds come from x = 01 only
@@ -232,14 +232,14 @@ def weight_vectors():
         yield tuple(weights / weights.sum())
 
 
-@pytest.mark.parametrize("n", [1, games._DRAW_VALUES + 1, 3 * games._DRAW_VALUES + 17])
+@pytest.mark.parametrize("n", [1, stream.DRAW_VALUES + 1, 3 * stream.DRAW_VALUES + 17])
 def test_weighted_picks_equal_generator_choice(n):
     """A one-cell draw whose table is the CDF less its last entry picks as ``choice`` does and ends where it does."""
     for seed, weights in enumerate(weight_vectors()):
         probs = np.array(weights)
         cdf = np.cumsum(probs)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        picks = [pick.copy() for pick in games.draw_codes(n, rng, ((0, 1, 1),), (cdf[:-1] / cdf[-1])[:, None])]
+        picks = [pick.copy() for pick in stream.draw_codes(n, rng, ((0, 1, 1),), (cdf[:-1] / cdf[-1])[:, None])]
         assert np.array_equal(np.concatenate(picks), ref_rng.choice(probs.size, size=n, p=probs)), weights
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -288,7 +288,7 @@ def test_rand_storage_grows_slowly_with_the_run(protocol, mode, bound, traced_sl
 def test_packed_bits_unpack_whole_or_by_prefix(sizes):
     rng = np.random.default_rng(11)
     pieces = [rng.integers(0, 2, size=k).astype(np.uint8) for k in sizes]
-    packed = games.PackedBits()
+    packed = stream.PackedBits()
     for piece in pieces:
         packed.append(piece)
     want = np.concatenate(pieces)
@@ -302,7 +302,7 @@ def test_packed_bits_unpack_whole_or_by_prefix(sizes):
 def test_packed_bits_blocks_past_a_dropped_prefix(sizes):
     rng = np.random.default_rng(12)
     pieces = [rng.integers(0, 2, size=k).astype(np.uint8) for k in sizes]
-    packed = games.PackedBits()
+    packed = stream.PackedBits()
     for piece in pieces:
         packed.append(piece)
     want = np.concatenate(pieces)
@@ -318,12 +318,12 @@ def test_packed_bits_blocks_past_a_dropped_prefix(sizes):
 
 def test_packed_bits_compare_by_content_and_recount_after_append():
     want = np.random.default_rng(13).integers(0, 2, size=CHUNK + 100).astype(np.uint8)
-    whole, pieces = games.PackedBits(want), games.PackedBits()
+    whole, pieces = stream.PackedBits(want), stream.PackedBits()
     for piece in np.split(want, [3, 70_000]):
         pieces.append(piece)
     flipped = want.copy()
     flipped[-1] ^= 1
-    assert whole == pieces and whole != games.PackedBits(flipped) and whole != pieces.drop(1)
+    assert whole == pieces and whole != stream.PackedBits(flipped) and whole != pieces.drop(1)
     with pytest.raises(TypeError):
         hash(whole)
     assert whole.counts() == (int(want.sum()), int(np.count_nonzero(np.diff(want))))
@@ -332,7 +332,7 @@ def test_packed_bits_compare_by_content_and_recount_after_append():
 
 
 def test_dropped_bits_are_sealed_and_share_read_only_pieces():
-    packed = games.PackedBits(np.ones(10, dtype=np.uint8))
+    packed = stream.PackedBits(np.ones(10, dtype=np.uint8))
     sealed = packed.drop(2)
     with pytest.raises(ValueError, match="sealed"):
         sealed.append(np.ones(1, dtype=np.uint8))
@@ -355,7 +355,7 @@ DROP_POINTS = {
 def test_packed_bits_pieces_are_whole_blocks(tmp_path, sizes, drop):
     rng = np.random.default_rng(sum(sizes))
     pieces = [rng.integers(0, 2, size=k).astype(np.uint8) for k in sizes]
-    packed = games.PackedBits()
+    packed = stream.PackedBits()
     for piece in pieces:
         packed.append(piece)
     want = np.concatenate(pieces)
@@ -380,8 +380,8 @@ def test_packed_bits_pieces_are_whole_blocks(tmp_path, sizes, drop):
 )
 def test_packed_bits_take_only_0_and_1(values):
     with pytest.raises(ValueError, match="bits must be 0/1 valued$"):
-        games.PackedBits(values)
-    packed = games.PackedBits(np.ones(3, dtype=np.uint8))
+        stream.PackedBits(values)
+    packed = stream.PackedBits(np.ones(3, dtype=np.uint8))
     with pytest.raises(ValueError, match="bits must be 0/1 valued$"):
         packed.append(values)
     assert packed.size == 3 and list(packed.unpack()) == [1, 1, 1]
@@ -392,23 +392,39 @@ def test_packed_bits_take_only_0_and_1(values):
 
 
 def test_packed_bits_take_0_and_1_of_any_type():
-    want = games.PackedBits(np.array([0, 1, 1], dtype=np.uint8))
+    want = stream.PackedBits(np.array([0, 1, 1], dtype=np.uint8))
     for bits in ([0, 1, 1], np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1]) > 0):
-        assert games.PackedBits(bits) == want
+        assert stream.PackedBits(bits) == want
     with pytest.raises(ValueError, match="bits must be one-dimensional$"):
-        games.PackedBits(np.zeros((2, 64), dtype=np.uint8))
+        stream.PackedBits(np.zeros((2, 64), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("text", ["0102", "01é1", "01 1", "0\x001", ""])
+def test_bit_text_has_one_rule(tmp_path, text):
+    """A '0'/'1' string given to the analysis and the same text in a bit dump are parsed alike."""
+    path = tmp_path / "dump.bits"
+    path.write_bytes(text.encode("utf-8"))
+    if not text:
+        assert cli.read_bits(path).size == 0
+        with pytest.raises(ValueError, match="^need at least one bit$"):
+            analysis.entropy_report(text)
+        return
+    with pytest.raises(ValueError, match="^bit strings may contain only '0' and '1'$"):
+        analysis.entropy_report(text)
+    with pytest.raises(ValueError, match="^bit strings may contain only '0' and '1'$"):
+        cli.read_bits(path)
 
 
 @pytest.mark.parametrize("n", [-1, -5])
 def test_packed_bits_drop_rejects_a_negative_count(n):
-    packed = games.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
+    packed = stream.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
     with pytest.raises(ValueError, match=f"drop takes n >= 0 bits, got {n}$"):
         packed.drop(n)
 
 
 @pytest.mark.parametrize("n", [-1, 4, 10])
 def test_packed_bits_unpack_rejects_a_count_past_its_bits(n):
-    packed = games.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
+    packed = stream.PackedBits(np.array([1, 0, 1], dtype=np.uint8))
     with pytest.raises(ValueError, match=rf"unpack takes n in \[0, 3\] bits, got {n}$"):
         packed.unpack(n)
     assert list(packed.unpack(3)) == [1, 0, 1] and packed.unpack(0).size == 0
