@@ -430,6 +430,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    body = {}
     try:
         opts = _merge_options(args)
         seed = _resolve_seed(opts)
@@ -441,6 +442,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
     # a JSONDecodeError is a ValueError
     except (DiqrngError, OSError, ValueError, OverflowError, MemoryError) as exc:
+        # a run that fails leaves no bit file without the report that names it
+        if "output_bits_path" in body:
+            Path(body["output_bits_path"]).unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if body.get("verdict") == "ABORT" else 0

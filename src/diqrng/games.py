@@ -368,10 +368,11 @@ _PREPARE_AND_MEASURE = (GameId.TAVAKOLI, GameId.GAME_G2)
 def _rows(spec: MeasureSpec) -> np.ndarray:
     """Row b is the bra whose overlap with the qubit is the amplitude of reported bit b.
 
-    Outcome i's bra is <v_i| G_k ... G_1, with G_1 applied first; reported
-    bit outputs[i] takes row i (a swap of two rows is its own inverse).
+    Outcome i's bra is <v_i| G_k ... G_1, with G_1 applied first, where
+    <v_i| is row i of ``basis.bras``; reported bit outputs[i] takes row i
+    (a swap of two rows is its own inverse).
     """
-    rows = spec.basis._vconj
+    rows = spec.basis.bras
     for gate in reversed(spec.gates):
         rows = rows @ gate.matrix
     return rows[list(spec.outputs)]

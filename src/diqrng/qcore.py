@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,26 +43,12 @@ class PureState:
             raise BadDimension(f"amplitude vector must have length 2, 4 or 8, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise NonNormalizable("amplitudes must be finite")
-        # the sum np.linalg.norm forms for a complex vector, without its dispatch
-        norm = math.sqrt(float(amps.real @ amps.real + amps.imag @ amps.imag))
+        norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise NonNormalizable(f"state norm {norm} is not 1 within {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def _unit(cls, amps: np.ndarray) -> "PureState":
-        """Adopt a freshly computed unit vector of valid length as is.
-
-        For states derived inside this module (a collapsed residual divided
-        by its own norm), where ``__post_init__``'s checks hold by
-        construction and its copy would be wasted.
-        """
-        state = object.__new__(cls)
-        amps.setflags(write=False)
-        object.__setattr__(state, "amplitudes", amps)
-        return state
 
     @property
     def num_qubits(self) -> int:
@@ -136,18 +122,17 @@ def _check_target(state: PureState, target: int) -> None:
         raise BadTarget(f"target {target} out of range for {state.num_qubits}-qubit state")
 
 
+def _target_first(amplitudes: np.ndarray, target: int) -> np.ndarray:
+    """The amplitudes as a (2, k) matrix: row b is target qubit b, the other qubits in order."""
+    return amplitudes.reshape(2**target, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+
+
 def apply_gate(state: PureState, gate: Gate1Q, target: int) -> PureState:
     """Apply a one-qubit gate to the target qubit, returning a new state."""
     _check_target(state, target)
-    if target == 0:
-        # qubit 0 is already the leading axis: one (2, 2) x (2, k) product
-        return PureState(np.dot(gate.matrix, state.amplitudes.reshape(2, -1)).reshape(-1))
-    n = state.num_qubits
-    tensor = state.amplitudes.reshape([2] * n)
-    tensor = np.tensordot(gate.matrix, tensor, axes=([1], [target]))
-    # tensordot moves the contracted axis to the front; restore qubit order
-    tensor = np.moveaxis(tensor, 0, target)
-    return PureState(tensor.reshape(-1))
+    moved = gate.matrix @ _target_first(state.amplitudes, target)
+    # the inverse reordering puts the target qubit back in its place
+    return PureState(moved.reshape(2, 2**target, -1).transpose(1, 0, 2).reshape(-1))
 
 
 def _residuals(state: PureState, basis: "QubitBasis", target: int) -> np.ndarray:
@@ -157,12 +142,7 @@ def _residuals(state: PureState, basis: "QubitBasis", target: int) -> np.ndarray
     target qubit onto basis vector i; for single-qubit states the rows are
     the scalars <v_i|state>.
     """
-    if target == 0:
-        tensor = state.amplitudes.reshape(2, -1)
-    else:
-        n = state.num_qubits
-        tensor = np.moveaxis(state.amplitudes.reshape([2] * n), target, 0).reshape(2, -1)
-    return basis._vconj @ tensor
+    return basis.bras @ _target_first(state.amplitudes, target)
 
 
 PROB_SNAP = 1e-18
@@ -171,17 +151,9 @@ PROB_SNAP = 1e-18
 # deterministic outcomes exactly deterministic
 
 
-def _squared_norms(residuals: np.ndarray) -> tuple[float, float]:
-    """Squared norms of both residual rows, summed as ``np.linalg.norm`` does."""
-    re, im = residuals.real, residuals.imag
-    return (
-        float(np.dot(re[0], re[0]) + np.dot(im[0], im[0])),
-        float(np.dot(re[1], re[1]) + np.dot(im[1], im[1])),
-    )
-
-
-def _branch_probabilities(p0: float, p1: float) -> tuple[float, float]:
-    """Normalise two unnormalised Born weights, snapping residues to 0."""
+def _branch_probabilities(residuals: np.ndarray) -> tuple[float, float]:
+    """Born probabilities of both residual rows, snapping residues to 0."""
+    p0, p1 = (float(row.real @ row.real + row.imag @ row.imag) for row in residuals)
     total = p0 + p1
     p0, p1 = p0 / total, p1 / total
     if p0 < PROB_SNAP:
@@ -202,8 +174,7 @@ def measurement_branches(
     """
     _check_target(state, target)
     residuals = _residuals(state, basis, target)
-    squares = _squared_norms(residuals)
-    p0, p1 = _branch_probabilities(*squares)
+    p0, p1 = _branch_probabilities(residuals)
     branches = []
     for outcome, prob in ((0, p0), (1, p1)):
         if prob <= 0.0:
@@ -211,15 +182,15 @@ def measurement_branches(
         elif state.num_qubits == 1:
             branches.append((prob, (basis.v0, basis.v1)[outcome]))
         else:
-            # sqrt of the squared norm is exactly np.linalg.norm(residual)
-            branches.append((prob, PureState._unit(residuals[outcome] / math.sqrt(squares[outcome]))))
+            residual = residuals[outcome]
+            branches.append((prob, PureState(residual / np.linalg.norm(residual))))
     return branches[0], branches[1]
 
 
 def outcome_distribution(state: PureState, basis: "QubitBasis", target: int) -> tuple[float, float]:
     """Exact Born probabilities of the two basis outcomes on the target qubit."""
     _check_target(state, target)
-    return _branch_probabilities(*_squared_norms(_residuals(state, basis, target)))
+    return _branch_probabilities(_residuals(state, basis, target))
 
 
 def collapse(state: PureState, basis: "QubitBasis", target: int, outcome: int) -> tuple[float, PureState]:
@@ -264,11 +235,16 @@ def overlap(a: PureState, b: PureState) -> float:
 
 @dataclass(frozen=True, eq=False)
 class QubitBasis:
-    """Orthonormal single-qubit measurement pair {v0, v1}."""
+    """Orthonormal single-qubit measurement pair {v0, v1}.
+
+    ``bras`` is the read-only 2x2 array whose row i is <v_i|, the conjugate
+    of v_i's amplitudes.
+    """
 
     name: str
     v0: PureState
     v1: PureState
+    bras: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.v0.num_qubits != 1 or self.v1.num_qubits != 1:
@@ -276,9 +252,9 @@ class QubitBasis:
         inner = abs(np.vdot(self.v0.amplitudes, self.v1.amplitudes))
         if inner > NORM_TOL:
             raise NonNormalizable(f"basis {self.name!r} vectors are not orthogonal (|<v0|v1>| = {inner})")
-        vconj = np.vstack([self.v0.amplitudes, self.v1.amplitudes]).conj()
-        vconj.setflags(write=False)
-        object.__setattr__(self, "_vconj", vconj)
+        bras = np.vstack([self.v0.amplitudes, self.v1.amplitudes]).conj()
+        bras.setflags(write=False)
+        object.__setattr__(self, "bras", bras)
 
     def __repr__(self) -> str:
         return f"QubitBasis({self.name!r})"

@@ -1,4 +1,10 @@
-"""The benchmark's sweep checks what run_protocol returns; a few of its operations must pass their own checks."""
+"""The benchmark's own checks, run on the program: a few sweep operations and every exact one.
+
+The sweep checks what run_protocol returns.  The exact workload checks
+scores, the G2 frontier, the equivalence checks' overlaps and probabilities,
+the samplers and the response tables against closed forms and references of
+its own.
+"""
 
 import importlib.util
 import sys
@@ -19,6 +25,7 @@ def load_workloads():
 
 WORKLOADS = load_workloads()
 SWEEP = {op.name: op for op in WORKLOADS._sweep(0).ops}
+EXACT = {op.name: op for op in WORKLOADS._exact(0).ops}
 
 
 # the two honest runs read the verdict, its conditions and the Rand bin; an aborting one reads the verdict
@@ -34,3 +41,15 @@ def test_sweep_check_fails_on_a_wrong_result():
         honest.check(aborting.run())
     with pytest.raises(WORKLOADS.CheckFailed, match="always_zero.P: PASS, expected ABORT"):
         aborting.check(honest.run())
+
+
+def test_exact_workload_has_every_op():
+    assert len(EXACT) == 54
+    assert sum(name.startswith("equivalence_check.") for name in EXACT) == 3
+
+
+@pytest.mark.parametrize("name", list(EXACT))
+def test_exact_op_passes_its_check(name):
+    op = EXACT[name]
+    assert op.before is None
+    assert op.check(op.run()) is None

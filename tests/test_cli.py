@@ -264,6 +264,19 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and str(out) in captured.err
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_report_path_leaves_no_bit_file(self, capsys, tmp_path, where):
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / "missing" / "r.json" if where == "missing directory" else tmp_path / "dir"
+        argv = ["run-protocol", "--protocol", "P", "--mode", "generate", "--rounds", "2000", "--seed", "1"]
+        code = main(argv + ["--bits-out", str(tmp_path / "fb.bits"), "--out", str(out)])
+        assert code == 1 and capsys.readouterr().err.startswith("error: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["dir"]
+        # a bit file the run did not write stays
+        (tmp_path / "fb.bits").write_text("01\n")
+        assert main(argv + ["--bits-out", str(tmp_path / "fb.bits"), "--delta", "0"]) == 1
+        assert (tmp_path / "fb.bits").read_text() == "01\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -2,14 +2,15 @@
 
 Every option in the CLI's option table, for every command, is left out,
 passed as a flag or put in a ``--config`` file, with values that are valid,
-out of range or of the wrong type.  Every run must either emit a report
-(exit 0 or 2) or exit 1 with an ``error:`` line.  Round and trial counts stay
-small so that each run is quick.  Counts, delta and gamma fall outside their
-ranges, analyze reads no real bit dump, and any option takes junk, about one
-time in ten each, so that at least a quarter of the run-protocol and the
-analyze runs reach a report.  Each run works in a temporary directory of its
-own, and the output paths name a fresh file there, a file under a missing
-directory or the directory itself; a report written to a file is read from it.
+out of range or of the wrong type.  Every run must either emit a report (exit
+0 or 2) or exit 1 with an ``error:`` line and no file written.  Round and
+trial counts stay small so that each run is quick.  Counts, delta and gamma
+fall outside their ranges, analyze reads no real bit dump, and any option
+takes junk, about one time in ten each, so that at least a quarter of the
+run-protocol and the analyze runs reach a report.  Each run works in a
+temporary directory of its own, and the output paths name a fresh file
+there, a file under a missing directory or the directory itself; a report
+written to a file is read from it.
 """
 
 import json
@@ -145,6 +146,7 @@ def assert_report_or_error(command, invocation, capsys, monkeypatch):
             if code in (0, 2) and path:
                 assert out == ""
                 out = Path(path).read_text(encoding="utf-8")
+            left = sorted(os.listdir(tmp))
         finally:
             os.chdir(cwd)
     if code in (0, 2):
@@ -154,6 +156,8 @@ def assert_report_or_error(command, invocation, capsys, monkeypatch):
         assert code == 1
         assert "error: " in err
         assert "Traceback" not in err
+        # a failed run leaves no report and no bit file
+        assert left == (["config.json"] if config else [])
     return code
 
 

@@ -1,10 +1,12 @@
-"""Module boundaries: no module reaches a sibling's private name, and ``stream`` stands alone.
+"""Module boundaries: no module reaches a private name it does not own, and ``stream`` stands alone.
 
 A private name (``_name``, not a dunder) belongs to its module.  Another
-module may neither import it nor read it as ``sibling._name``.  ``stream``
-holds the round and bit streams that the games, the protocols, the analysis
-and the CLI share, so it imports nothing from the package, and ``games``
-passes none of its names on.
+module may neither import it nor read it as ``sibling._name``, and a module
+reads an attribute ``obj._name`` only where its own code defines ``_name``:
+assigns it, sets it with ``object.__setattr__`` or defines it in a class
+body.  ``stream`` holds the round and bit streams that the games, the
+protocols, the analysis and the CLI share, so it imports nothing from the
+package, and ``games`` passes none of its names on.
 """
 
 import ast
@@ -58,9 +60,59 @@ def crossings(module: str) -> list[str]:
     return found
 
 
+def defined_names(tree: ast.Module) -> set[str]:
+    """Each name the module's code assigns, sets with ``object.__setattr__`` or defines in a class body."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+        ):
+            defined.add(node.args[1].value)
+        elif isinstance(node, ast.ClassDef):
+            defined.update(
+                item.name for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            )
+    return defined
+
+
+def foreign_attributes(module: str) -> list[str]:
+    """Each ``obj._name`` the module reads (as ``ast.unparse`` prints it) whose ``_name`` it does not define."""
+    tree = parse(module)
+    defined = defined_names(tree)
+    return [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and is_private(node.attr) and node.attr not in defined
+    ]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_private_name_crosses_a_module_boundary(module):
     assert crossings(module) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_private_attributes_are_read_only_where_defined(module):
+    assert foreign_attributes(module) == []
+
+
+def test_private_attribute_check_sees_each_kind_of_definition():
+    tree = ast.parse(
+        "class A:\n"
+        "    _field: int = 0\n"
+        "    def _method(self):\n"
+        "        self._cache = 1\n"
+        "        object.__setattr__(self, '_set', 2)\n"
+        "        return other._foreign, self._method, self._cache, self._set\n"
+    )
+    assert defined_names(tree) >= {"_field", "_method", "_cache", "_set"}
+    assert "_foreign" not in defined_names(tree)
 
 
 def test_stream_imports_nothing_from_the_package():

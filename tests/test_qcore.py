@@ -11,6 +11,7 @@ from diqrng.errors import BadDimension, BadTarget, NonNormalizable
 RNG = np.random.default_rng(20240811)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+NAMED_BASES = [qcore.COMPUTATIONAL, qcore.HADAMARD, qcore.PSI, qcore.PHI]
 
 
 def random_state(num_qubits: int, rng) -> qcore.PureState:
@@ -140,6 +141,36 @@ class TestBases:
     def test_non_orthogonal_pair_rejected(self):
         with pytest.raises(NonNormalizable):
             qcore.QubitBasis("bad", qcore.KET_ZERO, qcore.KET_PSI)
+
+    @pytest.mark.parametrize("basis", NAMED_BASES)
+    def test_bras_are_the_conjugate_rows(self, basis):
+        np.testing.assert_array_equal(basis.bras, np.conj([basis.v0.amplitudes, basis.v1.amplitudes]))
+        with pytest.raises(ValueError):
+            basis.bras[0, 0] = 0.0
+
+
+class TestCollapse:
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    @pytest.mark.parametrize("basis", NAMED_BASES)
+    def test_matches_projector_oracle_on_every_target(self, num_qubits, basis):
+        rng = np.random.default_rng(31 * num_qubits + len(basis.name))
+        for _ in range(5):
+            st = random_state(num_qubits, rng)
+            for target in range(num_qubits):
+                branches = qcore.measurement_branches(st, basis, target)
+                for outcome in (0, 1):
+                    # <v_outcome| on the target qubit, the identity on the others
+                    bra = np.conj((basis.v0, basis.v1)[outcome].amplitudes)[None, :]
+                    projector = np.kron(np.kron(np.eye(2**target), bra), np.eye(2 ** (num_qubits - target - 1)))
+                    residual = projector @ st.amplitudes
+                    want_prob = float(np.vdot(residual, residual).real)
+                    want = residual / np.linalg.norm(residual)
+                    for prob, got in (branches[outcome], qcore.collapse(st, basis, target, outcome)):
+                        assert prob == pytest.approx(want_prob, abs=1e-12)
+                        assert got.num_qubits == num_qubits - 1
+                        assert not got.amplitudes.flags.writeable
+                        phase = np.vdot(got.amplitudes, want)
+                        np.testing.assert_allclose(got.amplitudes * phase / abs(phase), want, atol=1e-12, rtol=0)
 
 
 class TestOutcomeDistribution:
