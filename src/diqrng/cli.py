@@ -64,44 +64,37 @@ SEED_ENV_VAR = "DIQRNG_SEED"
 # report serialization
 # ---------------------------------------------------------------------------
 
-def _write_value(value, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for i, (key, val) in enumerate(items):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _write_value(val, indent + 1, out)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-        return
-    if isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(value):
-            out.append(pad + "  ")
-            _write_value(val, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-        return
+def _scalar_text(value) -> str:
     if isinstance(value, (bool, np.bool_)):
-        out.append("true" if value else "false")
-        return
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-        return
+        return str(int(value))
     if isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".12g"))
-        return
+        return format(float(value), ".12g")
     if value is None:
-        out.append("null")
+        return "null"
+    return json.dumps(str(value))
+
+
+def _write_value(value, indent: int, out: list[str]) -> None:
+    """Write a value; a dict or list is one entry per line, each a (label, value) pair, the label a key or empty."""
+    if isinstance(value, dict):
+        brackets, entries = "{}", [(f"{json.dumps(str(key))}: ", val) for key, val in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets, entries = "[]", [("", val) for val in value]
+    else:
+        out.append(_scalar_text(value))
         return
-    out.append(json.dumps(str(value)))
+    if not entries:
+        out.append(brackets)
+        return
+    pad = "  " * indent
+    out.append(brackets[0] + "\n")
+    for i, (label, val) in enumerate(entries):
+        out.append(f"{pad}  {label}")
+        _write_value(val, indent + 1, out)
+        out.append(",\n" if i < len(entries) - 1 else "\n")
+    out.append(pad + brackets[1])
 
 
 def serialize_report(results: dict) -> str:
@@ -311,10 +304,7 @@ def _score_dict(score) -> dict:
 def _cmd_play_game(opts: dict, seed: int) -> dict:
     game = _GAME_NAMES[opts["game"]]
     n_rounds = int(opts["rounds"])
-    if n_rounds < 1:
-        raise DiqrngError(f"play-game needs at least one round, got {n_rounds}")
-    if n_rounds > stream.MAX_ROUNDS:
-        raise ValueError(f"play-game takes at most {stream.MAX_ROUNDS} rounds, got {n_rounds}")
+    stream.check_count("rounds", n_rounds, 1)
     strategy = games.paper_strategy(game)
     exact = games.exact_score(game, strategy)
     sampler = games.RoundSampler(game, strategy)
@@ -336,7 +326,7 @@ def _cmd_bruteforce(opts: dict, seed: int) -> dict:
         "game": game.value,
         "max_score": max_score,
         "argmax_tables": [list(t) for t in argmax.tables],
-        "strategies_enumerated": sum(1 for _ in games.enumerate_deterministic(game)),
+        "strategies_enumerated": 2 ** sum(len(t) for t in argmax.tables),
     }
     if game is GameId.GAME_G2:
         frontier: dict[tuple[float, float], int] = {}

@@ -697,6 +697,13 @@ def _score_assert(name: str, got: float, want: float) -> EquivalenceAssertion:
     return EquivalenceAssertion(name, abs(got - want) <= _SCORE_TOL, got, want)
 
 
+def _condition(state: PureState, spec: MeasureSpec, bit: int) -> tuple[float, PureState]:
+    """(probability, remaining state) of the party on qubit 0 reporting ``bit``: its gates, then that collapse."""
+    for gate in spec.gates:
+        state = qcore.apply_gate(state, gate, 0)
+    return qcore.collapse(state, spec.basis, 0, spec.outputs.index(bit))
+
+
 def _check_g_vs_tavakoli() -> tuple[EquivalenceAssertion, ...]:
     g = paper_strategy(GameId.GAME_G)
     tav = paper_strategy(GameId.TAVAKOLI)
@@ -704,9 +711,7 @@ def _check_g_vs_tavakoli() -> tuple[EquivalenceAssertion, ...]:
     assertions = []
     conditional_cells = []
     for x0, x1 in itertools.product((0, 1), repeat=2):
-        alice_spec = g.party_rules[0][(x0, x1)]
-        # conditioning on a = x0 selects Alice's outcome index x0
-        _, bob_state = qcore.collapse(g.shared_state, alice_spec.basis, 0, x0)
+        _, bob_state = _condition(g.shared_state, g.party_rules[0][(x0, x1)], x0)     # Alice reports a = x0
         assertions.append(
             _state_assert(f"bob_state_x{x0}{x1}", bob_state, tav.preparation[(x0, x1)])
         )
@@ -748,15 +753,8 @@ def _check_g1_vs_g2() -> tuple[EquivalenceAssertion, ...]:
     for x0, x1 in itertools.product((0, 1), repeat=2):
         # run players 0 and 1, conditioning on y0 = 0, y1 = x0 & (x0 ^ x1)
         y1_target = x0 & (x0 ^ x1)
-        state = qcore.GHZ3
-        spec0 = ghz.party_rules[0][x0]
-        for gate in spec0.gates:
-            state = qcore.apply_gate(state, gate, 0)
-        p0, state = qcore.collapse(state, spec0.basis, 0, 0)
-        spec1 = ghz.party_rules[1][x1]
-        for gate in spec1.gates:
-            state = qcore.apply_gate(state, gate, 0)
-        p1, state = qcore.collapse(state, spec1.basis, 0, y1_target)
+        p0, state = _condition(qcore.GHZ3, ghz.party_rules[0][x0], 0)
+        p1, state = _condition(state, ghz.party_rules[1][x1], y1_target)
         assertions.append(
             EquivalenceAssertion(f"branch_prob_x{x0}{x1}", abs(p0 * p1 - 0.25) <= _SCORE_TOL, p0 * p1, 0.25)
         )

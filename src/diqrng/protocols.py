@@ -22,12 +22,13 @@ output bits, as ``stream.PackedBits`` in pieces of 65,536 bits.  The
 verdict releases them packed; a Q test re-packs those past its tested
 prefix piece by piece, and only ``output_bits`` unpacks them all at once.
 The chunks come from ``_round_chunks`` as views into one chunk's scratch
-buffers, allocated once per run; a chunk's views hold until the next chunk
-is drawn.  Uniform inputs come from ``stream.draw_cells``, the draw loop of
-play-game and the guessing bounds too.  Weighted inputs come from
-``stream.draw_codes`` with their CDF as the threshold table, which picks as
-``Generator.choice`` does.  The bits come from ``stream.Scratch.measure``,
-the one kernel, with thresholds 1 - Pr[b = 1].
+buffers, which the round stream allocates once and frees when it ends; a
+chunk's views hold until the next chunk is drawn.  Uniform inputs come from
+``stream.draw_cells``, the draw loop of play-game and the guessing bounds
+too.  Weighted inputs come from ``stream.draw_codes`` with their CDF as the
+threshold table, which picks as ``Generator.choice`` does.  The bits come
+from ``stream.Scratch.measure``, the one kernel, with thresholds
+1 - Pr[b = 1].
 ``BinStore`` holds the tally and answers the bin counts.  Its one per-round
 view, the Rand bin's rounds as ``games.RoundColumns`` with inputs (x0, x1,
 setting) and output (b,), is rebuilt on first access by replaying the same
@@ -58,7 +59,7 @@ from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
 from .games import RoundColumns, read_only_view
-from .stream import MAX_ROUNDS, PackedBits, Scratch, add_integers, as_bits, check_count, check_integer, draw_cells
+from .stream import PackedBits, Scratch, add_integers, as_bits, check_count, check_integer, draw_cells
 from .stream import draw_codes, gather
 
 A_STAR = QUANTUM_WIN
@@ -258,7 +259,7 @@ def _draw_space(protocol: str, mode: str) -> tuple[tuple[int, int], ...]:
 class ProtocolConfig:
     """Parameters of one protocol run, checked at construction.
 
-    ``rounds`` and ``seed`` are integers, the seed nonnegative.
+    ``rounds`` is a count in [0, ``stream.MAX_ROUNDS``] and ``seed`` a nonnegative integer.
     ``input_weights`` optionally overrides the uniform per-round input draw:
     a mapping from (x0, x1, setting) to probability, supported on the
     protocol/mode's valid pairs and summing to 1.  Test-mode weights must
@@ -277,10 +278,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.protocol not in ("P", "Q"):
             raise ValueError(f"protocol must be 'P' or 'Q', got {self.protocol!r}")
-        for name in ("rounds", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.rounds > MAX_ROUNDS:
-            raise ValueError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
+        check_count("rounds", self.rounds)
+        check_integer("seed", self.seed)
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in ("test", "generate"):
@@ -412,10 +411,8 @@ def _verdict(
     )
 
 
-def _round_chunks(
-    config: ProtocolConfig, devices: DevicePair, table: np.ndarray, scratch: Scratch
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The run's rounds in round order, one chunk at a time, as (code, b) views into ``scratch``.
+def _round_chunks(config: ProtocolConfig, devices: DevicePair) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The run's rounds in round order, one chunk at a time, as (code, b) views into the stream's own buffers.
 
     A round's code is 2*cell + b with cell = n_settings*x + setting and
     x = 2*x0 + x1; b is also given on its own, as uint8.  Each chunk's views
@@ -427,7 +424,9 @@ def _round_chunks(
     """
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
+    table = devices.response_table(config.protocol)
     n_settings = table.shape[2]
+    scratch = Scratch(config.rounds)
 
     if config.input_weights is not None:
         cdf = np.cumsum(_input_probs(config.protocol, config.mode, config.input_weights))
@@ -453,15 +452,15 @@ def _round_chunks(
         yield scratch.measure(cell, threshold, index, meas_rng)
 
 
-def _rand_view(config: ProtocolConfig, devices: DevicePair, table: np.ndarray, is_rand: np.ndarray) -> RoundColumns:
+def _rand_view(config: ProtocolConfig, devices: DevicePair, is_rand: np.ndarray) -> RoundColumns:
     """Replay the run's Rand rounds, those whose code is in ``is_rand``, in round order.
 
     ``inputs`` are (x0, x1, setting) and ``outputs`` are (b,), both int8.
     """
     pieces = []
-    for code, _ in _round_chunks(config, devices, table, Scratch(config.rounds)):
+    for code, _ in _round_chunks(config, devices):
         code = code[is_rand[code]]
-        x, setting = np.divmod(code >> 1, table.shape[2])
+        x, setting = np.divmod(code >> 1, _BIN_OF[config.protocol].shape[1])
         pieces.append(np.column_stack([x >> 1, x & 1, setting, code & 1]).astype(np.int8))
     return RoundColumns(*np.hsplit(np.concatenate(pieces), [3]))
 
@@ -479,27 +478,24 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     """
     if config.rounds < 1:
         raise InsufficientRounds("a run needs at least one round")
-    table = devices.response_table(config.protocol)
-    n_settings = table.shape[2]
+    n_settings = _BIN_OF[config.protocol].shape[1]
     is_rand = np.repeat((_BIN_OF[config.protocol] == _RAND).ravel(), 2)   # by code = 2*cell + b
     odd_test = config.protocol == "Q" and config.mode == "test"
     odd_match = _win(GameId.GAME_G2).ravel()       # by code; on odd-weight rounds, b == x1
 
     counts = np.zeros(4 * n_settings * 2, dtype=np.int64)
     bits, odd_matches = PackedBits(), PackedBits()
-    scratch = Scratch(config.rounds)
-    for code, b in _round_chunks(config, devices, table, scratch):
+    for code, b in _round_chunks(config, devices):
         counts += np.bincount(code, minlength=counts.size)
-        rand = gather(is_rand, code, scratch.mask[0])
+        rand = is_rand[code]
         bits.append(b[rand])
         if odd_test:
-            odd_matches.append(gather(odd_match, code, scratch.mask[1])[rand])
-    del scratch         # the chunk buffers go before the tested matches are unpacked
+            odd_matches.append(odd_match[code][rand])
     # Q's odd test spends the first test_len Rand rounds
     test_len = math.ceil(config.gamma * odd_matches.size)
     odd_hits = int(np.count_nonzero(odd_matches.unpack(test_len)))
 
-    replay = functools.partial(_rand_view, config, devices, table, is_rand)
+    replay = functools.partial(_rand_view, config, devices, is_rand)
     bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), replay)
     conditions = certify(config, bins.tally, odd_hits, test_len)
     return bins, _verdict(conditions, bits, (devices.caveat,) if devices.caveat else (), test_len)

@@ -163,6 +163,13 @@ def _branch_probabilities(residuals: np.ndarray) -> tuple[float, float]:
     return p0, p1
 
 
+def _collapsed(state: PureState, basis: "QubitBasis", residuals: np.ndarray, outcome: int) -> PureState:
+    """The state an outcome of positive probability leaves: its basis vector, or its residual renormalised."""
+    if state.num_qubits == 1:
+        return (basis.v0, basis.v1)[outcome]
+    return PureState(residuals[outcome] / np.linalg.norm(residuals[outcome]))
+
+
 def measurement_branches(
     state: PureState, basis: "QubitBasis", target: int
 ) -> tuple[tuple[float, PureState | None], tuple[float, PureState | None]]:
@@ -174,17 +181,8 @@ def measurement_branches(
     """
     _check_target(state, target)
     residuals = _residuals(state, basis, target)
-    p0, p1 = _branch_probabilities(residuals)
-    branches = []
-    for outcome, prob in ((0, p0), (1, p1)):
-        if prob <= 0.0:
-            branches.append((prob, None))
-        elif state.num_qubits == 1:
-            branches.append((prob, (basis.v0, basis.v1)[outcome]))
-        else:
-            residual = residuals[outcome]
-            branches.append((prob, PureState(residual / np.linalg.norm(residual))))
-    return branches[0], branches[1]
+    probs = _branch_probabilities(residuals)
+    return tuple((p, _collapsed(state, basis, residuals, k) if p > 0.0 else None) for k, p in enumerate(probs))
 
 
 def outcome_distribution(state: PureState, basis: "QubitBasis", target: int) -> tuple[float, float]:
@@ -194,13 +192,15 @@ def outcome_distribution(state: PureState, basis: "QubitBasis", target: int) -> 
 
 
 def collapse(state: PureState, basis: "QubitBasis", target: int, outcome: int) -> tuple[float, PureState]:
-    """Probability of the given outcome and the post-measurement state."""
+    """Probability of the given outcome and the post-measurement state, building only that branch."""
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    prob, collapsed = measurement_branches(state, basis, target)[outcome]
-    if collapsed is None:
+    _check_target(state, target)
+    residuals = _residuals(state, basis, target)
+    prob = _branch_probabilities(residuals)[outcome]
+    if prob <= 0.0:
         raise NonNormalizable(f"outcome {outcome} has zero probability")
-    return prob, collapsed
+    return prob, _collapsed(state, basis, residuals, outcome)
 
 
 @dataclass(frozen=True)

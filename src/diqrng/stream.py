@@ -296,7 +296,7 @@ class Scratch:
         self.threshold = np.empty(size)
         self.uniform = np.empty(size)
         self.hit = np.empty(size, dtype=bool)
-        self.mask = np.empty((2, size), dtype=bool)     # two gathers from per-code tables
+        self.branch = np.empty(size, dtype=np.uint8)
 
     def measure(
         self, cell: np.ndarray, threshold: np.ndarray, index: np.ndarray, rng: np.random.Generator
@@ -308,10 +308,10 @@ class Scratch:
         bit b of ``protocols.DevicePair``.  Returns (code, branch), the branch as uint8.
         """
         u = rng.random(out=self.uniform[: cell.size])
-        hit = np.greater_equal(u, gather(threshold[0], index, self.threshold), out=self.hit[: cell.size])
-        branch = hit.view(np.uint8) if len(threshold) == 1 else hit.astype(np.uint8)
+        branch = self.branch[: cell.size]
+        np.greater_equal(u, gather(threshold[0], index, self.threshold), out=branch.view(bool))
         for row in threshold[1:]:
-            branch += np.greater_equal(u, gather(row, index, self.threshold), out=hit)
+            branch += np.greater_equal(u, gather(row, index, self.threshold), out=self.hit[: cell.size])
         cell *= len(threshold) + 1
         cell += branch
         return cell, branch

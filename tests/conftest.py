@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diqrng import protocols, stream
+from diqrng import protocols
 
 
 def _traced_peak(fn):
@@ -45,7 +45,7 @@ def _replay_rounds(config, devices):
     A replay of ``protocols._round_chunks``, the round stream that ``run_protocol`` tallies.
     """
     table = devices.response_table(config.protocol)
-    chunks = protocols._round_chunks(config, devices, table, stream.Scratch(config.rounds))
+    chunks = protocols._round_chunks(config, devices)
     code = np.concatenate([code.copy() for code, _ in chunks])     # each chunk's views are overwritten by the next
     x, setting = np.divmod(code >> 1, table.shape[2])
     return x, setting, code & 1
