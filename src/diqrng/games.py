@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -323,6 +324,8 @@ class ClassicalStrategy:
     mixture: tuple[tuple[float, "ClassicalStrategy"], ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.game, GameId):
+            raise ArityMismatch(f"unknown game {self.game}")
         if bool(self.tables) == bool(self.mixture):
             raise ValueError("provide exactly one of tables or mixture")
         if self.tables:
@@ -335,8 +338,8 @@ class ClassicalStrategy:
                 raise ArityMismatch("table entries must be bits")
         else:
             weights = [w for w, _ in self.mixture]
-            if not all(0 <= w < math.inf for w in weights):
-                raise BadDistribution(f"mixture weights must be finite and nonnegative, got {weights}")
+            if not all(isinstance(w, numbers.Real) and 0 <= w < math.inf for w in weights):
+                raise BadDistribution(f"mixture weights must be finite nonnegative numbers, got {weights}")
             if abs(sum(weights) - 1.0) > 1e-12:
                 raise BadDistribution("mixture weights must sum to 1")
             if any(s.game is not self.game for _, s in self.mixture):
@@ -490,9 +493,11 @@ def _input_weights(game: GameId, input_distribution) -> np.ndarray:
     dist = dict(input_distribution) if input_distribution is not None else dict.fromkeys(space, 1.0 / len(space))
     weights = np.zeros((2,) * _SHAPES[game].inputs)
     for x, w in dist.items():
-        if tuple(x) not in space:
-            raise BadDistribution("distribution supported outside the game's valid inputs")
-        weights[tuple(x)] = w
+        if not (isinstance(x, tuple) and all(isinstance(v, numbers.Integral) for v in x) and x in space):
+            raise BadDistribution(f"distribution supported outside the game's valid inputs: {x!r}")
+        if not isinstance(w, numbers.Real):
+            raise BadDistribution(f"weights must be real numbers, got {w!r} for input {x!r}")
+        weights[tuple(map(int, x))] = w     # a bool index would be read as a mask
     if not np.all((weights >= 0) & (weights < math.inf)):
         raise BadDistribution("weights must be finite and nonnegative")
     total = float(weights.sum())

@@ -23,12 +23,14 @@ verdict releases them packed; a Q test re-packs those past its tested
 prefix piece by piece, and only ``output_bits`` unpacks them all at once.
 The chunks come from ``_round_chunks`` as views into one chunk's scratch
 buffers, which the round stream allocates once and frees when it ends; a
-chunk's views hold until the next chunk is drawn.  Uniform inputs come from
-``stream.draw_cells``, the draw loop of play-game and the guessing bounds
-too.  Weighted inputs come from ``stream.draw_codes`` with their CDF as the
-threshold table, which picks as ``Generator.choice`` does.  The bits come
-from ``stream.Scratch.measure``, the one kernel, with thresholds
-1 - Pr[b = 1].
+chunk's views hold until the next chunk is drawn.  A run's input law is one
+array law[x, setting], from ``_input_law``: which cells its mode draws and
+how likely each is.  A uniform law's support is a box of x and setting
+ranges, drawn by ``stream.draw_cells``, the draw loop of play-game and the
+guessing bounds too.  A weighted law is drawn by ``stream.draw_codes`` with
+its CDF over every cell as the threshold table, so a pick is its cell and
+picks as ``Generator.choice`` does.  The bits come from
+``stream.Scratch.measure``, the one kernel, with thresholds 1 - Pr[b = 1].
 ``BinStore`` holds the tally and answers the bin counts.  Its one per-round
 view, the Rand bin's rounds as ``games.RoundColumns`` with inputs (x0, x1,
 setting) and output (b,), is rebuilt on first access by replaying the same
@@ -41,8 +43,8 @@ multinomial draw of a tally certifies exactly as a run does.  Every count
 condition (P's False-bin outcomes, Q's even-weight wins and odd-weight
 test) is a ``_band_check``: its rate against a target within the Hoeffding
 radius at delta, reported with a Wilson interval.  P's A statistic keeps
-its own cell-averaged estimate.  ``_verdict`` applies the one PASS rule,
-every condition satisfied, for both protocols and both modes.
+its own cell-averaged estimate.  ``run_protocol`` applies the one PASS
+rule, every condition satisfied, for both protocols and both modes.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -59,8 +62,7 @@ from . import analysis, qcore
 from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
 from .games import RoundColumns, read_only_view
-from .stream import PackedBits, Scratch, add_integers, as_bits, check_count, check_integer, draw_cells
-from .stream import draw_codes, gather
+from .stream import PackedBits, Scratch, add_integers, as_bits, check_count, check_integer, draw_cells, draw_codes
 
 A_STAR = QUANTUM_WIN
 
@@ -245,26 +247,18 @@ def _bin_counts(protocol: str, tally: np.ndarray) -> dict[str, int]:
     return {name: int(per_cell[_BIN_OF[protocol] == k].sum()) for k, name in enumerate(names)}
 
 
-def _draw_space(protocol: str, mode: str) -> tuple[tuple[int, int], ...]:
-    """The (x, setting) pairs a round may draw, row-major, x encoding x0x1 big-endian.
-
-    P's generate mode draws only the Rand cells; every other mode draws them all.
-    """
-    bins = _BIN_OF[protocol]
-    drawn = bins == _RAND if protocol == "P" and mode == "generate" else np.ones_like(bins, dtype=bool)
-    return tuple((int(x), int(s)) for x, s in np.argwhere(drawn))
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Parameters of one protocol run, checked at construction.
 
-    ``rounds`` is a count in [0, ``stream.MAX_ROUNDS``] and ``seed`` a nonnegative integer.
+    ``rounds`` is a count in [0, ``stream.MAX_ROUNDS``], ``seed`` a
+    nonnegative integer, and ``delta`` and ``gamma`` real numbers.
     ``input_weights`` optionally overrides the uniform per-round input draw:
-    a mapping from (x0, x1, setting) to probability, supported on the
-    protocol/mode's valid pairs and summing to 1.  Test-mode weights must
-    reach every cell that certification scores: P's Check and False cells,
-    or at least one of Q's Check cells.
+    a mapping from (x0, x1, setting) to probability, supported on the cells
+    the protocol's mode draws and summing to 1.  A run reads it as its input
+    law, law[x, setting] with x = 2*x0 + x1 and zeros elsewhere.  Test-mode
+    weights must reach every cell that certification scores: P's Check and
+    False cells, or at least one of Q's Check cells.
     """
 
     protocol: str
@@ -284,6 +278,10 @@ class ProtocolConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in ("test", "generate"):
             raise ValueError(f"mode must be 'test' or 'generate', got {self.mode!r}")
+        for name in ("delta", "gamma"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if 0.5 + (1.0 - self.delta) / 2.0 == 1.0:
@@ -292,45 +290,51 @@ class ProtocolConfig:
         if not 0.5 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0.5, 1], got {self.gamma}")
         if self.input_weights is not None:
-            probs = _input_probs(self.protocol, self.mode, self.input_weights)
+            law = _input_law(self.protocol, self.mode, self.input_weights)
             if self.mode == "test":
-                _check_scored_cells(self.protocol, probs)
+                _check_scored_cells(self.protocol, law)
             object.__setattr__(self, "input_weights", dict(self.input_weights))
 
 
-def _input_probs(protocol: str, mode: str, weights: dict) -> np.ndarray:
-    """The draw probabilities over ``_draw_space(protocol, mode)`` of an (x0, x1, setting) -> weight mapping.
+def _input_law(protocol: str, mode: str, weights: Mapping | None) -> np.ndarray:
+    """A run's input law[x, setting], x = 2*x0 + x1: uniform over the cells its mode draws, or ``weights``.
 
-    Each key must be three integers, x0 and x1 bits and the pair a valid
-    input of the protocol and mode; each weight a finite nonnegative number;
-    and the weights must sum to 1 within 1e-12.
+    P's generate mode draws only the Rand cells, every other mode all of them.
+    Each key of ``weights`` must be three integers (x0, x1, setting), x0 and
+    x1 bits and the cell one the mode draws; each weight a finite nonnegative
+    number; and the weights must sum to 1 within 1e-12.
     """
-    space = _draw_space(protocol, mode)
-    probs = np.zeros(len(space))
+    bins = _BIN_OF[protocol]
+    drawn = bins == _RAND if protocol == "P" and mode == "generate" else np.ones_like(bins, dtype=bool)
+    if weights is None:
+        return drawn / drawn.sum()
+    if not isinstance(weights, Mapping):
+        raise ValueError(f"input weights must be a mapping from (x0, x1, setting) to weight, got {weights!r}")
+    law = np.zeros(bins.shape)
     for key, value in weights.items():
         valid = isinstance(key, tuple) and len(key) == 3 and all(isinstance(v, numbers.Integral) for v in key)
-        valid = valid and key[0] in (0, 1) and key[1] in (0, 1)
-        pair = (2 * int(key[0]) + int(key[1]), int(key[2])) if valid else None
-        if pair not in space:
+        valid = valid and key[0] in (0, 1) and key[1] in (0, 1) and 0 <= key[2] < bins.shape[1]
+        cell = (2 * int(key[0]) + int(key[1]), int(key[2])) if valid else None
+        if cell is None or not drawn[cell]:
             raise ValueError(f"input {key!r} invalid for protocol {protocol} {mode} mode")
         if not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
             raise ValueError(f"input weights must be finite and nonnegative, got {value!r} for input {key!r}")
-        probs[space.index(pair)] += float(value)
-    total = probs.sum()
+        law[cell] += float(value)
+    total = law.sum()
     if abs(total - 1.0) > 1e-12:
         raise ValueError("input weights must sum to 1")
-    return probs / total
+    return law / total
 
 
-def _check_scored_cells(protocol: str, probs: np.ndarray) -> None:
-    """Reject test-mode draw probabilities that no run length could certify.
+def _check_scored_cells(protocol: str, law: np.ndarray) -> None:
+    """Reject a test-mode input law that no run length could certify.
 
     P's A statistic reads every Check cell and its False conditions both
     False cells; Q's conditions need Check rounds from any Check cell.
     """
     bins = _BIN_OF[protocol]
     scored = bins != _RAND if protocol == "P" else bins == _CHECK
-    left_out = scored & (probs.reshape(bins.shape) == 0)     # the test-mode draw space is every cell, row-major
+    left_out = scored & (law == 0)
     if protocol == "P" and left_out.any() or protocol == "Q" and np.array_equal(left_out, scored):
         cells = ", ".join(str((int(x) >> 1, int(x) & 1, int(s))) for x, s in np.argwhere(left_out))
         need = "every Check and False cell" if protocol == "P" else "a Check cell"
@@ -394,23 +398,6 @@ def _band_check(
     return ConditionCheck(name, rate, ci, target, satisfied, detail)
 
 
-def _verdict(
-    conditions: tuple[ConditionCheck, ...], bits: PackedBits, notes: tuple[str, ...], test_len: int
-) -> CertificationVerdict:
-    """PASS when every condition holds, ABORT otherwise.
-
-    A PASS releases the Rand bits past the first ``test_len``, which protocol
-    Q spent on its odd test; an ABORT releases none.
-    """
-    passed = all(c.satisfied for c in conditions)
-    return CertificationVerdict(
-        decision="PASS" if passed else "ABORT",
-        conditions=conditions,
-        bits=bits.drop(test_len) if passed else PackedBits(),
-        notes=notes,
-    )
-
-
 def _round_chunks(config: ProtocolConfig, devices: DevicePair) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The run's rounds in round order, one chunk at a time, as (code, b) views into the stream's own buffers.
 
@@ -420,7 +407,7 @@ def _round_chunks(config: ProtocolConfig, devices: DevicePair) -> Iterator[tuple
 
     Inputs, the shared coin and the measurement randomness come from three
     fixed substreams of the seed; ``stream.draw_cells`` draws uniform inputs
-    and ``stream.draw_codes`` weighted ones.
+    over the input law's support and ``stream.draw_codes`` weighted ones.
     """
     seq = np.random.SeedSequence(config.seed)
     input_rng, coin_rng, meas_rng = (np.random.default_rng(s) for s in seq.spawn(3))
@@ -428,15 +415,15 @@ def _round_chunks(config: ProtocolConfig, devices: DevicePair) -> Iterator[tuple
     n_settings = table.shape[2]
     scratch = Scratch(config.rounds)
 
+    law = _input_law(config.protocol, config.mode, config.input_weights)
     if config.input_weights is not None:
-        cdf = np.cumsum(_input_probs(config.protocol, config.mode, config.input_weights))
-        picks = draw_codes(config.rounds, input_rng, ((0, 1, 1),), (cdf[:-1] / cdf[-1])[:, None])
-        cells = np.array([n_settings * x + s for x, s in _draw_space(config.protocol, config.mode)])
-        drawn = (gather(cells, pick, scratch.code) for pick in picks)
-    elif config.protocol == "P" and config.mode == "generate":
-        drawn = draw_cells(config.rounds, input_rng, ((1, 3, n_settings), (2, 3, 1)), scratch.code)
+        # a pick is its cell: a zero-weight cell repeats the threshold before it, so no uniform lands there
+        cdf = np.cumsum(law)
+        drawn = draw_codes(config.rounds, input_rng, ((0, 1, 1),), (cdf[:-1] / cdf[-1])[:, None])
     else:
-        drawn = draw_cells(config.rounds, input_rng, ((0, 4, n_settings), (0, n_settings, 1)), scratch.code)
+        xs, settings = law.nonzero()     # a uniform law's support is a box
+        ranges = ((xs.min(), xs.max() + 1, n_settings), (settings.min(), settings.max() + 1, 1))
+        drawn = draw_cells(config.rounds, input_rng, ranges, scratch.code)
 
     coin_per_round = devices.uses_coin and devices.coin_per_round
     if devices.uses_coin and not devices.coin_per_round:
@@ -473,8 +460,9 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     seed, in round order.  The rounds stream through in chunks; the run keeps
     their tally and, packed one bit per Rand round, the Rand bin's bits and,
     for protocol Q's odd test, whether each Rand bit matched x1.  One
-    ``certify`` call builds the conditions from those counts, and the verdict
-    takes the bits still packed.
+    ``certify`` call builds the conditions from those counts.  A run PASSes
+    when every condition holds, releasing the Rand bits past Q's tested
+    prefix still packed; otherwise it ABORTs and releases none.
     """
     if config.rounds < 1:
         raise InsufficientRounds("a run needs at least one round")
@@ -498,7 +486,10 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     replay = functools.partial(_rand_view, config, devices, is_rand)
     bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), replay)
     conditions = certify(config, bins.tally, odd_hits, test_len)
-    return bins, _verdict(conditions, bits, (devices.caveat,) if devices.caveat else (), test_len)
+    passed = all(c.satisfied for c in conditions)
+    released = bits.drop(test_len) if passed else PackedBits()
+    notes = (devices.caveat,) if devices.caveat else ()
+    return bins, CertificationVerdict("PASS" if passed else "ABORT", conditions, released, notes)
 
 
 def certify(

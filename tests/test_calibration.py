@@ -47,14 +47,7 @@ def model_runs(config, devices, draws, rng):
     table = devices.response_table(config.protocol)
     if not (devices.uses_coin and not devices.coin_per_round):
         table = table.mean(axis=0, keepdims=True)      # a coin drawn every round averages out
-    space = protocols._draw_space(config.protocol, config.mode)
-    if config.input_weights is None:
-        probs = np.full(len(space), 1.0 / len(space))
-    else:
-        probs = protocols._input_probs(config.protocol, config.mode, config.input_weights)
-    law = np.zeros(table.shape[1:])
-    for (x, s), w in zip(space, probs):
-        law[x, s] = w
+    law = protocols._input_law(config.protocol, config.mode, config.input_weights)
     cells = law[None, :, :, None] * np.stack([1.0 - table, table], axis=-1)    # [coin, x, setting, b]
 
     rand = (protocols._BIN_OF[config.protocol] == protocols._RAND)[:, :, None]

@@ -261,6 +261,24 @@ class TestExactScores:
         with pytest.raises(BadDistribution):
             exact_score(GameId.CHSH, strategy, input_distribution={(0, 2): 1.0})
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            {(0, 0): "1"},                          # numpy would read the string as 1.0
+            {5: 1.0},                               # not an input tuple
+            {"00": 1.0},
+            {(0.0, 1): 1.0},                        # not integers; numpy would raise IndexError
+        ],
+    )
+    def test_input_keys_and_weights_are_checked(self, dist):
+        with pytest.raises(BadDistribution):
+            exact_score(GameId.CHSH, paper_strategy(GameId.CHSH), input_distribution=dist)
+
+    def test_bool_input_keys_are_bits(self):
+        strategy = paper_strategy(GameId.CHSH)
+        want = exact_score(GameId.CHSH, strategy, input_distribution={(1, 0): 1.0})
+        assert exact_score(GameId.CHSH, strategy, input_distribution={(True, False): 1.0}) == want
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_weights_rejected(self, bad):
         dist = {(0, 0): bad, (0, 1): 1.0, (1, 0): 0.0, (1, 1): 0.0}
@@ -355,6 +373,15 @@ class TestClassicalStrategies:
             ClassicalStrategy(GameId.CHSH, mixture=((0.5, zeros), (0.6, zeros)))
         with pytest.raises(BadDistribution):
             ClassicalStrategy(GameId.CHSH, mixture=((-0.5, zeros), (1.5, zeros)))
+        with pytest.raises(BadDistribution):
+            ClassicalStrategy(GameId.CHSH, mixture=(("a", zeros),))
+        with pytest.raises(BadDistribution):
+            ClassicalStrategy(GameId.CHSH, mixture=((None, zeros), (1.0, zeros)))
+
+    @pytest.mark.parametrize("game", ["chsh", None, 0])
+    def test_strategy_game_must_be_a_game_id(self, game):
+        with pytest.raises(ArityMismatch, match="unknown game"):
+            ClassicalStrategy(game, tables=((0, 0), (0, 0)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_mixture_weights_rejected(self, bad):

@@ -7,6 +7,10 @@ assigns it, sets it with ``object.__setattr__`` or defines it in a class
 body.  ``stream`` holds the round and bit streams that the games, the
 protocols, the analysis and the CLI share, so it imports nothing from the
 package, and ``games`` passes none of its names on.
+
+Since no private name crosses a module, one its own module never reads is
+dead; so is a name a module imports and never reads (``__init__`` imports
+to re-export).
 """
 
 import ast
@@ -113,6 +117,56 @@ def test_private_attribute_check_sees_each_kind_of_definition():
     )
     assert defined_names(tree) >= {"_field", "_method", "_cache", "_set"}
     assert "_foreign" not in defined_names(tree)
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_private_names(tree: ast.Module) -> list[str]:
+    """Each private name the module's top level defines or assigns and its code never reads."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+    return sorted(name for name in defined if is_private(name) and name not in read_names(tree))
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """Each name an import binds that the module's code never reads; ``from __future__`` binds none."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return sorted(bound - read_names(tree))
+
+
+@pytest.mark.parametrize("module", [*MODULES, "__init__"])
+def test_every_private_name_is_read_in_its_module(module):
+    assert unread_private_names(parse(module)) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_read(module):
+    assert unread_imports(parse(module)) == []
+
+
+def test_dead_name_checks_see_unread_names():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .stream import gather as take, draw_cells\n"
+        "_DEAD, _LIVE = 1, 2\n"
+        "def _unused(x: draw_cells):\n"
+        "    return _LIVE\n"
+    )
+    assert unread_private_names(tree) == ["_DEAD", "_unused"]
+    assert unread_imports(tree) == ["os", "take"]
 
 
 def test_stream_imports_nothing_from_the_package():

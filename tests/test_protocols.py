@@ -351,6 +351,13 @@ class TestConfigAndVerdict:
         with pytest.raises(ValueError):
             ProtocolConfig("P", 10, seed=1, mode="stream")
 
+    @pytest.mark.parametrize(
+        "keywords", [{"delta": "x"}, {"delta": None}, {"delta": True}, {"gamma": None}, {"gamma": "0.5"}, {"gamma": True}]
+    )
+    def test_delta_and_gamma_must_be_real_numbers(self, keywords):
+        with pytest.raises(ValueError, match="^(delta|gamma) must be a real number, got"):
+            ProtocolConfig("Q", 10, seed=1, **keywords)
+
     @pytest.mark.parametrize("delta", [1e-16, 1.6e-16, 1e-17, 5e-324])
     def test_delta_below_float_resolution_is_rejected_by_value(self, delta):
         # 0.5 + (1 - delta)/2 rounds to 1, so the run's Wilson interval would need an infinite quantile
@@ -414,6 +421,8 @@ class TestConfigAndVerdict:
             ProtocolConfig("Q", 10, seed=1, input_weights={(0, 0, 2): 1.0})
         with pytest.raises(ValueError):
             ProtocolConfig("P", 10, seed=1, input_weights={(0, 0, 0): 1.5, (0, 1, 0): -0.5})
+        with pytest.raises(ValueError, match="must be a mapping"):
+            ProtocolConfig("P", 10, seed=1, input_weights=[((0, 0, 0), 1.0)])
 
     @pytest.mark.parametrize(
         "weights,named",
@@ -424,6 +433,8 @@ class TestConfigAndVerdict:
             ({(0, 2, 0): 1.0}, "(0, 2, 0)"),                        # not a bit; 2*x0 + x1 would read (1, 0, 0)
             ({(1, -1, 0): 1.0}, "(1, -1, 0)"),
             ({"000": 1.0}, "'000'"),
+            ({(0, 1, -1): 1.0}, "(0, 1, -1)"),                      # a negative setting must not wrap to 2
+            ({(0, 1, 3): 1.0}, "(0, 1, 3)"),
         ],
     )
     def test_input_weight_keys_and_values_are_checked(self, weights, named):

@@ -1,6 +1,9 @@
-"""Chunked protocol runs: identity with the single-draw run, and memory bounds."""
+"""Chunked protocol runs: identity with the single-draw run, pinned weighted-run bytes, and memory bounds."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,14 +71,11 @@ def reference_rounds(config, devices):
     n = config.rounds
 
     if config.input_weights is not None:
-        space = protocols._draw_space(config.protocol, config.mode)
-        probs = np.zeros(len(space))
+        probs = np.zeros(table.shape[1:])
         for (x0, x1, s), w in config.input_weights.items():
-            probs[space.index((2 * int(x0) + int(x1), int(s)))] += float(w)
-        probs /= probs.sum()
-        drawn = input_rng.choice(len(space), size=n, p=probs)
-        pairs = np.asarray(space, dtype=np.int64)
-        x, setting = pairs[drawn, 0], pairs[drawn, 1]
+            probs[2 * int(x0) + int(x1), int(s)] += float(w)
+        drawn = input_rng.choice(probs.size, size=n, p=(probs / probs.sum()).ravel())
+        x, setting = np.divmod(drawn, table.shape[2])
     elif config.protocol == "P" and config.mode == "generate":
         x = input_rng.integers(1, 3, size=n)
         setting = np.full(n, 2, dtype=np.int64)
@@ -242,6 +242,45 @@ def test_weighted_picks_equal_generator_choice(n):
         picks = [pick.copy() for pick in stream.draw_codes(n, rng, ((0, 1, 1),), (cdf[:-1] / cdf[-1])[:, None])]
         assert np.array_equal(np.concatenate(picks), ref_rng.choice(probs.size, size=n, p=probs)), weights
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes of weighted runs, which no CLI option reaches
+# ---------------------------------------------------------------------------
+
+WEIGHTED_DIGESTS = Path(__file__).with_name("weighted_run_digests.json")
+PINNED = {
+    **{name: CONFIGS[name] for name in CONFIGS if "input-weights" in name or name == "P-generate"},
+    "P-generate-input-weights-one-cell": (
+        {"protocol": "P", "mode": "generate", "input_weights": {(1, 0, 2): 1.0}},
+        lambda: honest_devices("P"),
+    ),
+}
+PINNED_CASES = [
+    f"{name}/{seed}/{rounds}" for name in sorted(PINNED) for seed in (0, 1) for rounds in (1, CHUNK + 1, 3 * CHUNK + 17)
+]
+
+
+def run_digest(case, replay_rounds):
+    """sha256 of a run's tally, released bits and Rand rounds; of its rounds and error when it cannot certify."""
+    name, seed, rounds = case.split("/")
+    keywords, make_pair = PINNED[name]
+    config = ProtocolConfig(rounds=int(rounds), seed=int(seed), **keywords)
+    try:
+        bins, verdict = run_protocol(config, make_pair())
+    except InsufficientRounds as exc:
+        arrays, note = replay_rounds(config, make_pair()), str(exc)
+    else:
+        arrays, note = (bins.tally, verdict.output_bits, bins.rand.inputs, bins.rand.outputs), verdict.decision
+    digest = hashlib.sha256(note.encode())
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED_CASES)
+def test_weighted_run_bytes_are_pinned(case, replay_rounds):
+    assert run_digest(case, replay_rounds) == json.loads(WEIGHTED_DIGESTS.read_text())[case]
 
 
 # ---------------------------------------------------------------------------
@@ -428,3 +467,11 @@ def test_packed_bits_unpack_rejects_a_count_past_its_bits(n):
     with pytest.raises(ValueError, match=rf"unpack takes n in \[0, 3\] bits, got {n}$"):
         packed.unpack(n)
     assert list(packed.unpack(3)) == [1, 0, 1] and packed.unpack(0).size == 0
+
+
+if __name__ == "__main__":
+    # re-records the pinned weighted-run digests: PYTHONPATH=src python tests/test_streaming.py
+    from conftest import _replay_rounds
+
+    table = {case: run_digest(case, _replay_rounds) for case in PINNED_CASES}
+    WEIGHTED_DIGESTS.write_text(json.dumps(table, indent=2) + "\n")
