@@ -21,6 +21,7 @@ runtime error, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import secrets
@@ -106,7 +107,7 @@ def serialize_report(results: dict) -> str:
 
 
 _LINE_BITS = 64
-_READ_BYTES = 65 << 10      # 1,024 full lines with LF breaks
+_READ_BYTES = stream.CHUNK_ROUNDS // _LINE_BITS * (_LINE_BITS + 1)     # one block's full lines with LF breaks
 
 
 def write_bits(path: str | Path, bits) -> None:
@@ -170,9 +171,9 @@ _COMMAND_OPTIONS = {
         "protocol": ("P", str, "protocol to run"),
         "device": ("honest", str, "device pair to run it on"),
         "rounds": (100_000, int, "protocol rounds"),
-        "delta": (1e-6, float, "abort-band confidence parameter"),
-        "gamma": (0.5, float, "tested fraction of the Rand bin (protocol Q)"),
-        "mode": ("test", str, "protocol mode"),
+        "delta": (ProtocolConfig.delta, float, "abort-band confidence parameter"),
+        "gamma": (ProtocolConfig.gamma, float, "tested fraction of the Rand bin (protocol Q)"),
+        "mode": (ProtocolConfig.mode, str, "protocol mode"),
         "bits_out": (None, str, "write output bits to this path"),
         "coin_per_run": (False, bool, "draw the adversarial shared coin once per run instead of per round"),
     }),
@@ -329,9 +330,7 @@ def _cmd_bruteforce(opts: dict, seed: int) -> dict:
         "strategies_enumerated": 2 ** sum(len(t) for t in argmax.tables),
     }
     if game is GameId.GAME_G2:
-        frontier: dict[tuple[float, float], int] = {}
-        for even, odd, _ in games.g2_deterministic_frontier():
-            frontier[(even, odd)] = frontier.get((even, odd), 0) + 1
+        frontier = collections.Counter((even, odd) for even, odd, _ in games.g2_deterministic_frontier())
         report["frontier"] = [
             {"even_win": even, "odd_guess": odd, "count": count}
             for (even, odd), count in sorted(frontier.items())

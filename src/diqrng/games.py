@@ -136,12 +136,17 @@ _SHAPES = {
 }
 
 
-def input_space(game: GameId) -> tuple[tuple[int, ...], ...]:
-    """All valid input tuples of a game, in lexicographic order."""
+def _shape(game: GameId) -> _Shape:
+    """The game's shape; anything but a ``GameId`` raises ArityMismatch."""
     if not isinstance(game, GameId):
         raise ArityMismatch(f"unknown game {game}")
-    space = itertools.product(_BITS, repeat=_SHAPES[game].inputs)
-    return tuple(x for x in space if game is not GameId.PSEUDO_TELEPATHY3 or sum(x) % 2 == 0)
+    return _SHAPES[game]
+
+
+def input_space(game: GameId) -> tuple[tuple[int, ...], ...]:
+    """All valid input tuples of a game, in lexicographic order."""
+    space = itertools.product(_BITS, repeat=_shape(game).inputs)
+    return tuple(x for x in space if game is not GameId.PSEUDO_TELEPATHY3 or _EVEN_WEIGHT[x])
 
 
 def _check_io(game: GameId, io: RoundIO) -> None:
@@ -153,7 +158,7 @@ def _check_io(game: GameId, io: RoundIO) -> None:
                 f"{len(io.inputs)} inputs and {len(io.outputs)} outputs"
             )
     else:
-        shape = _SHAPES[game]
+        shape = _shape(game)
         if len(io.inputs) != shape.inputs:
             raise ArityMismatch(f"{game.value} expects {shape.inputs} inputs, got {len(io.inputs)}")
         if len(io.outputs) != shape.outputs:
@@ -196,7 +201,6 @@ def winning_predicate(game: GameId, io: RoundIO) -> bool:
         if weight % 2 == 0:
             return weight // 2 == b + (x0 & (x0 ^ x1))
         return b == x1
-    raise ArityMismatch(f"unknown game {game}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +244,10 @@ class QuantumStrategy:
 def paper_strategy(game: GameId) -> QuantumStrategy:
     """The optimal quantum strategy for each game."""
     psi_meas = {0: MeasureSpec(qcore.PSI), 1: MeasureSpec(qcore.PHI)}
+    ghz_meas = {    # a GHZ player's X/Y rule, which G2's measuring device plays too
+        0: MeasureSpec(qcore.COMPUTATIONAL, gates=(qcore.H,)),
+        1: MeasureSpec(qcore.COMPUTATIONAL, gates=(qcore.S, qcore.H)),
+    }
     if game is GameId.CHSH:
         return QuantumStrategy(
             game,
@@ -280,14 +288,10 @@ def paper_strategy(game: GameId) -> QuantumStrategy:
             measurement=dict(psi_meas),
         )
     if game is GameId.PSEUDO_TELEPATHY3:
-        per_player = {
-            0: MeasureSpec(qcore.COMPUTATIONAL, gates=(qcore.H,)),
-            1: MeasureSpec(qcore.COMPUTATIONAL, gates=(qcore.S, qcore.H)),
-        }
         return QuantumStrategy(
             game,
             shared_state=qcore.GHZ3,
-            party_rules=tuple(dict(per_player) for _ in range(3)),
+            party_rules=tuple(dict(ghz_meas) for _ in range(3)),
         )
     if game is GameId.GAME_G2:
         return QuantumStrategy(
@@ -298,10 +302,7 @@ def paper_strategy(game: GameId) -> QuantumStrategy:
                 (1, 0): qcore.KET_MINUS_I,
                 (1, 1): qcore.KET_MINUS,
             },
-            measurement={
-                0: MeasureSpec(qcore.COMPUTATIONAL, gates=(qcore.H,)),
-                1: MeasureSpec(qcore.COMPUTATIONAL, gates=(qcore.S, qcore.H)),
-            },
+            measurement=dict(ghz_meas),
         )
     raise ArityMismatch(f"unknown game {game}")
 
@@ -324,12 +325,10 @@ class ClassicalStrategy:
     mixture: tuple[tuple[float, "ClassicalStrategy"], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.game, GameId):
-            raise ArityMismatch(f"unknown game {self.game}")
+        sizes = _shape(self.game).tables
         if bool(self.tables) == bool(self.mixture):
             raise ValueError("provide exactly one of tables or mixture")
         if self.tables:
-            sizes = _SHAPES[self.game].tables
             if tuple(len(t) for t in self.tables) != sizes:
                 raise ArityMismatch(
                     f"{self.game.value} strategy tables must have sizes {sizes}"
@@ -367,6 +366,9 @@ Strategy = QuantumStrategy | ClassicalStrategy
 _BITS = (0, 1)
 _PAIRS = tuple(itertools.product(_BITS, repeat=2))
 _PREPARE_AND_MEASURE = (GameId.TAVAKOLI, GameId.GAME_G2)
+# [x0, x1, x2]: whether the weight is even.  Built without a ufunc: one run at import time,
+# while uncached sources still compile, raised a fresh process's peak RSS by about 0.2 MB.
+_EVEN_WEIGHT = read_only_view(np.reshape([sum(x) % 2 == 0 for x in itertools.product(_BITS, repeat=3)], (2, 2, 2)))
 
 def _rows(spec: MeasureSpec) -> np.ndarray:
     """Row b is the bra whose overlap with the qubit is the amplitude of reported bit b.
@@ -413,7 +415,7 @@ def _contract(game: GameId, operands: list[np.ndarray]) -> np.ndarray:
     Weights below ``qcore.PROB_SNAP`` are the residue of exact cancellations
     and are cleared first, so deterministic outcomes stay exactly deterministic.
     """
-    shape = _SHAPES[game]
+    shape = _shape(game)
     amplitudes = np.einsum(shape.contraction, *operands)
     amplitudes = amplitudes.reshape(operands[0].shape[:-3] + (2,) * (shape.inputs + shape.outputs))
     probs = amplitudes.real ** 2 + amplitudes.imag ** 2
@@ -441,7 +443,7 @@ def win_mask(game: GameId) -> np.ndarray:
 
     Inputs outside the game's input space (pt3's odd weights) never win.
     """
-    shape = _SHAPES[game]
+    shape = _shape(game)
     mask = np.zeros((2,) * (shape.inputs + shape.outputs), dtype=bool)
     for x in input_space(game):
         for outputs in itertools.product(_BITS, repeat=shape.outputs):
@@ -452,12 +454,7 @@ def win_mask(game: GameId) -> np.ndarray:
 
 def _win_rates(game: GameId, probs: np.ndarray) -> np.ndarray:
     """Pr[win | inputs] from an outcome tensor (or a batch of them)."""
-    return (probs * win_mask(game)).sum(axis=tuple(range(-_SHAPES[game].outputs, 0)))
-
-
-def _g2_even() -> np.ndarray:
-    """Bool array over G2's inputs: whether the input has even weight."""
-    return np.indices((2, 2, 2)).sum(axis=0) % 2 == 0
+    return (probs * win_mask(game)).sum(axis=tuple(range(-_shape(game).outputs, 0)))
 
 
 def mass_score(game: GameId, mass: np.ndarray) -> tuple[float, ...]:
@@ -468,10 +465,9 @@ def mass_score(game: GameId, mass: np.ndarray) -> tuple[float, ...]:
     won = mass * win_mask(game)
     if game is not GameId.GAME_G2:
         return (float(won.sum() / mass.sum()),)
-    even = _g2_even()
-    if not (mass[even].sum() and mass[~even].sum()):
+    if not (mass[_EVEN_WEIGHT].sum() and mass[~_EVEN_WEIGHT].sum()):
         raise BadDistribution("G2 needs mass on both parity classes")
-    return tuple(float(won[side].sum() / mass[side].sum()) for side in (even, ~even))
+    return tuple(float(won[side].sum() / mass[side].sum()) for side in (_EVEN_WEIGHT, ~_EVEN_WEIGHT))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +477,8 @@ def mass_score(game: GameId, mass: np.ndarray) -> tuple[float, ...]:
 def branch_distribution(strategy: Strategy, inputs: tuple[int, ...]) -> dict[tuple[int, ...], float]:
     """Exact output distribution of a strategy on fixed inputs, positive entries only."""
     inputs = tuple(inputs)
-    if len(inputs) != _SHAPES[strategy.game].inputs or any(v not in _BITS for v in inputs):
-        raise ArityMismatch(f"{inputs} are not {_SHAPES[strategy.game].inputs} input bits")
+    if len(inputs) != _shape(strategy.game).inputs or any(v not in _BITS for v in inputs):
+        raise ArityMismatch(f"{inputs} are not {_shape(strategy.game).inputs} input bits")
     row = outcome_tensor(strategy)[inputs]
     return {tuple(o): float(row[tuple(o)]) for o in np.argwhere(row > 0).tolist()}
 
@@ -491,7 +487,7 @@ def _input_weights(game: GameId, input_distribution) -> np.ndarray:
     """The input distribution as an array over the input bits; uniform by default."""
     space = input_space(game)
     dist = dict(input_distribution) if input_distribution is not None else dict.fromkeys(space, 1.0 / len(space))
-    weights = np.zeros((2,) * _SHAPES[game].inputs)
+    weights = np.zeros((2,) * _shape(game).inputs)
     for x, w in dist.items():
         if not (isinstance(x, tuple) and all(isinstance(v, numbers.Integral) for v in x) and x in space):
             raise BadDistribution(f"distribution supported outside the game's valid inputs: {x!r}")
@@ -512,10 +508,10 @@ def exact_score(game: GameId, strategy: Strategy, input_distribution=None) -> Ga
     For GAME_G2 returns the (even_win, odd_guess, augmented) triple, the
     even/odd scores being conditional on the input parity class.
     """
+    weights = _input_weights(game, input_distribution)     # an unknown game raises here, before game.value
     if strategy.game is not game:
         raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
-    weights = _input_weights(game, input_distribution)
-    mass = weights.reshape(weights.shape + (1,) * _SHAPES[game].outputs) * outcome_tensor(strategy)
+    mass = weights.reshape(weights.shape + (1,) * _shape(game).outputs) * outcome_tensor(strategy)
     scores = mass_score(game, mass)
 
     if game is GameId.GAME_G2:
@@ -559,23 +555,21 @@ class RoundSampler:
     """
 
     def __init__(self, game: GameId, strategy: Strategy):
+        self._space = input_space(game)     # an unknown game raises here, before game.value
         if strategy.game is not game:
             raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
         self.game = game
         self.strategy = strategy
-        self._space = input_space(game)
         self._ranges = ((0, len(self._space), 1),)       # one uniform input index per round
-        probs = outcome_tensor(strategy)
-        rows = [probs[inputs].ravel() for inputs in self._space]
-        supports = [np.flatnonzero(row) for row in rows]
-        steps = max(1, max(s.size for s in supports) - 1)
-        self._threshold = np.full((steps, len(rows)), np.inf)
-        self._code_outputs = np.zeros((len(rows) * (steps + 1), _SHAPES[game].outputs), dtype=np.int8)
-        outputs = np.array(list(itertools.product(_BITS, repeat=_SHAPES[game].outputs)), dtype=np.int8)
-        for i, (row, support) in enumerate(zip(rows, supports)):
-            self._threshold[: support.size - 1, i] = np.cumsum(row[support])[:-1]
-            self._code_outputs[i * (steps + 1) : i * (steps + 1) + support.size] = outputs[support]
-        self._code_inputs = np.repeat(np.array(self._space, dtype=np.int8), steps + 1, axis=0)
+        inputs = np.array(self._space, dtype=np.int8)
+        rows = outcome_tensor(strategy)[tuple(inputs.T)].reshape(len(inputs), -1)     # [input, output]
+        columns = max(2, np.count_nonzero(rows, axis=1).max())
+        order = np.argsort(rows == 0, axis=1, kind="stable")[:, :columns]      # positive outputs first, in order
+        kept = np.take_along_axis(rows, order, axis=1)
+        self._threshold = np.where(kept[:, 1:] > 0, np.cumsum(kept, axis=1)[:, :-1], np.inf).T.copy()
+        outputs = np.array(list(itertools.product(_BITS, repeat=_shape(game).outputs)), dtype=np.int8)
+        self._code_outputs = outputs[order].reshape(-1, outputs.shape[1])
+        self._code_inputs = np.repeat(inputs, columns, axis=0)
 
     def sample(self, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:
         inputs = tuple(inputs)
@@ -598,8 +592,8 @@ class RoundSampler:
     def sample_many(self, n: int, rng: np.random.Generator) -> RoundColumns:
         """n rounds with uniform inputs, in round order, as int8 columns (6 B/round for pt3)."""
         stream.check_count("n", n)
-        inputs = np.empty((n, _SHAPES[self.game].inputs), dtype=np.int8)
-        outputs = np.empty((n, _SHAPES[self.game].outputs), dtype=np.int8)
+        inputs = np.empty((n, _shape(self.game).inputs), dtype=np.int8)
+        outputs = np.empty((n, _shape(self.game).outputs), dtype=np.int8)
         codes = stream.draw_codes(n, rng, self._ranges, self._threshold)
         for piece, code in zip(stream.chunk_slices(n, stream.DRAW_VALUES), codes):
             stream.gather(self._code_inputs, code, inputs[piece])
@@ -618,7 +612,7 @@ def sample_round(game: GameId, strategy: Strategy, inputs: tuple[int, ...], rng:
 
 def enumerate_deterministic(game: GameId) -> Iterator[ClassicalStrategy]:
     """All deterministic strategies of a game, in lexicographic table order."""
-    sizes = _SHAPES[game].tables
+    sizes = _shape(game).tables
     pools = [itertools.product((0, 1), repeat=size) for size in sizes]
     for tables in itertools.product(*pools):
         yield ClassicalStrategy(game, tables=tuple(tables))
@@ -631,7 +625,7 @@ def _deterministic_wins(game: GameId) -> tuple[list[np.ndarray], np.ndarray]:
     ``enumerate_deterministic`` order.  Returns the tables as (k, size) arrays
     and the wins as a 0/1 array [k, inputs...].
     """
-    sizes = _SHAPES[game].tables
+    sizes = _shape(game).tables
     width = sum(sizes)
     bits = (np.arange(2 ** width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
     tables = np.split(bits, np.cumsum(sizes)[:-1], axis=1)
@@ -656,8 +650,7 @@ def best_classical(game: GameId) -> tuple[float, ClassicalStrategy]:
 def g2_deterministic_frontier() -> tuple[tuple[float, float, ClassicalStrategy], ...]:
     """(even_win, odd_guess) of every deterministic G2 strategy."""
     _, wins = _deterministic_wins(GameId.GAME_G2)
-    even = _g2_even()
-    scores = zip(wins[:, even].sum(axis=1) / 4, wins[:, ~even].sum(axis=1) / 4)
+    scores = zip(wins[:, _EVEN_WEIGHT].sum(axis=1) / 4, wins[:, ~_EVEN_WEIGHT].sum(axis=1) / 4)
     return tuple((float(e), float(o), s) for (e, o), s in zip(scores, enumerate_deterministic(GameId.GAME_G2)))
 
 

@@ -267,7 +267,7 @@ class ProtocolConfig:
     mode: str = "test"
     delta: float = 1e-6
     gamma: float = 0.5
-    input_weights: dict | None = None
+    input_weights: dict | None = field(default=None, hash=False)
 
     def __post_init__(self) -> None:
         if self.protocol not in ("P", "Q"):
@@ -290,9 +290,7 @@ class ProtocolConfig:
         if not 0.5 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0.5, 1], got {self.gamma}")
         if self.input_weights is not None:
-            law = _input_law(self.protocol, self.mode, self.input_weights)
-            if self.mode == "test":
-                _check_scored_cells(self.protocol, law)
+            _input_law(self.protocol, self.mode, self.input_weights)
             object.__setattr__(self, "input_weights", dict(self.input_weights))
 
 
@@ -302,7 +300,8 @@ def _input_law(protocol: str, mode: str, weights: Mapping | None) -> np.ndarray:
     P's generate mode draws only the Rand cells, every other mode all of them.
     Each key of ``weights`` must be three integers (x0, x1, setting), x0 and
     x1 bits and the cell one the mode draws; each weight a finite nonnegative
-    number; and the weights must sum to 1 within 1e-12.
+    number; the weights must sum to 1 within 1e-12; and in test mode they
+    must pass ``_check_scored_cells``.
     """
     bins = _BIN_OF[protocol]
     drawn = bins == _RAND if protocol == "P" and mode == "generate" else np.ones_like(bins, dtype=bool)
@@ -323,6 +322,8 @@ def _input_law(protocol: str, mode: str, weights: Mapping | None) -> np.ndarray:
     total = law.sum()
     if abs(total - 1.0) > 1e-12:
         raise ValueError("input weights must sum to 1")
+    if mode == "test":
+        _check_scored_cells(protocol, law)
     return law / total
 
 

@@ -219,10 +219,8 @@ def measure(state: PureState, basis: "QubitBasis", target: int, randomness: floa
     """
     if not 0.0 <= randomness < 1.0:
         raise ValueError(f"randomness must lie in [0, 1), got {randomness}")
-    branches = measurement_branches(state, basis, target)
-    outcome = 0 if randomness < branches[0][0] else 1
-    prob, collapsed = branches[outcome]
-    assert collapsed is not None  # the drawn outcome always has positive probability
+    outcome = 0 if randomness < outcome_distribution(state, basis, target)[0] else 1
+    prob, collapsed = collapse(state, basis, target, outcome)     # the drawn outcome has positive probability
     return MeasurementResult(outcome=outcome, probability=prob, collapsed=collapsed)
 
 

@@ -225,29 +225,25 @@ def add_integers(out: np.ndarray, rng: np.random.Generator, low: int, high: int,
         out[piece] += draw
 
 
-def _skip_chain(n: int, rng: np.random.Generator, ranges: Sequence) -> Iterator[np.random.Generator]:
-    """``rng``, then copies of it moved past each drawing range's n values in turn, each made when asked for."""
-    yield rng
+def _streams(n: int, rng: np.random.Generator, ranges: Sequence) -> list[np.random.Generator]:
+    """``rng``, then a copy of it moved past each drawing range's n values in turn."""
+    streams = [rng]
     for low, high, _ in ranges:
         if high - low > 1:
-            rng = skip_ahead(rng, n, low, high)
-            yield rng
+            streams.append(skip_ahead(streams[-1], n, low, high))
+    return streams
 
 
-def _cells(n: int, chain: Iterator[np.random.Generator], ranges: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
-    """The cells of ``draw_cells`` from the streams of ``chain``, whose next stream is then the one past them."""
+def _cells(n: int, ranges: Sequence, streams: list[np.random.Generator], out: np.ndarray) -> Iterator[np.ndarray]:
+    """The cells of ``draw_cells``, each drawing range of ``ranges`` drawn from its stream of ``streams`` in turn."""
     fixed = sum(low * scale for low, high, scale in ranges if high - low == 1)
     drawn = [(low, high, scale) for low, high, scale in ranges if high - low > 1]
-    streams = [stream for _, stream in zip(drawn, chain)]      # zip stops before taking one more
-
-    def cells() -> Iterator[np.ndarray]:
-        for piece in chunk_slices(n, out.size):
-            cell = out[: piece.stop - piece.start]
-            cell.fill(fixed)
-            for (low, high, scale), stream in zip(drawn, streams):
-                add_integers(cell, stream, low, high, scale)
-            yield cell
-    return cells()
+    for piece in chunk_slices(n, out.size):
+        cell = out[: piece.stop - piece.start]
+        cell.fill(fixed)
+        for (low, high, scale), stream in zip(drawn, streams):
+            add_integers(cell, stream, low, high, scale)
+        yield cell
 
 
 def draw_cells(n: int, rng: np.random.Generator, ranges: Sequence, out: np.ndarray) -> Iterator[np.ndarray]:
@@ -257,9 +253,11 @@ def draw_cells(n: int, rng: np.random.Generator, ranges: Sequence, out: np.ndarr
     integers(low, high)`` over the (low, high, scale) ranges.  Each range
     draws all its n values, the first from ``rng`` and each later one from a
     copy of ``rng`` moved past the ranges before it; a Generator draws the
-    same values in pieces as in one call.  A one-value range draws nothing.
+    same values in pieces as in one call.  A one-value range draws nothing,
+    and no copy is moved past the last range that draws.
     """
-    return _cells(n, _skip_chain(n, rng, ranges), ranges, out)
+    last = max((i for i, (low, high, _) in enumerate(ranges) if high - low > 1), default=0)
+    return _cells(n, ranges, _streams(n, rng, ranges[:last]), out)
 
 
 def draw_codes(n: int, rng: np.random.Generator, ranges: Sequence, threshold: np.ndarray) -> Iterator[np.ndarray]:
@@ -270,10 +268,9 @@ def draw_codes(n: int, rng: np.random.Generator, ranges: Sequence, threshold: np
     walked once: the one-call order.
     """
     scratch = Scratch(max(1, min(n, DRAW_VALUES)))
-    chain = _skip_chain(n, copy.deepcopy(rng), ranges)
-    cells = _cells(n, chain, ranges, scratch.code)
-    rng.bit_generator.state = next(chain).bit_generator.state
-    for cell in cells:
+    streams = _streams(n, copy.deepcopy(rng), ranges)
+    rng.bit_generator.state = streams[-1].bit_generator.state
+    for cell in _cells(n, ranges, streams, scratch.code):
         yield scratch.measure(cell, threshold, cell, rng)[0]
 
 

@@ -86,6 +86,12 @@ class TestHoeffding:
     def test_monotone_in_trials(self):
         assert hoeffding_radius(0.01, 1000) > hoeffding_radius(0.01, 10_000)
 
+    def test_delta_and_trials_are_checked(self):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\), got 0.0"):
+            hoeffding_radius(0.0, 10)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            hoeffding_radius(0.1, 0)
+
 
 class TestEstimateConditional:
     def test_event_equals_condition_gives_one(self):

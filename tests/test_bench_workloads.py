@@ -1,5 +1,5 @@
-"""The benchmark's own checks, run on the program: a few sweep operations, every exact and montecarlo one,
-and the stream workload's operations at 1e6 rounds.
+"""The benchmark's own checks, run on the program: every sweep, exact and montecarlo operation, and the
+stream workload's operations at 1e6 rounds.
 
 The sweep checks what run_protocol returns.  The exact workload checks
 scores, the G2 frontier, the equivalence checks' overlaps and probabilities,
@@ -35,11 +35,16 @@ SWEEP = {op.name: op for op in WORKLOADS._sweep(0).ops}
 EXACT = {op.name: op for op in WORKLOADS._exact(0).ops}
 
 
-# the two honest runs read the verdict, its conditions and the Rand bin; an aborting one reads the verdict
-@pytest.mark.parametrize("name", ["honest.P", "honest.Q", "always_zero.P", "x1_forwarder.Q"])
+def test_sweep_workload_has_every_op():
+    assert len(SWEEP) == 268
+    assert sum(name.startswith("classical.P.") for name in SWEEP) == 256
+
+
+# the 256 classical P pairs, every cheat on each protocol it fits (the shared coin per round, and per run
+# for mixed_perfect_even) and the honest runs, whose checks also read the verdict's conditions and Rand bin
+@pytest.mark.parametrize("name", list(SWEEP))
 def test_sweep_op_passes_its_check(name):
-    op = SWEEP[name]
-    assert op.check(op.run()) is None
+    assert run_ops([SWEEP[name]]) == 1
 
 
 def test_sweep_check_fails_on_a_wrong_result():

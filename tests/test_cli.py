@@ -312,6 +312,7 @@ class TestExitCodes:
             ("run-protocol", {"coin-per-run": 1}, "option coin_per_run must be true or false"),
             ("run-protocol", {"bits_out": 7}, "option bits_out must be a string"),
             ("analyze", {"deterministic": "yes"}, "option deterministic must be true or false"),
+            ("play-game", [{"rounds": 5}], "config file must hold a JSON object"),
         ],
     )
     def test_config_with_bad_key_or_type_is_one(self, capsys, tmp_path, command, config, message):

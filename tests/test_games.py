@@ -288,6 +288,14 @@ class TestExactScores:
     def test_strategy_game_mismatch(self):
         with pytest.raises(ArityMismatch):
             exact_score(GameId.CHSH, paper_strategy(GameId.CHSH1))
+        with pytest.raises(ArityMismatch, match="strategy plays chsh1, not chsh"):
+            RoundSampler(GameId.CHSH, paper_strategy(GameId.CHSH1))
+        with pytest.raises(ArityMismatch, match="odd-weight extension is defined for the GHZ game"):
+            pt3_odd_extension_score(paper_strategy(GameId.CHSH))
+
+    def test_score_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match="score 1.5 outside"):
+            games.GameScore(1.5, ScoreKind.WIN_PROBABILITY)
 
 
 class TestOutcomeTensor:
@@ -405,6 +413,24 @@ class TestClassicalStrategies:
     def test_table_shape_validation(self):
         with pytest.raises(ArityMismatch):
             ClassicalStrategy(GameId.CHSH, tables=((0, 0, 0), (0, 0)))
+        with pytest.raises(ArityMismatch, match="table entries must be bits"):
+            ClassicalStrategy(GameId.CHSH, tables=((0, 2), (0, 0)))
+
+    def test_tables_or_mixture_exactly_one(self):
+        zeros = ClassicalStrategy(GameId.CHSH, tables=((0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="exactly one of tables or mixture"):
+            ClassicalStrategy(GameId.CHSH)
+        with pytest.raises(ValueError, match="exactly one of tables or mixture"):
+            ClassicalStrategy(GameId.CHSH, tables=zeros.tables, mixture=((1.0, zeros),))
+
+    def test_mixture_components_play_its_game(self):
+        chsh1 = ClassicalStrategy(GameId.CHSH1, tables=((0, 0), (0, 0)))
+        with pytest.raises(ArityMismatch, match="mixture components must play the same game"):
+            ClassicalStrategy(GameId.CHSH, mixture=((1.0, chsh1),))
+
+    def test_deterministic_strategy_renormalizes_to_itself(self):
+        zeros = ClassicalStrategy(GameId.CHSH, tables=((0, 0), (0, 0)))
+        assert zeros.renormalized(7.3) is zeros
 
 
 class TestBestClassical:

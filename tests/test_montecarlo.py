@@ -262,7 +262,7 @@ def test_draw_cells_equal_the_one_call_order(ranges, n):
 
 @pytest.mark.parametrize("ranges,walks", [(((0, 4, 3), (0, 3, 1)), 2), (((1, 3, 3), (2, 3, 1)), 1), (((2, 3, 1),), 0)])
 def test_draw_codes_walks_each_range_once(ranges, walks, monkeypatch):
-    """The cells and the uniforms share one skip chain; ``draw_cells`` alone makes no walk past its last range."""
+    """The cells and the uniforms share one list of streams; ``draw_cells`` alone makes no walk past its last range."""
     calls, skip_ahead = [], stream.skip_ahead
 
     def counted_skip_ahead(*args):

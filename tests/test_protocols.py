@@ -1,13 +1,16 @@
 """Device pairs, protocol runners, binning, certification, guessing bounds."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from diqrng import protocols, qcore, stream
+from diqrng import games, protocols, qcore, stream
 from diqrng.errors import (
     DeviceArityMismatch,
+    DiqrngError,
     InsufficientRounds,
     UnknownKind,
 )
@@ -46,6 +49,40 @@ def qcore_response_table(protocol, preparation=None):
                 state = qcore.apply_gate(state, gate, 0)
             table[x, setting] = qcore.outcome_distribution(state, spec.basis, 0)[spec.outputs.index(1)]
     return table
+
+
+# Every public call that takes a game, a protocol, an equivalence pair or a device kind; ``ProtocolConfig``
+# raises ValueError instead (``test_config_validation``).
+_CHSH = paper_strategy(GameId.CHSH)
+NAMED_CALLS = {
+    "input_space": games.input_space,
+    "winning_predicate": lambda name: games.winning_predicate(name, games.RoundIO((0, 0), (0, 0))),
+    "win_mask": games.win_mask,
+    "mass_score": lambda name: games.mass_score(name, np.ones((2, 2, 2, 2))),
+    "best_classical": games.best_classical,
+    "enumerate_deterministic": lambda name: list(games.enumerate_deterministic(name)),
+    "paper_strategy": games.paper_strategy,
+    "ClassicalStrategy": lambda name: ClassicalStrategy(name, tables=((0, 0), (0, 0))),
+    "exact_score": lambda name: games.exact_score(name, _CHSH),
+    "RoundSampler": lambda name: games.RoundSampler(name, _CHSH),
+    "sample_round": lambda name: games.sample_round(name, _CHSH, (0, 0), np.random.default_rng(0)),
+    "equivalence_check": games.equivalence_check,
+    "DevicePair": lambda name: DevicePair(np.full((1, 4, 3), 0.5), protocol=name),
+    "DevicePair.response_table": lambda name: DevicePair(np.full((1, 4, 3), 0.5)).response_table(name),
+    "honest_devices": honest_devices,
+    "classical_pair_from_strategy": lambda name: classical_pair_from_strategy(
+        next(enumerate_deterministic(GameId.TAVAKOLI)), name
+    ),
+    "adversarial_devices": adversarial_devices,
+}
+
+
+# a game's value, an equivalence pair's value and a name of nothing, each in place of the enum or name it needs
+@pytest.mark.parametrize("name", ["chsh", "g-vs-chsh1", "R"])
+@pytest.mark.parametrize("call", list(NAMED_CALLS))
+def test_unknown_names_raise_package_errors(call, name):
+    with pytest.raises(DiqrngError):
+        NAMED_CALLS[call](name)
 
 
 class TestHonestDevices:
@@ -119,6 +156,15 @@ class TestDevicePairTable:
         assert pair.response_table("Q").shape == (2, 4, 2)
         with pytest.raises(ValueError):
             pair.table[0, 0, 0] = 0.5
+
+
+class TestClassicalPairs:
+    def test_only_deterministic_strategies_of_the_protocols_game(self):
+        zeros = next(enumerate_deterministic(GameId.TAVAKOLI))
+        with pytest.raises(DeviceArityMismatch, match="only deterministic strategies"):
+            classical_pair_from_strategy(ClassicalStrategy(GameId.TAVAKOLI, mixture=((1.0, zeros),)), "P")
+        with pytest.raises(DeviceArityMismatch, match="protocol P devices need a tavakoli strategy"):
+            classical_pair_from_strategy(next(enumerate_deterministic(GameId.GAME_G2)), "P")
 
 
 class TestAdversarialDevices:
@@ -240,6 +286,15 @@ class TestRunProtocolP:
     def test_zero_rounds(self):
         with pytest.raises(InsufficientRounds):
             run_protocol(ProtocolConfig("P", 0, seed=1), honest_devices("P"))
+
+    def test_certify_checks_the_tally(self):
+        config = ProtocolConfig("P", 100, seed=1)
+        with pytest.raises(ValueError, match=r"tally is \[x, setting, b\] of shape \(4, 3, 2\)"):
+            protocols.certify(config, np.ones((4, 2, 2), dtype=np.int64))
+        tally = np.ones((4, 3, 2), dtype=np.int64)
+        tally[0, 2] = 0     # every Check cell filled, no x = 00 False round
+        with pytest.raises(InsufficientRounds, match="false bin has no x=00 rounds"):
+            protocols.certify(config, tally)
 
     def test_tiny_run_raises_insufficient(self):
         with pytest.raises(InsufficientRounds):
@@ -495,6 +550,20 @@ class TestConfigAndVerdict:
         with pytest.raises(ValueError, match="input weights leave out") as err:
             ProtocolConfig(protocol, 2_000, seed=4, input_weights=weights)
         assert named in str(err.value)
+
+    def test_weighted_configs_hash_and_pickle(self):
+        weights = {(0, 1, 2): 0.25, (1, 0, 2): 0.75}
+        config = ProtocolConfig("P", 10, seed=1, mode="generate", input_weights=weights)
+        same = ProtocolConfig("P", 10, seed=1, mode="generate", input_weights=dict(weights))
+        assert config == same and hash(config) == hash(same)
+        assert pickle.loads(pickle.dumps(config)) == config == copy.deepcopy(config)
+
+    def test_weights_edited_after_construction_are_checked_by_the_run(self):
+        config = ProtocolConfig("Q", 2_000, seed=4, input_weights={(0, 0, 0): 0.5, (0, 0, 1): 0.5})
+        config.input_weights.clear()
+        config.input_weights.update({(0, 0, 1): 0.5, (0, 1, 0): 0.25, (1, 0, 0): 0.25})    # no Check cell left
+        with pytest.raises(ValueError, match=r"leave out \(0, 0, 0\), \(0, 1, 1\), \(1, 0, 1\), \(1, 1, 0\): protocol Q"):
+            run_protocol(config, honest_devices("Q"))
 
     def test_uniform_weights_match_default_statistics(self):
         weights = {

@@ -19,6 +19,37 @@ def random_state(num_qubits: int, rng) -> qcore.PureState:
     return qcore.PureState(vec / np.linalg.norm(vec))
 
 
+# inputs that each check of qcore rejects: (call, error, message)
+REJECTED = {
+    "state-of-3-amplitudes": (lambda: qcore.PureState(np.array([1.0, 0.0, 0.0])), BadDimension, "length 2, 4 or 8"),
+    "state-with-nan": (lambda: qcore.PureState(np.array([math.nan, 1.0])), NonNormalizable, "finite"),
+    "state-of-norm-sqrt2": (lambda: qcore.PureState(np.array([1.0, 1.0])), NonNormalizable, "state norm 1.414"),
+    "gate-3x3": (lambda: qcore.Gate1Q("big", np.eye(3)), BadDimension, "2x2"),
+    "gate-not-unitary": (lambda: qcore.Gate1Q("shear", np.array([[1, 1], [0, 1]])), NonNormalizable, "not unitary"),
+    "make-state-empty": (lambda: qcore.make_state({}), BadDimension, "empty amplitude mapping"),
+    "make-state-4-bit-label": (lambda: qcore.make_state({"0000": 1}), BadDimension, "1-3 bits"),
+    "collapse-outcome-2": (
+        lambda: qcore.collapse(qcore.KET_ZERO, qcore.COMPUTATIONAL, 0, 2), ValueError, "outcome must be 0 or 1"
+    ),
+    "collapse-zero-probability": (
+        lambda: qcore.collapse(qcore.KET_ZERO, qcore.COMPUTATIONAL, 0, 1), NonNormalizable, "zero probability"
+    ),
+    "overlap-1-and-2-qubits": (
+        lambda: qcore.overlap(qcore.KET_ZERO, qcore.BELL_PHI_PLUS), BadDimension, "different qubit counts"
+    ),
+    "basis-of-2-qubit-vector": (
+        lambda: qcore.QubitBasis("wide", qcore.BELL_PHI_PLUS, qcore.KET_ONE), BadDimension, "single-qubit"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_rejected_input_raises(case):
+    call, error, message = REJECTED[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMakeState:
     def test_plus_from_labels(self):
         st = qcore.make_state({"0": INV_SQRT2, "1": INV_SQRT2})
