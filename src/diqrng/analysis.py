@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyCondition, MissingCell, TooFewBits
 from .games import GameId, win_mask
-from .stream import CHUNK_ROUNDS, PackedBits, as_bits, bit_blocks, bit_counts
+from .stream import CHUNK_ROUNDS, PackedBits, as_bits, bit_blocks, bit_counts, check_real
 
 _NORMAL = NormalDist()
 
@@ -45,6 +45,7 @@ class Estimate:
 
 def wilson_interval(count: int, trials: int, confidence: float) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion of count successes in trials."""
+    check_real("confidence", confidence)
     if not 0.0 < confidence < 1.0 or 0.5 + confidence / 2.0 == 1.0:
         raise ValueError(f"confidence must lie in (0, 1) with 0.5 + confidence/2 below 1 in floats, got {confidence}")
     if trials <= 0:
@@ -64,6 +65,7 @@ def wilson_interval(count: int, trials: int, confidence: float) -> tuple[float, 
 
 def hoeffding_radius(delta: float, trials: int) -> float:
     """Distribution-free confidence half-width sqrt(ln(2/delta) / (2 N))."""
+    check_real("delta", delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if trials <= 0:
@@ -118,6 +120,7 @@ def statistic_A(counts: np.ndarray, confidence: float = 0.99) -> Estimate:
     x = 2*x0 + x1, such as ``tally[:, :2]`` of a protocol P run; anything
     else, per-round ``RoundColumns`` included, raises ValueError.
     """
+    check_real("confidence", confidence)
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     trials, successes = _score_cells(counts)

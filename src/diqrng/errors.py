@@ -29,8 +29,8 @@ class BadInput(DiqrngError):
     """Input outside the game's valid input set (e.g. odd-weight GHZ input)."""
 
 
-class BadDistribution(DiqrngError):
-    """Input distribution unsupported on the game's inputs or not normalized."""
+class BadDistribution(DiqrngError, ValueError):
+    """A weight table that is not a mapping, names an invalid input, or is not a normalized distribution."""
 
 
 # --- protocols ---

@@ -220,6 +220,10 @@ class MeasureSpec:
     outputs: tuple[int, int] = (0, 1)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.basis, QubitBasis):
+            raise ArityMismatch(f"basis must be a QubitBasis, got {self.basis!r}")
+        if not (isinstance(self.gates, tuple) and all(isinstance(g, Gate1Q) for g in self.gates)):
+            raise ArityMismatch(f"gates must be a tuple of Gate1Q, got {self.gates!r}")
         if sorted(self.outputs) != [0, 1]:
             raise ArityMismatch(f"outputs must relabel the two outcomes as 0 and 1, got {self.outputs}")
 
@@ -239,6 +243,26 @@ class QuantumStrategy:
     party_rules: tuple[Mapping[object, MeasureSpec], ...] = ()
     preparation: Mapping[tuple[int, int], PureState] | None = None
     measurement: Mapping[int, MeasureSpec] | None = None
+
+    def __post_init__(self) -> None:
+        """Exactly the fields of the game's kind, each keyed by the inputs it answers; else ArityMismatch."""
+        sizes = _shape(self.game).tables
+        if self.game in _PREPARE_AND_MEASURE:
+            fits = self.shared_state is None and not self.party_rules
+            fits = fits and _maps(self.preparation, _PAIRS, PureState) and _maps(self.measurement, _BITS, MeasureSpec)
+            fits = fits and all(state.num_qubits == 1 for state in self.preparation.values())
+        else:
+            fits = self.preparation is None and self.measurement is None
+            fits = fits and isinstance(self.shared_state, PureState) and self.shared_state.num_qubits == len(sizes)
+            fits = fits and isinstance(self.party_rules, tuple) and len(self.party_rules) == len(sizes)
+            fits = fits and all(_maps(r, _PAIRS if n == 4 else _BITS, MeasureSpec) for r, n in zip(self.party_rules, sizes))
+        if not fits:
+            raise ArityMismatch(f"{self.game.value} strategy has the wrong shape for its game")
+
+
+def _maps(mapping, keys: tuple, kind: type) -> bool:
+    """Whether ``mapping`` maps exactly ``keys`` to values of ``kind``."""
+    return isinstance(mapping, Mapping) and set(mapping) == set(keys) and all(isinstance(v, kind) for v in mapping.values())
 
 
 def paper_strategy(game: GameId) -> QuantumStrategy:
@@ -336,12 +360,9 @@ class ClassicalStrategy:
             if any(bit not in (0, 1) for t in self.tables for bit in t):
                 raise ArityMismatch("table entries must be bits")
         else:
-            weights = [w for w, _ in self.mixture]
-            if not all(isinstance(w, numbers.Real) and 0 <= w < math.inf for w in weights):
-                raise BadDistribution(f"mixture weights must be finite nonnegative numbers, got {weights}")
-            if abs(sum(weights) - 1.0) > 1e-12:
-                raise BadDistribution("mixture weights must sum to 1")
-            if any(s.game is not self.game for _, s in self.mixture):
+            weights = {(k,): w for k, (w, _) in enumerate(self.mixture)}
+            read_weights(weights, np.ones(len(self.mixture), dtype=bool), "mixture weights")
+            if any(not isinstance(s, ClassicalStrategy) or s.game is not self.game for _, s in self.mixture):
                 raise ArityMismatch("mixture components must play the same game")
 
     def renormalized(self, factor: float) -> "ClassicalStrategy":
@@ -384,13 +405,10 @@ def _rows(spec: MeasureSpec) -> np.ndarray:
 
 
 def _quantum_operands(strategy: QuantumStrategy) -> list[np.ndarray]:
-    if (strategy.preparation is not None) != (strategy.game in _PREPARE_AND_MEASURE):
-        raise ArityMismatch(f"{strategy.game.value} strategy has the wrong shape for its game")
     if strategy.preparation is not None:
         rows = np.stack([_rows(strategy.measurement[s]) for s in _BITS])
         return [rows, np.stack([strategy.preparation[x].amplitudes for x in _PAIRS])]
-    keys = (_PAIRS if strategy.game is GameId.GAME_G else _BITS, _BITS, _BITS)
-    rows = [np.stack([_rows(rule[k]) for k in ks]) for rule, ks in zip(strategy.party_rules, keys)]
+    rows = [np.stack([_rows(rule[k]) for k in sorted(rule)]) for rule in strategy.party_rules]
     return rows + [strategy.shared_state.amplitudes.reshape((2,) * len(rows))]
 
 
@@ -483,23 +501,44 @@ def branch_distribution(strategy: Strategy, inputs: tuple[int, ...]) -> dict[tup
     return {tuple(o): float(row[tuple(o)]) for o in np.argwhere(row > 0).tolist()}
 
 
+def read_weights(weights, valid: np.ndarray, what: str) -> np.ndarray:
+    """A caller's weight table as a float array on the axes of the bool grid ``valid``, zero off its keys.
+
+    Each key must be a tuple of integers that indexes a True entry of ``valid``, each weight a finite
+    nonnegative real, and the weights must sum to 1 within 1e-12; else BadDistribution names ``what`` and the key.
+    """
+    if not isinstance(weights, Mapping):
+        raise BadDistribution(f"{what} must be a mapping from input tuples to weights, got {weights!r}")
+    table = np.zeros(valid.shape)
+    for key, value in weights.items():
+        integers = isinstance(key, tuple) and all(isinstance(v, numbers.Integral) for v in key)
+        index = tuple(map(int, key)) if integers else ()     # a bool index would be read as a mask
+        if not (len(index) == valid.ndim and all(0 <= v < n for v, n in zip(index, valid.shape)) and valid[index]):
+            raise BadDistribution(f"{what}: input {key!r} is not a valid input")
+        if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+            raise BadDistribution(f"{what} must be finite and nonnegative, got {value!r} for input {key!r}")
+        table[index] = float(value)
+    if abs(table.sum() - 1.0) > 1e-12:
+        raise BadDistribution(f"{what} sum to {table.sum()}, not 1")
+    return table
+
+
 def _input_weights(game: GameId, input_distribution) -> np.ndarray:
-    """The input distribution as an array over the input bits; uniform by default."""
-    space = input_space(game)
-    dist = dict(input_distribution) if input_distribution is not None else dict.fromkeys(space, 1.0 / len(space))
-    weights = np.zeros((2,) * _shape(game).inputs)
-    for x, w in dist.items():
-        if not (isinstance(x, tuple) and all(isinstance(v, numbers.Integral) for v in x) and x in space):
-            raise BadDistribution(f"distribution supported outside the game's valid inputs: {x!r}")
-        if not isinstance(w, numbers.Real):
-            raise BadDistribution(f"weights must be real numbers, got {w!r} for input {x!r}")
-        weights[tuple(map(int, x))] = w     # a bool index would be read as a mask
-    if not np.all((weights >= 0) & (weights < math.inf)):
-        raise BadDistribution("weights must be finite and nonnegative")
-    total = float(weights.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise BadDistribution(f"weights sum to {total}, not 1")
-    return weights
+    """The input distribution as an array over the input bits; uniform over ``input_space`` by default."""
+    valid = np.zeros((2,) * _shape(game).inputs, dtype=bool)
+    valid[tuple(zip(*input_space(game)))] = True
+    if input_distribution is None:
+        return valid / valid.sum()
+    return read_weights(input_distribution, valid, f"{game.value} input distribution")
+
+
+def _check_strategy(game: GameId, strategy) -> None:
+    """Reject an unknown game, a value that is no strategy, or a strategy of another game."""
+    _shape(game)
+    if not isinstance(strategy, Strategy):
+        raise ArityMismatch(f"strategy must be a QuantumStrategy or ClassicalStrategy, got {strategy!r}")
+    if strategy.game is not game:
+        raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
 
 
 def exact_score(game: GameId, strategy: Strategy, input_distribution=None) -> GameScore | G2Score:
@@ -508,9 +547,8 @@ def exact_score(game: GameId, strategy: Strategy, input_distribution=None) -> Ga
     For GAME_G2 returns the (even_win, odd_guess, augmented) triple, the
     even/odd scores being conditional on the input parity class.
     """
-    weights = _input_weights(game, input_distribution)     # an unknown game raises here, before game.value
-    if strategy.game is not game:
-        raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
+    _check_strategy(game, strategy)
+    weights = _input_weights(game, input_distribution)
     mass = weights.reshape(weights.shape + (1,) * _shape(game).outputs) * outcome_tensor(strategy)
     scores = mass_score(game, mass)
 
@@ -555,9 +593,8 @@ class RoundSampler:
     """
 
     def __init__(self, game: GameId, strategy: Strategy):
-        self._space = input_space(game)     # an unknown game raises here, before game.value
-        if strategy.game is not game:
-            raise ArityMismatch(f"strategy plays {strategy.game.value}, not {game.value}")
+        _check_strategy(game, strategy)
+        self._space = input_space(game)
         self.game = game
         self.strategy = strategy
         self._ranges = ((0, len(self._space), 1),)       # one uniform input index per round
@@ -572,6 +609,7 @@ class RoundSampler:
         self._code_inputs = np.repeat(inputs, columns, axis=0)
 
     def sample(self, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:
+        stream.check_rng(rng)
         inputs = tuple(inputs)
         if inputs not in self._space:
             raise BadInput(f"{inputs} is not a valid {self.game.value} input")

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
@@ -59,10 +58,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import analysis, qcore
-from .errors import DeviceArityMismatch, InsufficientRounds, UnknownKind
+from .errors import BadDistribution, DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
-from .games import RoundColumns, read_only_view
-from .stream import PackedBits, Scratch, add_integers, as_bits, check_count, check_integer, draw_cells, draw_codes
+from .games import RoundColumns, read_only_view, read_weights
+from .stream import PackedBits, Scratch, add_integers, as_bits, check_count, check_integer, check_real
+from .stream import draw_cells, draw_codes
 
 A_STAR = QUANTUM_WIN
 
@@ -197,7 +197,7 @@ def classical_pair_from_strategy(strategy: ClassicalStrategy, protocol: str) -> 
     setting forwards the one-bit message, which cannot influence the
     self-test statistic that decides the verdict.
     """
-    if not strategy.tables:
+    if not isinstance(strategy, ClassicalStrategy) or not strategy.tables:
         raise DeviceArityMismatch("only deterministic strategies can back a device pair")
     expected_game = _game_of(protocol)
     if strategy.game is not expected_game:
@@ -255,10 +255,10 @@ class ProtocolConfig:
     nonnegative integer, and ``delta`` and ``gamma`` real numbers.
     ``input_weights`` optionally overrides the uniform per-round input draw:
     a mapping from (x0, x1, setting) to probability, supported on the cells
-    the protocol's mode draws and summing to 1.  A run reads it as its input
-    law, law[x, setting] with x = 2*x0 + x1 and zeros elsewhere.  Test-mode
-    weights must reach every cell that certification scores: P's Check and
-    False cells, or at least one of Q's Check cells.
+    the protocol's mode draws and summing to 1, read by ``games.read_weights``
+    (its ``BadDistribution`` is a ValueError).  A run reads it as its input law,
+    law[x, setting] with x = 2*x0 + x1 and zeros elsewhere.  Test-mode weights must
+    reach every cell that certification scores: P's Check and False cells, or a Q Check cell.
     """
 
     protocol: str
@@ -278,10 +278,8 @@ class ProtocolConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in ("test", "generate"):
             raise ValueError(f"mode must be 'test' or 'generate', got {self.mode!r}")
-        for name in ("delta", "gamma"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+        check_real("delta", self.delta)
+        check_real("gamma", self.gamma)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if 0.5 + (1.0 - self.delta) / 2.0 == 1.0:
@@ -298,33 +296,18 @@ def _input_law(protocol: str, mode: str, weights: Mapping | None) -> np.ndarray:
     """A run's input law[x, setting], x = 2*x0 + x1: uniform over the cells its mode draws, or ``weights``.
 
     P's generate mode draws only the Rand cells, every other mode all of them.
-    Each key of ``weights`` must be three integers (x0, x1, setting), x0 and
-    x1 bits and the cell one the mode draws; each weight a finite nonnegative
-    number; the weights must sum to 1 within 1e-12; and in test mode they
-    must pass ``_check_scored_cells``.
+    ``weights`` is read by ``games.read_weights`` over (x0, x1, setting) on
+    the drawn cells, and in test mode must pass ``_check_scored_cells``.
     """
     bins = _BIN_OF[protocol]
     drawn = bins == _RAND if protocol == "P" and mode == "generate" else np.ones_like(bins, dtype=bool)
     if weights is None:
         return drawn / drawn.sum()
-    if not isinstance(weights, Mapping):
-        raise ValueError(f"input weights must be a mapping from (x0, x1, setting) to weight, got {weights!r}")
-    law = np.zeros(bins.shape)
-    for key, value in weights.items():
-        valid = isinstance(key, tuple) and len(key) == 3 and all(isinstance(v, numbers.Integral) for v in key)
-        valid = valid and key[0] in (0, 1) and key[1] in (0, 1) and 0 <= key[2] < bins.shape[1]
-        cell = (2 * int(key[0]) + int(key[1]), int(key[2])) if valid else None
-        if cell is None or not drawn[cell]:
-            raise ValueError(f"input {key!r} invalid for protocol {protocol} {mode} mode")
-        if not isinstance(value, numbers.Real) or not 0 <= value < math.inf:
-            raise ValueError(f"input weights must be finite and nonnegative, got {value!r} for input {key!r}")
-        law[cell] += float(value)
-    total = law.sum()
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError("input weights must sum to 1")
+    what = f"protocol {protocol} {mode}-mode input weights"
+    law = read_weights(weights, drawn.reshape(2, 2, -1), what).reshape(bins.shape)
     if mode == "test":
         _check_scored_cells(protocol, law)
-    return law / total
+    return law / law.sum()
 
 
 def _check_scored_cells(protocol: str, law: np.ndarray) -> None:
@@ -339,7 +322,7 @@ def _check_scored_cells(protocol: str, law: np.ndarray) -> None:
     if protocol == "P" and left_out.any() or protocol == "Q" and np.array_equal(left_out, scored):
         cells = ", ".join(str((int(x) >> 1, int(x) & 1, int(s))) for x, s in np.argwhere(left_out))
         need = "every Check and False cell" if protocol == "P" else "a Check cell"
-        raise ValueError(f"input weights leave out {cells}: protocol {protocol} test mode needs {need}")
+        raise BadDistribution(f"input weights leave out {cells}: protocol {protocol} test mode needs {need}")
 
 
 @dataclass(frozen=True)
@@ -397,6 +380,11 @@ def _band_check(
     satisfied = abs(rate - target) <= radius if two_sided else rate >= target - radius
     detail = {"count": hits, "trials": trials, "radius": radius, **detail}
     return ConditionCheck(name, rate, ci, target, satisfied, detail)
+
+
+def _check_config(config) -> None:
+    if not isinstance(config, ProtocolConfig):
+        raise ValueError(f"config must be a ProtocolConfig, got {config!r}")
 
 
 def _round_chunks(config: ProtocolConfig, devices: DevicePair) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -465,6 +453,9 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     when every condition holds, releasing the Rand bits past Q's tested
     prefix still packed; otherwise it ABORTs and releases none.
     """
+    _check_config(config)
+    if not isinstance(devices, DevicePair):
+        raise DeviceArityMismatch(f"devices must be a DevicePair, got {devices!r}")
     if config.rounds < 1:
         raise InsufficientRounds("a run needs at least one round")
     n_settings = _BIN_OF[config.protocol].shape[1]
@@ -505,9 +496,14 @@ def certify(
     without Check rounds, or without a cell that P's conditions score,
     raises ``InsufficientRounds``.
     """
+    _check_config(config)
     n_settings = _BIN_OF[config.protocol].shape[1]
-    if np.shape(tally) != (4, n_settings, 2):
-        raise ValueError(f"a protocol {config.protocol} tally is [x, setting, b] of shape (4, {n_settings}, 2)")
+    tally = np.asarray(tally)
+    if tally.shape != (4, n_settings, 2) or not np.issubdtype(tally.dtype, np.integer) or np.any(tally < 0):
+        raise ValueError(
+            f"a protocol {config.protocol} tally is [x, setting, b] of shape (4, {n_settings}, 2) with nonnegative "
+            f"integer counts, got {tally.dtype} of shape {tally.shape}"
+        )
     n = _bin_counts(config.protocol, tally)
     conditions = []
     if config.mode == "test" and n["check"] == 0:

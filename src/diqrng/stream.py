@@ -31,6 +31,17 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def check_rng(rng) -> None:
+    """Reject an rng without the ``random`` method that every round's uniform comes from."""
+    if not callable(getattr(rng, "random", None)):
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
+
+
 def check_count(name: str, value, low: int = 0) -> None:
     """Reject a round or trial count that is not an integer in [low, ``MAX_ROUNDS``]."""
     check_integer(name, value)
@@ -265,13 +276,14 @@ def draw_codes(n: int, rng: np.random.Generator, ranges: Sequence, threshold: np
 
     The cells are drawn as ``draw_cells`` draws them from a copy of ``rng``,
     and the uniforms from ``rng`` moved past every cell draw, each range
-    walked once: the one-call order.
+    walked once: the one-call order.  ``rng`` is checked, and moved past the
+    cell draws, before the first code is drawn.
     """
+    check_rng(rng)
     scratch = Scratch(max(1, min(n, DRAW_VALUES)))
     streams = _streams(n, copy.deepcopy(rng), ranges)
     rng.bit_generator.state = streams[-1].bit_generator.state
-    for cell in _cells(n, ranges, streams, scratch.code):
-        yield scratch.measure(cell, threshold, cell, rng)[0]
+    return (scratch.measure(cell, threshold, cell, rng)[0] for cell in _cells(n, ranges, streams, scratch.code))
 
 
 def gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -350,8 +350,8 @@ class TestOutcomeTensor:
 
     def test_strategy_shape_must_fit_game(self):
         entangled = paper_strategy(GameId.CHSH)
-        wrong = QuantumStrategy(GameId.GAME_G2, shared_state=entangled.shared_state, party_rules=entangled.party_rules)
         with pytest.raises(ArityMismatch):
+            wrong = QuantumStrategy(GameId.GAME_G2, shared_state=entangled.shared_state, party_rules=entangled.party_rules)
             exact_score(GameId.GAME_G2, wrong)
 
 

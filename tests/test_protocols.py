@@ -7,8 +7,10 @@ import pickle
 import numpy as np
 import pytest
 
-from diqrng import games, protocols, qcore, stream
+from diqrng import analysis, games, protocols, qcore, stream
 from diqrng.errors import (
+    ArityMismatch,
+    BadDistribution,
     DeviceArityMismatch,
     DiqrngError,
     InsufficientRounds,
@@ -83,6 +85,109 @@ NAMED_CALLS = {
 def test_unknown_names_raise_package_errors(call, name):
     with pytest.raises(DiqrngError):
         NAMED_CALLS[call](name)
+
+
+_Q_CONFIG = ProtocolConfig("Q", 200, seed=1)
+_CHSH_RULES = _CHSH.party_rules
+_TAVAKOLI = paper_strategy(GameId.TAVAKOLI)
+# Public calls given one argument of the wrong kind: (call, the argument's name).  Each must raise a package
+# error, or a ValueError or TypeError that names the argument.
+WRONG_KIND_CALLS = {
+    "QuantumStrategy game": (lambda: games.QuantumStrategy("chsh"), "game"),
+    "QuantumStrategy no fields": (lambda: games.QuantumStrategy(GameId.CHSH), "shared_state"),
+    "QuantumStrategy qubits": (
+        lambda: games.QuantumStrategy(GameId.CHSH, shared_state=qcore.GHZ3, party_rules=_CHSH_RULES), "shared_state"
+    ),
+    "QuantumStrategy rule keys": (
+        lambda: games.QuantumStrategy(GameId.GAME_G, shared_state=qcore.BELL_PHI_PLUS, party_rules=_CHSH_RULES),
+        "party_rules",
+    ),
+    "QuantumStrategy fields of the other kind": (
+        lambda: games.QuantumStrategy(GameId.GAME_G2, shared_state=qcore.BELL_PHI_PLUS, party_rules=_CHSH_RULES),
+        "preparation",
+    ),
+    "QuantumStrategy preparations": (
+        lambda: games.QuantumStrategy(
+            GameId.TAVAKOLI, preparation={(0, 0): qcore.KET_PLUS}, measurement=_TAVAKOLI.measurement
+        ),
+        "preparation",
+    ),
+    "QuantumStrategy two-qubit preparation": (
+        lambda: games.QuantumStrategy(
+            GameId.TAVAKOLI, preparation=dict.fromkeys(_TAVAKOLI.preparation, qcore.BELL_PHI_PLUS),
+            measurement=_TAVAKOLI.measurement,
+        ),
+        "preparation",
+    ),
+    "QuantumStrategy settings": (
+        lambda: games.QuantumStrategy(GameId.TAVAKOLI, preparation=_TAVAKOLI.preparation, measurement={0: None}),
+        "measurement",
+    ),
+    "MeasureSpec basis": (lambda: MeasureSpec("x"), "basis"),
+    "MeasureSpec gates": (lambda: MeasureSpec(qcore.PSI, gates=[qcore.H]), "gates"),
+    "ClassicalStrategy mixture component": (lambda: ClassicalStrategy(GameId.CHSH, mixture=((1.0, None),)), "mixture"),
+    "exact_score strategy": (lambda: games.exact_score(GameId.CHSH, "x"), "strategy"),
+    "exact_score input_distribution": (lambda: games.exact_score(GameId.CHSH, _CHSH, "x"), "input_distribution"),
+    "RoundSampler strategy": (lambda: games.RoundSampler(GameId.CHSH, "x"), "strategy"),
+    "RoundSampler.sample rng": (lambda: games.RoundSampler(GameId.CHSH, _CHSH).sample((0, 0), None), "rng"),
+    "RoundSampler.tally rng": (lambda: games.RoundSampler(GameId.CHSH, _CHSH).tally(3, None), "rng"),
+    "RoundSampler.sample_many rng": (lambda: games.RoundSampler(GameId.CHSH, _CHSH).sample_many(3, None), "rng"),
+    "sample_round rng": (lambda: games.sample_round(GameId.CHSH, _CHSH, (0, 0), None), "rng"),
+    "classical_pair_from_strategy strategy": (lambda: classical_pair_from_strategy(None, "P"), "strategy"),
+    "run_protocol devices": (lambda: run_protocol(_Q_CONFIG, None), "devices"),
+    "run_protocol config": (lambda: run_protocol(None, honest_devices("Q")), "config"),
+    "guessing_game_bound_check rng": (lambda: guessing_game_bound_check(10, None), "rng"),
+    "wilson_interval confidence": (lambda: analysis.wilson_interval(1, 2, "x"), "confidence"),
+    "hoeffding_radius delta": (lambda: analysis.hoeffding_radius("x", 2), "delta"),
+    "statistic_A confidence": (lambda: analysis.statistic_A(np.ones((4, 2, 2), dtype=np.int64), "x"), "confidence"),
+    # a float tally was truncated: 10.7 rounds in every cell certified as 42 even wins of 85
+    "certify float tally": (lambda: protocols.certify(_Q_CONFIG, np.full((4, 2, 2), 10.7)), "tally"),
+    "certify negative tally": (lambda: protocols.certify(_Q_CONFIG, np.full((4, 2, 2), -1)), "tally"),
+    "certify config": (lambda: protocols.certify(None, np.ones((4, 2, 2), dtype=np.int64)), "config"),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_KIND_CALLS))
+def test_wrong_kind_arguments_raise_package_errors_or_name_the_argument(call):
+    make, argument = WRONG_KIND_CALLS[call]
+    with pytest.raises((DiqrngError, ValueError, TypeError)) as err:
+        make()
+    assert isinstance(err.value, DiqrngError) or argument in str(err.value), str(err.value)
+    if call.startswith(("QuantumStrategy", "MeasureSpec")):
+        assert isinstance(err.value, ArityMismatch)
+
+
+# The three readers of a caller's weight table, each with two of its valid keys: exact_score over CHSH's
+# inputs, ProtocolConfig over P's generate-mode cells and a mixture of two CHSH strategies.
+_WEIGHT_READERS = {
+    "exact_score": ((0, 0), (1, 1), lambda w: games.exact_score(GameId.CHSH, _CHSH, w)),
+    "ProtocolConfig": ((0, 1, 2), (1, 0, 2), lambda w: ProtocolConfig("P", 10, seed=1, mode="generate", input_weights=w)),
+    "mixture": (
+        (0,), (1,), lambda w: ClassicalStrategy(GameId.CHSH, mixture=tuple(zip(w.values(), enumerate_deterministic(GameId.CHSH))))
+    ),
+}
+# case -> (the table, from the reader's two keys; what its message must name)
+_BAD_WEIGHTS = {
+    "list of pairs": (lambda k, k2: [(k, 1.0)], lambda k: "must be a mapping"),
+    "key outside the grid": (lambda k, k2: {k[:-1] + (3,): 1.0}, lambda k: repr(k[:-1] + (3,))),
+    "nan": (lambda k, k2: {k: math.nan, k2: 1.0}, repr),
+    "negative": (lambda k, k2: {k: -1.0, k2: 2.0}, repr),
+    "string": (lambda k, k2: {k: "1", k2: 0.0}, repr),
+    "sum of one half": (lambda k, k2: {k: 0.25, k2: 0.25}, lambda k: "sum to 0.5"),
+}
+
+
+@pytest.mark.parametrize(
+    "reader,case",
+    # a mixture's weights come keyed by its components, so it is never given a non-mapping or a foreign key
+    [(r, c) for r in _WEIGHT_READERS for c in _BAD_WEIGHTS if r != "mixture" or c not in ("list of pairs", "key outside the grid")],
+)
+def test_every_weight_reader_rejects_the_same_tables(reader, case):
+    k, k2, read = _WEIGHT_READERS[reader]
+    make, named = _BAD_WEIGHTS[case]
+    with pytest.raises(BadDistribution) as err:
+        read(make(k, k2))
+    assert isinstance(err.value, ValueError) and named(k) in str(err.value), str(err.value)
 
 
 class TestHonestDevices:
