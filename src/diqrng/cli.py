@@ -8,8 +8,10 @@ order is report key order.  Output bits are dumped separately as ASCII
 '0'/'1' lines of 64 bits.
 
 Each option is declared once, in the option table (``_SHARED_OPTIONS`` and
-``_COMMAND_OPTIONS``): its default, type and help.  The parser, the config
-file's keys, the type checks and the manifest all read that table.
+each command's row of ``_COMMANDS``): its default, type and help.  The
+parser, the config file's keys, the type checks and the manifest all read
+that table.  A command's row also holds its help line and its handler, the
+function that returns the report body.
 
 A report is its manifest followed by the command's body.  The manifest's
 ``config`` records the command's own options in table order, leaving out
@@ -155,47 +157,26 @@ class _Parser(argparse.ArgumentParser):
 
 # Every option, declared once: name -> (default, type, help).  A bool option is
 # a store_true flag, and an option named in _CHOICES takes only those values.
-# The shared options come first in --help and last in the known-option list.
+# These options every command shares; each command's own are in its _COMMANDS
+# row.  The shared options come first in --help and last in the known-option list.
 _SHARED_OPTIONS = {
     "seed": (None, int, "64-bit RNG seed"),
     "config": (None, str, "JSON file supplying any flag; flags override it"),
     "out": (None, str, "write the report here instead of stdout"),
     "deterministic": (False, bool, "require an explicit seed and omit the timestamp"),
 }
-_COMMAND_OPTIONS = {
-    "play-game": ("exact and sampled scores of one game", {
-        "game": ("chsh", str, "game to play"),
-        "rounds": (100_000, int, "rounds to sample"),
-    }),
-    "run-protocol": ("run protocol P or Q and certify", {
-        "protocol": ("P", str, "protocol to run"),
-        "device": ("honest", str, "device pair to run it on"),
-        "rounds": (100_000, int, "protocol rounds"),
-        "delta": (ProtocolConfig.delta, float, "abort-band confidence parameter"),
-        "gamma": (ProtocolConfig.gamma, float, "tested fraction of the Rand bin (protocol Q)"),
-        "mode": (ProtocolConfig.mode, str, "protocol mode"),
-        "bits_out": (None, str, "write output bits to this path"),
-        "coin_per_run": (False, bool, "draw the adversarial shared coin once per run instead of per round"),
-    }),
-    "bruteforce-classical": ("enumerate all deterministic strategies", {
-        "game": ("chsh", str, "game to search"),
-    }),
-    "equivalence-check": ("probability-equivalence checks between games", {
-        "pair": ("all", str, "game pair to check"),
-    }),
-    "guessing-bounds": ("simulated no-signaling guessing bounds", {
-        "trials": (100_000, int, "Monte Carlo trials per bound"),
-    }),
-    "analyze": ("entropy and randomness battery of a bit dump", {
-        "bits_in": (None, str, "bit dump to analyze"),
-    }),
-}
+
+_DESCRIPTION = (
+    "Device-independent quantum random number generation: play the games, run protocols P and Q, "
+    "and test their output bits.  Each command prints one JSON report.  Exit status: 0 on success, "
+    "1 on a usage or runtime error, 2 when the report's verdict is ABORT."
+)
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="diqrng", description=__doc__)
+    parser = _Parser(prog="diqrng", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (summary, own) in _COMMAND_OPTIONS.items():
+    for command, (summary, own, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for name, (default, kind, text) in {**_SHARED_OPTIONS, **own}.items():
             # every flag defaults to None, so that an absent flag leaves the config file's value
@@ -224,7 +205,7 @@ def _check_type(key: str, value, option: tuple) -> None:
 
 def _merge_options(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags, each value checked against its option."""
-    options = {**_COMMAND_OPTIONS[args.command][1], **_SHARED_OPTIONS}
+    options = {**_COMMANDS[args.command][1], **_SHARED_OPTIONS}
     del options["config"]       # the file cannot name itself
     merged = {key: default for key, (default, _, _) in options.items()}
     if args.config is not None:
@@ -273,7 +254,7 @@ def _manifest(command: str, seed: int, opts: dict) -> dict:
     flag only when it is set.  The timestamp is the one non-reproducible
     field and is omitted under --deterministic.
     """
-    own = _COMMAND_OPTIONS[command][1]
+    own = _COMMANDS[command][1]
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -407,13 +388,34 @@ def _cmd_analyze(opts: dict, seed: int) -> dict:
     return {"n_bits": bits.size, **_bits_sections(bits)}
 
 
+# Every command, declared once: name -> (summary, own options, handler), in --help order.
 _COMMANDS = {
-    "play-game": _cmd_play_game,
-    "run-protocol": _cmd_run_protocol,
-    "bruteforce-classical": _cmd_bruteforce,
-    "equivalence-check": _cmd_equivalence,
-    "guessing-bounds": _cmd_guessing,
-    "analyze": _cmd_analyze,
+    "play-game": ("exact and sampled scores of one game", {
+        "game": ("chsh", str, "game to play"),
+        "rounds": (100_000, int, "rounds to sample"),
+    }, _cmd_play_game),
+    "run-protocol": ("run protocol P or Q and certify", {
+        "protocol": ("P", str, "protocol to run"),
+        "device": ("honest", str, "device pair to run it on"),
+        "rounds": (100_000, int, "protocol rounds"),
+        "delta": (ProtocolConfig.delta, float, "abort-band confidence parameter"),
+        "gamma": (ProtocolConfig.gamma, float, "tested fraction of the Rand bin (protocol Q)"),
+        "mode": (ProtocolConfig.mode, str, "protocol mode"),
+        "bits_out": (None, str, "write output bits to this path"),
+        "coin_per_run": (False, bool, "draw the adversarial shared coin once per run instead of per round"),
+    }, _cmd_run_protocol),
+    "bruteforce-classical": ("enumerate all deterministic strategies", {
+        "game": ("chsh", str, "game to search"),
+    }, _cmd_bruteforce),
+    "equivalence-check": ("probability-equivalence checks between games", {
+        "pair": ("all", str, "game pair to check"),
+    }, _cmd_equivalence),
+    "guessing-bounds": ("simulated no-signaling guessing bounds", {
+        "trials": (100_000, int, "Monte Carlo trials per bound"),
+    }, _cmd_guessing),
+    "analyze": ("entropy and randomness battery of a bit dump", {
+        "bits_in": (None, str, "bit dump to analyze"),
+    }, _cmd_analyze),
 }
 
 
@@ -423,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = _merge_options(args)
         seed = _resolve_seed(opts)
-        body = _COMMANDS[args.command](opts, seed)
+        body = _COMMANDS[args.command][2](opts, seed)
         text = serialize_report({"manifest": _manifest(args.command, seed, opts), **body})
         if opts["out"]:
             Path(opts["out"]).write_text(text, encoding="utf-8")

@@ -497,6 +497,8 @@ def certify(
     raises ``InsufficientRounds``.
     """
     _check_config(config)
+    check_integer("odd_hits", odd_hits)
+    check_integer("test_len", test_len)
     n_settings = _BIN_OF[config.protocol].shape[1]
     tally = np.asarray(tally)
     if tally.shape != (4, n_settings, 2) or not np.issubdtype(tally.dtype, np.integer) or np.any(tally < 0):

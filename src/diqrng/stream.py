@@ -37,8 +37,8 @@ def check_real(name: str, value) -> None:
 
 
 def check_rng(rng) -> None:
-    """Reject an rng without the ``random`` method that every round's uniform comes from."""
-    if not callable(getattr(rng, "random", None)):
+    """Reject an rng that is not a ``numpy.random.Generator`` (a subclass is one)."""
+    if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
 
 

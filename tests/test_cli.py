@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -391,7 +392,7 @@ class TestSeedResolution:
         assert isinstance(report["manifest"]["seed"], int)
 
     @pytest.mark.parametrize("source,seed", [("flag", -1), ("config", -1), ("env", -2)])
-    @pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_negative_seed_is_one(self, capsys, monkeypatch, tmp_path, command, source, seed):
         monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
         argv = [command, "--deterministic"]
@@ -407,7 +408,7 @@ class TestSeedResolution:
         assert capsys.readouterr() == ("", f"error: seed must be nonnegative, got {seed}\n")
 
     @pytest.mark.parametrize("value", ["x", "1.5", ""])
-    @pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_malformed_env_seed_names_the_variable(self, capsys, monkeypatch, command, value):
         monkeypatch.setenv(cli.SEED_ENV_VAR, value)
         assert main([command, "--deterministic"]) == 1
@@ -436,10 +437,10 @@ def other_value(name, default, kind):
     return {bool: True, int: default + 1, float: default / 2}[kind]
 
 
-@pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_flag_and_config_file_merge_alike(tmp_path, command):
     parser = cli._build_parser()
-    options = {**cli._COMMAND_OPTIONS[command][1], **cli._SHARED_OPTIONS}
+    options = {**cli._COMMANDS[command][1], **cli._SHARED_OPTIONS}
     del options["config"]
     defaults = {name: default for name, (default, _, _) in options.items()}
     for name, (default, kind, _) in options.items():
@@ -464,11 +465,11 @@ QUICK = {
 
 
 @pytest.mark.parametrize("flags_set", [False, True])
-@pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_manifest_records_own_options_but_outputs_and_unset_flags(capsys, tmp_path, command, flags_set):
     bit_file = tmp_path / "in.bits"
     write_bits(bit_file, np.arange(200) % 2)
-    own = cli._COMMAND_OPTIONS[command][1]
+    own = cli._COMMANDS[command][1]
     argv = [command, "--seed", "5", "--deterministic", *QUICK[command]]
     for name, (_, kind, _) in own.items():
         flag = "--" + name.replace("_", "-")
@@ -487,11 +488,20 @@ def test_manifest_records_own_options_but_outputs_and_unset_flags(capsys, tmp_pa
 
 @pytest.mark.parametrize("body,code", [({"verdict": "ABORT"}, 2), ({"verdict": "PASS"}, 0), ({"n": 1}, 0)])
 def test_exit_code_follows_the_verdict(capsys, monkeypatch, body, code):
-    monkeypatch.setitem(cli._COMMANDS, "bruteforce-classical", lambda opts, seed: body)
+    monkeypatch.setitem(cli._COMMANDS, "bruteforce-classical", (*cli._COMMANDS["bruteforce-classical"][:2], lambda opts, seed: body))
     assert run_json(capsys, ["bruteforce-classical", "--seed", "1", "--deterministic"]) == (
         code, {"manifest": {"command": "bruteforce-classical", "tool_version": cli.__version__, "seed": 1,
                             "config": {"game": "chsh"}}, **body},
     )
+
+
+def test_top_level_help_is_written_for_users(capsys):
+    # the description names the exit codes and none of the module's private names or reST markup
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    text = capsys.readouterr().out
+    assert exit_.value.code == 0 and "Exit status" in text
+    assert "``" not in text and not re.search(r"(?<!\w)_\w", text), text
 
 
 class TestCommands:

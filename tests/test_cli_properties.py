@@ -64,7 +64,7 @@ PATH_JUNK = JUNK.filter(lambda value: not isinstance(value, str) or "/" not in v
 
 def fuzzed_options(command):
     """name -> type of each option of the command that the fuzz sets."""
-    table = {**cli._COMMAND_OPTIONS[command][1], **cli._SHARED_OPTIONS}
+    table = {**cli._COMMANDS[command][1], **cli._SHARED_OPTIONS}
     return {name: kind for name, (_, kind, _) in table.items() if name not in UNFUZZED}
 
 
@@ -181,7 +181,7 @@ def bit_files(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("command", list(cli._COMMAND_OPTIONS))
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_generated_configs_report_or_fail_cleanly(command, bit_files, capsys, monkeypatch):
     codes = []
 

@@ -550,7 +550,10 @@ class TestSampling:
         assert a == b
 
     def test_draw_at_end_of_row_keeps_forced_bit(self):
-        class LastDraw:
+        class LastDraw(np.random.Generator):
+            def __init__(self):
+                super().__init__(np.random.PCG64())
+
             def random(self):
                 return 1.0 - 2.0 ** -53
 

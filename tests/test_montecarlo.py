@@ -152,10 +152,11 @@ def test_multi_chunk_sample_many_matches_row_reference(game, n):
     assert rng.random() == ref_rng.random()
 
 
-class Uniforms:
+class Uniforms(np.random.Generator):
     """A stub generator that hands out the given uniforms in order, one per round."""
 
     def __init__(self, values):
+        super().__init__(np.random.PCG64())
         self._values = list(values)
 
     def random(self, out=None):
@@ -308,7 +309,7 @@ def test_play_game_report_matches_row_reference(game, rounds, capsys, monkeypatc
         argv = ["play-game", "--game", game, "--rounds", str(rounds), "--seed", str(seed), "--deterministic"]
         got = cli_bytes(capsys, argv)
         with monkeypatch.context() as patch:
-            patch.setitem(cli._COMMANDS, "play-game", reference_play_game)
+            patch.setitem(cli._COMMANDS, "play-game", (*cli._COMMANDS["play-game"][:2], reference_play_game))
             want = cli_bytes(capsys, argv)
         assert got == want
 
@@ -319,7 +320,7 @@ def test_multi_chunk_play_game_report_matches_row_reference(game, rounds, capsys
     argv = ["play-game", "--game", game, "--rounds", str(rounds), "--seed", str(SEEDS[0]), "--deterministic"]
     got = cli_bytes(capsys, argv)
     with monkeypatch.context() as patch:
-        patch.setitem(cli._COMMANDS, "play-game", reference_play_game)
+        patch.setitem(cli._COMMANDS, "play-game", (*cli._COMMANDS["play-game"][:2], reference_play_game))
         want = cli_bytes(capsys, argv)
     assert got == want
 

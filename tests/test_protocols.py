@@ -144,6 +144,28 @@ WRONG_KIND_CALLS = {
     "certify float tally": (lambda: protocols.certify(_Q_CONFIG, np.full((4, 2, 2), 10.7)), "tally"),
     "certify negative tally": (lambda: protocols.certify(_Q_CONFIG, np.full((4, 2, 2), -1)), "tally"),
     "certify config": (lambda: protocols.certify(None, np.ones((4, 2, 2), dtype=np.int64)), "config"),
+    # a legacy RandomState has a random method but not the Generator methods a draw needs
+    "guessing_game_bound_check RandomState": (lambda: guessing_game_bound_check(10, np.random.RandomState(0)), "rng"),
+    "RoundSampler.tally RandomState": (
+        lambda: games.RoundSampler(GameId.CHSH, _CHSH).tally(3, np.random.RandomState(0)), "rng"
+    ),
+    "RoundSampler.sample RandomState": (
+        lambda: games.RoundSampler(GameId.CHSH, _CHSH).sample((0, 0), np.random.RandomState(0)), "rng"
+    ),
+    "outcome_tensor strategy": (lambda: games.outcome_tensor("x"), "strategy"),
+    "branch_distribution strategy": (lambda: games.branch_distribution("x", (0, 0)), "strategy"),
+    "pt3_odd_extension_score strategy": (lambda: games.pt3_odd_extension_score("x"), "strategy"),
+    "winning_predicate io": (lambda: games.winning_predicate(GameId.CHSH, None), "io"),
+    "mass_score mass": (lambda: games.mass_score(GameId.CHSH, "x"), "mass"),
+    "ClassicalStrategy.renormalized factor": (
+        lambda: ClassicalStrategy(GameId.CHSH, mixture=((1.0, next(enumerate_deterministic(GameId.CHSH))),)).renormalized("2"),
+        "factor",
+    ),
+    "wilson_interval count": (lambda: analysis.wilson_interval("1", 2, 0.9), "count"),
+    "wilson_interval trials": (lambda: analysis.wilson_interval(1, "2", 0.9), "trials"),
+    "hoeffding_radius trials": (lambda: analysis.hoeffding_radius(0.1, "2"), "trials"),
+    "certify odd_hits": (lambda: protocols.certify(_Q_CONFIG, np.ones((4, 2, 2), dtype=np.int64), "1", 2), "odd_hits"),
+    "certify test_len": (lambda: protocols.certify(_Q_CONFIG, np.ones((4, 2, 2), dtype=np.int64), 1, "2"), "test_len"),
 }
 
 
