@@ -12,9 +12,8 @@ correlation.  The entropy and the battery take packed bits, 0/1 values or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +24,7 @@ from .stream import CHUNK_ROUNDS, PackedBits, as_bits, bit_blocks, bit_counts, c
 _NORMAL = NormalDist()
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """A binomial point estimate with its confidence interval.
 
     ``point == count / trials`` for pooled estimators; the cell-averaged
@@ -144,8 +142,7 @@ def statistic_A(counts: np.ndarray, confidence: float = 0.99) -> Estimate:
     )
 
 
-@dataclass(frozen=True)
-class EntropyReport:
+class EntropyReport(NamedTuple):
     """Empirical entropy of a binary source, in bits per output bit."""
 
     shannon: float
@@ -172,8 +169,7 @@ def entropy_report(bits) -> EntropyReport:
     return EntropyReport(shannon, min_entropy, int(bits.size), p0)
 
 
-@dataclass(frozen=True)
-class BatteryResult:
+class BatteryResult(NamedTuple):
     name: str
     statistic: float
     p_value: float

@@ -3,9 +3,9 @@
 Every command emits a single JSON document whose key order and float
 formatting are fixed, so identical manifests reproduce identical bytes.
 Protocol conditions, bound checks, equivalence assertions, entropy and
-battery results become report rows by ``dataclasses.asdict``, so their field
-order is report key order.  Output bits are dumped separately as ASCII
-'0'/'1' lines of 64 bits.
+battery results and G2 scores are NamedTuples, and ``_row`` makes each a
+report row whose keys are its fields in declared order.  Output bits are
+dumped separately as ASCII '0'/'1' lines of 64 bits.
 
 Each option is declared once, in the option table (``_SHARED_OPTIONS`` and
 each command's row of ``_COMMANDS``): its default, type and help.  The
@@ -28,7 +28,6 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -98,6 +97,10 @@ def _write_value(value, indent: int, out: list[str]) -> None:
         _write_value(val, indent + 1, out)
         out.append(",\n" if i < len(entries) - 1 else "\n")
     out.append(pad + brackets[1])
+
+
+def _row(record) -> dict:
+    return dict(zip(record.__match_args__, record))
 
 
 def serialize_report(results: dict) -> str:
@@ -275,11 +278,7 @@ def _manifest(command: str, seed: int, opts: dict) -> dict:
 
 def _score_dict(score) -> dict:
     if isinstance(score, games.G2Score):
-        return {
-            "even_win": score.even_win.value,
-            "odd_guess": score.odd_guess.value,
-            "augmented": score.augmented.value,
-        }
+        return {name: part.value for name, part in _row(score).items()}
     return {"value": score.value, "kind": score.kind.value}
 
 
@@ -328,7 +327,7 @@ def _cmd_equivalence(opts: dict, seed: int) -> dict:
             {
                 "pair": pair.value,
                 "passed": result.passed,
-                "assertions": [asdict(a) for a in result.assertions],
+                "assertions": [_row(a) for a in result.assertions],
             }
         )
     return {"checks": entries, "all_passed": all(e["passed"] for e in entries)}
@@ -337,15 +336,15 @@ def _cmd_equivalence(opts: dict, seed: int) -> dict:
 def _cmd_guessing(opts: dict, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     result = protocols.guessing_game_bound_check(int(opts["trials"]), rng)
-    return {"checks": [asdict(c) for c in result.checks], "all_within_four_se": result.passed}
+    return {"checks": [_row(c) for c in result.checks], "all_within_four_se": result.passed}
 
 
 def _bits_sections(bits: stream.PackedBits) -> dict:
     sections: dict = {}
     if bits.size:
-        sections["entropy"] = asdict(analysis.entropy_report(bits))
+        sections["entropy"] = _row(analysis.entropy_report(bits))
     if bits.size >= 100:
-        sections["battery"] = [asdict(r) for r in analysis.randomness_battery(bits)]
+        sections["battery"] = [_row(r) for r in analysis.randomness_battery(bits)]
     return sections
 
 
@@ -369,7 +368,7 @@ def _cmd_run_protocol(opts: dict, seed: int) -> dict:
     report = {
         "verdict": verdict.decision,
         "bins": bins.counts(),
-        "conditions": [asdict(c) for c in verdict.conditions],
+        "conditions": [_row(c) for c in verdict.conditions],
         **_bits_sections(verdict.bits),
     }
     if opts["bits_out"] and verdict.bits.size:

@@ -69,8 +69,7 @@ class GameScore:
             raise ValueError(f"score {self.value} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class G2Score:
+class G2Score(NamedTuple):
     """The G2 score triple: even-weight win, odd-weight guess rate, their mean."""
 
     even_win: GameScore
@@ -78,8 +77,7 @@ class G2Score:
     augmented: GameScore
 
 
-@dataclass(frozen=True)
-class RoundIO:
+class RoundIO(NamedTuple):
     """One round's classical transcript: the dealt inputs and produced outputs."""
 
     inputs: tuple[int, ...]
@@ -467,13 +465,16 @@ def outcome_tensor(strategy: Strategy) -> np.ndarray:
     return _contract(game, _table_operands(game, [np.array(t) for t in strategy.tables]))
 
 
-@functools.lru_cache(maxsize=None)
 def win_mask(game: GameId) -> np.ndarray:
     """The winning predicate as a read-only bool array [inputs..., outputs...].
 
     Inputs outside the game's input space (pt3's odd weights) never win.
     """
-    shape = _shape(game)
+    return _win_mask(_shape(game), game)     # checked first: the cache hashes its arguments
+
+
+@functools.lru_cache(maxsize=None)
+def _win_mask(shape: _Shape, game: GameId) -> np.ndarray:
     mask = np.zeros((2,) * (shape.inputs + shape.outputs), dtype=bool)
     for x in input_space(game):
         for outputs in itertools.product(_BITS, repeat=shape.outputs):
@@ -717,16 +718,14 @@ class EquivalencePair(Enum):
     G1_VS_G2 = "g1-vs-g2"
 
 
-@dataclass(frozen=True)
-class EquivalenceAssertion:
+class EquivalenceAssertion(NamedTuple):
     name: str
     passed: bool
     observed: float
     expected: float
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     pair: EquivalencePair
     assertions: tuple[EquivalenceAssertion, ...]
 

@@ -53,7 +53,7 @@ import functools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -116,13 +116,12 @@ class DevicePair:
             raise DeviceArityMismatch(
                 f"device pair is built for protocol {self.protocol}, not {protocol}"
             )
-        if protocol not in _BIN_OF:
-            raise DeviceArityMismatch(f"unknown protocol {protocol!r}")
+        _game_of(protocol)      # the one check of a protocol name
         return self.table[:, :, : _BIN_OF[protocol].shape[1]]
 
 
 def _game_of(protocol: str) -> GameId:
-    if protocol not in _GAME_OF:
+    if protocol not in (*_GAME_OF,):     # a tuple: an unhashable name is unknown, not a TypeError
         raise DeviceArityMismatch(f"unknown protocol {protocol!r}")
     return _GAME_OF[protocol]
 
@@ -179,7 +178,7 @@ def adversarial_devices(kind: str, coin_per_round: bool = True) -> DevicePair:
     behavior), and ``coin_per_round=False`` draws it once per run.  The other
     kinds share no coin, so the flag does not change their runs.
     """
-    if kind not in _CHEATS:
+    if kind not in (*_CHEATS,):
         raise UnknownKind(f"unknown adversarial device kind {kind!r}")
     protocol, per_coin = _CHEATS[kind]
     return DevicePair(
@@ -325,8 +324,7 @@ def _check_scored_cells(protocol: str, law: np.ndarray) -> None:
         raise BadDistribution(f"input weights leave out {cells}: protocol {protocol} test mode needs {need}")
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """One certification condition with its estimate and decision."""
 
     name: str
@@ -334,7 +332,7 @@ class ConditionCheck:
     ci: tuple[float, float]
     target: float
     satisfied: bool
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 @dataclass(frozen=True)
@@ -540,15 +538,14 @@ def certify(
                 "odd_guess_half", 0.0, (0.0, 0.0), 0.5, False, {"trials": 0, "gamma": config.gamma, "test_portion": 0}
             ))
     ok = n["rand"] > 0
-    return (*conditions, ConditionCheck("rand_nonempty", float(ok), (float(ok), float(ok)), 1.0, ok))
+    return (*conditions, ConditionCheck("rand_nonempty", float(ok), (float(ok), float(ok)), 1.0, ok, {}))
 
 
 # ---------------------------------------------------------------------------
 # guessing-game bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     name: str
     empirical: float
     expected: float
@@ -557,8 +554,7 @@ class BoundCheck:
     within_four_se: bool
 
 
-@dataclass(frozen=True)
-class GuessingBoundsReport:
+class GuessingBoundsReport(NamedTuple):
     checks: tuple[BoundCheck, ...]
 
     @property

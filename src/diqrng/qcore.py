@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BadDimension, BadTarget, NonNormalizable
+from .stream import check_integer, check_real
 
 NORM_TOL = 1e-9       # state invariants
 _INPUT_NORM_TOL = 1e-6
@@ -117,7 +118,12 @@ def make_state(amplitudes: Mapping[str, complex] | Sequence[complex]) -> PureSta
     return PureState(vec / norm)
 
 
-def _check_target(state: PureState, target: int) -> None:
+def _check_args(state: PureState, target: int, name: str, operator, kind: type) -> None:
+    """Check a call's state, its gate or basis (argument ``name``, of type ``kind``) and its target qubit."""
+    for arg, value, want in (("state", state, PureState), (name, operator, kind)):
+        if not isinstance(value, want):
+            raise ValueError(f"{arg} must be a {want.__name__}, got {value!r}")
+    check_integer("target", target)
     if not 0 <= target < state.num_qubits:
         raise BadTarget(f"target {target} out of range for {state.num_qubits}-qubit state")
 
@@ -129,7 +135,7 @@ def _target_first(amplitudes: np.ndarray, target: int) -> np.ndarray:
 
 def apply_gate(state: PureState, gate: Gate1Q, target: int) -> PureState:
     """Apply a one-qubit gate to the target qubit, returning a new state."""
-    _check_target(state, target)
+    _check_args(state, target, "gate", gate, Gate1Q)
     moved = gate.matrix @ _target_first(state.amplitudes, target)
     # the inverse reordering puts the target qubit back in its place
     return PureState(moved.reshape(2, 2**target, -1).transpose(1, 0, 2).reshape(-1))
@@ -179,7 +185,7 @@ def measurement_branches(
     measured qubit is removed from multi-qubit states; a single-qubit state
     collapses onto the measured basis vector.
     """
-    _check_target(state, target)
+    _check_args(state, target, "basis", basis, QubitBasis)
     residuals = _residuals(state, basis, target)
     probs = _branch_probabilities(residuals)
     return tuple((p, _collapsed(state, basis, residuals, k) if p > 0.0 else None) for k, p in enumerate(probs))
@@ -187,7 +193,7 @@ def measurement_branches(
 
 def outcome_distribution(state: PureState, basis: "QubitBasis", target: int) -> tuple[float, float]:
     """Exact Born probabilities of the two basis outcomes on the target qubit."""
-    _check_target(state, target)
+    _check_args(state, target, "basis", basis, QubitBasis)
     return _branch_probabilities(_residuals(state, basis, target))
 
 
@@ -195,7 +201,7 @@ def collapse(state: PureState, basis: "QubitBasis", target: int, outcome: int) -
     """Probability of the given outcome and the post-measurement state, building only that branch."""
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    _check_target(state, target)
+    _check_args(state, target, "basis", basis, QubitBasis)
     residuals = _residuals(state, basis, target)
     prob = _branch_probabilities(residuals)[outcome]
     if prob <= 0.0:
@@ -203,8 +209,7 @@ def collapse(state: PureState, basis: "QubitBasis", target: int, outcome: int) -
     return prob, _collapsed(state, basis, residuals, outcome)
 
 
-@dataclass(frozen=True)
-class MeasurementResult:
+class MeasurementResult(NamedTuple):
     """One projective measurement: outcome bit, its probability, collapsed state."""
 
     outcome: int
@@ -217,6 +222,7 @@ def measure(state: PureState, basis: "QubitBasis", target: int, randomness: floa
 
     Outcome 0 iff ``randomness < p0``; deterministic given its arguments.
     """
+    check_real("randomness", randomness)
     if not 0.0 <= randomness < 1.0:
         raise ValueError(f"randomness must lie in [0, 1), got {randomness}")
     outcome = 0 if randomness < outcome_distribution(state, basis, target)[0] else 1
@@ -226,6 +232,8 @@ def measure(state: PureState, basis: "QubitBasis", target: int, randomness: floa
 
 def overlap(a: PureState, b: PureState) -> float:
     """|<a|b>|, the phase-insensitive agreement between two states."""
+    if not (isinstance(a, PureState) and isinstance(b, PureState)):
+        raise ValueError(f"overlap's a and b must be PureStates, got {a!r} and {b!r}")
     if a.num_qubits != b.num_qubits:
         raise BadDimension("states live on different qubit counts")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)))

@@ -1,5 +1,6 @@
 """CLI commands, report serialization, bit dumps, exit codes, determinism."""
 
+import inspect
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from diqrng import cli, stream
+from diqrng import analysis, cli, games, protocols, qcore, stream
 from diqrng.cli import main, read_bits, serialize_report, write_bits
 
 
@@ -43,6 +44,36 @@ class TestSerializeReport:
 
     def test_empty_containers(self):
         assert json.loads(serialize_report({"d": {}, "l": []})) == {"d": {}, "l": []}
+
+
+# Each value record the engine reports, with field values to build one from.
+_SCORES = tuple(games.GameScore(0.5, games.ScoreKind[name]) for name in ("EVEN_WIN", "ODD_GUESS", "AUGMENTED"))
+RECORDS = {
+    analysis.Estimate: (0.5, 1, 2, 0.1, 0.9, 0.99),
+    analysis.EntropyReport: (1.0, 1.0, 2, 0.5),
+    analysis.BatteryResult: ("monobit", 0.0, 1.0, True),
+    games.G2Score: _SCORES,
+    games.RoundIO: ((0, 1), (1, 0)),
+    games.EquivalenceAssertion: ("total_score", True, 0.5, 0.5),
+    games.EquivalenceReport: (games.EquivalencePair.G_VS_CHSH1, ()),
+    qcore.MeasurementResult: (0, 1.0, qcore.KET_ZERO),
+    protocols.ConditionCheck: ("rand_nonempty", 1.0, (1.0, 1.0), 1.0, True, {"trials": 3}),
+    protocols.BoundCheck: ("output_guess_rate", 0.75, 0.75, 0.01, 100, True),
+    protocols.GuessingBoundsReport: ((),),
+}
+
+
+@pytest.mark.parametrize("kind", list(RECORDS), ids=lambda kind: kind.__name__)
+def test_records_are_immutable_values_whose_rows_keep_field_order(kind):
+    values = RECORDS[kind]
+    fields = list(inspect.signature(kind).parameters)
+    record = kind(*values)
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])
+    assert record == kind(*values) and record is not kind(*values)
+    assert repr(record) == f"{kind.__name__}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    row = cli._row(record)
+    assert list(row) == fields and list(row.values()) == list(values)
 
 
 class TestBitDumps:

@@ -11,6 +11,10 @@ package, and ``games`` passes none of its names on.
 Since no private name crosses a module, one its own module never reads is
 dead; so is a name a module imports and never reads (``__init__`` imports
 to re-export).
+
+A ``@dataclass`` checks its fields in ``__post_init__``; a record that
+checks nothing is a ``NamedTuple``, whose class is built without generated
+code.
 """
 
 import ast
@@ -187,3 +191,32 @@ def test_games_passes_on_no_stream_name():
             defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
     assert "PackedBits" in defined and "MAX_ROUNDS" in defined
     assert sorted(name for name in defined if hasattr(games, name)) == []
+
+
+def unchecked_dataclasses(tree: ast.Module) -> list[str]:
+    """Each class decorated ``dataclass`` or ``dataclass(...)`` whose body defines no ``__post_init__``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        names = {d.id if isinstance(d, ast.Name) else getattr(d, "attr", None) for d in decorators}
+        methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        if "dataclass" in names and "__post_init__" not in methods:
+            found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_dataclass_checks_itself(module):
+    assert unchecked_dataclasses(parse(module)) == []
+
+
+def test_dataclass_check_sees_each_decorator_form():
+    tree = ast.parse(
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\nclass B:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass C:\n    x: int\n    def __post_init__(self):\n        pass\n"
+        "class D(NamedTuple):\n    x: int\n"
+    )
+    assert unchecked_dataclasses(tree) == ["A", "B"]

@@ -166,6 +166,19 @@ WRONG_KIND_CALLS = {
     "hoeffding_radius trials": (lambda: analysis.hoeffding_radius(0.1, "2"), "trials"),
     "certify odd_hits": (lambda: protocols.certify(_Q_CONFIG, np.ones((4, 2, 2), dtype=np.int64), "1", 2), "odd_hits"),
     "certify test_len": (lambda: protocols.certify(_Q_CONFIG, np.ones((4, 2, 2), dtype=np.int64), 1, "2"), "test_len"),
+    # an unhashable name is as unknown as any other, not a TypeError from a cache or a dict lookup
+    "win_mask list": (lambda: games.win_mask([0]), "game"),
+    "honest_devices list": (lambda: honest_devices([1]), "protocol"),
+    "adversarial_devices list": (lambda: adversarial_devices([1]), "kind"),
+    "DevicePair.response_table list": (lambda: DevicePair(np.full((1, 4, 3), 0.5)).response_table([1]), "protocol"),
+    "apply_gate state": (lambda: qcore.apply_gate("x", qcore.H, 0), "state"),
+    "apply_gate gate": (lambda: qcore.apply_gate(qcore.KET_ZERO, "x", 0), "gate"),
+    "overlap a": (lambda: qcore.overlap("x", qcore.KET_ZERO), "a and b"),
+    "overlap b": (lambda: qcore.overlap(qcore.KET_ZERO, "x"), "a and b"),
+    "collapse basis": (lambda: qcore.collapse(qcore.KET_ZERO, "x", 0, 0), "basis"),
+    "outcome_distribution target": (lambda: qcore.outcome_distribution(qcore.KET_ZERO, qcore.PSI, "x"), "target"),
+    "measurement_branches basis": (lambda: qcore.measurement_branches(qcore.KET_ZERO, None, 0), "basis"),
+    "measure randomness": (lambda: qcore.measure(qcore.KET_ZERO, qcore.PSI, 0, "x"), "randomness"),
 }
 
 
