@@ -13,6 +13,9 @@ The package splits along the problem's own seams:
   the packed bit stream, shared by games, protocols, analysis and the CLI;
 * :mod:`diqrng.analysis`   estimators, entropy, and a small test battery;
 * :mod:`diqrng.cli`        the ``diqrng`` command-line front end.
+
+The error classes of :mod:`diqrng.errors`, each a ``DiqrngError``, are
+exported here too.
 """
 
 __version__ = "0.1.0"
@@ -27,6 +30,10 @@ from .analysis import (
     randomness_battery,
     statistic_A,
     wilson_interval,
+)
+from .errors import (  # every class of the module
+    ArityMismatch, BadDimension, BadDistribution, BadInput, BadTarget, DeviceArityMismatch, DiqrngError,
+    EmptyCondition, InsufficientRounds, MissingCell, NonNormalizable, TooFewBits, UnknownKind,
 )
 from .games import (
     ClassicalStrategy,

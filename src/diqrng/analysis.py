@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyCondition, MissingCell, TooFewBits
 from .games import GameId, win_mask
-from .stream import CHUNK_ROUNDS, PackedBits, as_bits, bit_blocks, bit_counts, check_integer, check_real
+from .stream import CHUNK_ROUNDS, PackedBits, as_bits, bit_blocks, bit_counts, check_between, check_integer, check_real
 
 _NORMAL = NormalDist()
 
@@ -65,10 +65,8 @@ def wilson_interval(count: int, trials: int, confidence: float) -> tuple[float, 
 
 def hoeffding_radius(delta: float, trials: int) -> float:
     """Distribution-free confidence half-width sqrt(ln(2/delta) / (2 N))."""
-    check_real("delta", delta)
+    check_between("delta", delta, 0, 1, "()")
     check_integer("trials", trials)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if trials <= 0:
         raise ValueError("trials must be positive")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * trials))
@@ -121,9 +119,7 @@ def statistic_A(counts: np.ndarray, confidence: float = 0.99) -> Estimate:
     x = 2*x0 + x1, such as ``tally[:, :2]`` of a protocol P run; anything
     else, per-round ``RoundColumns`` included, raises ValueError.
     """
-    check_real("confidence", confidence)
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    check_between("confidence", confidence, 0, 1, "()")
     trials, successes = _score_cells(counts)
     if np.any(trials == 0):
         empty = [f"{c >> 2 & 1}{c >> 1 & 1}|y={c & 1}" for c in np.flatnonzero(trials == 0)]
@@ -212,8 +208,9 @@ def _serial(bits: np.ndarray | PackedBits, ones: int, significance: float) -> Ba
 def randomness_battery(bits, significance: float = 0.01) -> list[BatteryResult]:
     """Monobit, runs, and lag-1 serial tests, each judged at the significance level.
 
-    ``bits`` are 0/1 values, a '0'/'1' string or ``stream.PackedBits``.
+    ``bits`` are 0/1 values, a '0'/'1' string or ``stream.PackedBits``; ``significance`` lies in (0, 1).
     """
+    check_between("significance", significance, 0, 1, "()")
     bits = as_bits(bits)
     if bits.size < 100:
         raise TooFewBits(f"battery needs at least 100 bits, got {bits.size}")

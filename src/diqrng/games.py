@@ -65,6 +65,8 @@ class GameScore:
     kind: ScoreKind
 
     def __post_init__(self) -> None:
+        stream.check_real("value", self.value)
+        stream.check_kind("kind", self.kind, ScoreKind)
         if not -1e-12 <= self.value <= 1 + 1e-12:
             raise ValueError(f"score {self.value} outside [0, 1]")
 
@@ -99,6 +101,8 @@ class RoundColumns(Sequence):
     """
 
     def __init__(self, inputs: np.ndarray, outputs: np.ndarray):
+        stream.check_kind("inputs", inputs, np.ndarray)
+        stream.check_kind("outputs", outputs, np.ndarray)
         self.inputs = read_only_view(inputs)
         self.outputs = read_only_view(outputs)
 
@@ -148,8 +152,7 @@ def input_space(game: GameId) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_io(game: GameId, io: RoundIO) -> None:
-    if not isinstance(io, RoundIO):
-        raise ArityMismatch(f"io must be a RoundIO, got {io!r}")
+    stream.check_kind("io", io, RoundIO, ArityMismatch)
     if game is GameId.PSEUDO_TELEPATHY3:
         # the parity predicate is n-agnostic; only the n = 3 strategies exist
         if len(io.inputs) < 3 or len(io.outputs) != len(io.inputs):
@@ -220,12 +223,11 @@ class MeasureSpec:
     outputs: tuple[int, int] = (0, 1)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.basis, QubitBasis):
-            raise ArityMismatch(f"basis must be a QubitBasis, got {self.basis!r}")
+        stream.check_kind("basis", self.basis, QubitBasis, ArityMismatch)
         if not (isinstance(self.gates, tuple) and all(isinstance(g, Gate1Q) for g in self.gates)):
             raise ArityMismatch(f"gates must be a tuple of Gate1Q, got {self.gates!r}")
-        if sorted(self.outputs) != [0, 1]:
-            raise ArityMismatch(f"outputs must relabel the two outcomes as 0 and 1, got {self.outputs}")
+        if not (isinstance(self.outputs, tuple) and all(map(_is_bit, self.outputs)) and self.outputs in ((0, 1), (1, 0))):
+            raise ArityMismatch(f"outputs must be the tuple (0, 1) or (1, 0), got {self.outputs!r}")
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,11 @@ class QuantumStrategy:
 def _maps(mapping, keys: tuple, kind: type) -> bool:
     """Whether ``mapping`` maps exactly ``keys`` to values of ``kind``."""
     return isinstance(mapping, Mapping) and set(mapping) == set(keys) and all(isinstance(v, kind) for v in mapping.values())
+
+
+def _is_bit(value) -> bool:
+    """Whether ``value`` is the integer 0 or 1; a bool is not, as numpy reads bools as a mask."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in _BITS
 
 
 def paper_strategy(game: GameId) -> QuantumStrategy:
@@ -350,6 +357,10 @@ class ClassicalStrategy:
 
     def __post_init__(self) -> None:
         sizes = _shape(self.game).tables
+        if not (isinstance(self.tables, tuple) and all(isinstance(t, tuple) for t in self.tables)):
+            raise ArityMismatch(f"tables must be a tuple of tuples of bits, got {self.tables!r}")
+        if not (isinstance(self.mixture, tuple) and all(isinstance(m, tuple) and len(m) == 2 for m in self.mixture)):
+            raise ArityMismatch(f"mixture must be a tuple of (weight, strategy) pairs, got {self.mixture!r}")
         if bool(self.tables) == bool(self.mixture):
             raise ValueError("provide exactly one of tables or mixture")
         if self.tables:
@@ -357,7 +368,7 @@ class ClassicalStrategy:
                 raise ArityMismatch(
                     f"{self.game.value} strategy tables must have sizes {sizes}"
                 )
-            if any(bit not in (0, 1) for t in self.tables for bit in t):
+            if not all(_is_bit(bit) for t in self.tables for bit in t):
                 raise ArityMismatch("table entries must be bits")
         else:
             weights = {(k,): w for k, (w, _) in enumerate(self.mixture)}
@@ -388,8 +399,7 @@ Strategy = QuantumStrategy | ClassicalStrategy
 
 def _strategy_game(strategy) -> GameId:
     """The game a strategy plays; a value that is no strategy raises ArityMismatch."""
-    if not isinstance(strategy, Strategy):
-        raise ArityMismatch(f"strategy must be a QuantumStrategy or ClassicalStrategy, got {strategy!r}")
+    stream.check_kind("strategy", strategy, (QuantumStrategy, ClassicalStrategy), ArityMismatch)
     return strategy.game
 
 
@@ -513,7 +523,7 @@ def branch_distribution(strategy: Strategy, inputs: tuple[int, ...]) -> dict[tup
     """Exact output distribution of a strategy on fixed inputs, positive entries only."""
     n_inputs = _shape(_strategy_game(strategy)).inputs
     inputs = tuple(inputs)
-    if len(inputs) != n_inputs or any(v not in _BITS for v in inputs):
+    if len(inputs) != n_inputs or not all(map(_is_bit, inputs)):
         raise ArityMismatch(f"{inputs} are not {n_inputs} input bits")
     row = outcome_tensor(strategy)[inputs]
     return {tuple(o): float(row[tuple(o)]) for o in np.argwhere(row > 0).tolist()}

@@ -61,7 +61,7 @@ from . import analysis, qcore
 from .errors import BadDistribution, DeviceArityMismatch, InsufficientRounds, UnknownKind
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
 from .games import RoundColumns, read_only_view, read_weights
-from .stream import PackedBits, Scratch, add_integers, as_bits, check_count, check_integer, check_real
+from .stream import PackedBits, Scratch, add_integers, as_bits, check_between, check_count, check_integer, check_kind
 from .stream import draw_cells, draw_codes
 
 A_STAR = QUANTUM_WIN
@@ -93,6 +93,9 @@ class DevicePair:
     def __post_init__(self) -> None:
         if self.protocol not in (None, *_BIN_OF):
             raise DeviceArityMismatch(f"unknown protocol {self.protocol!r}")
+        check_kind("coin_per_round", self.coin_per_round, bool)
+        if self.caveat is not None:
+            check_kind("caveat", self.caveat, str)
         settings = _BIN_OF[self.protocol or "P"].shape[1]
         table = np.asarray(self.table, dtype=np.float64)
         if table.ndim != 3 or table.shape[0] not in (1, 2) or table.shape[1:] != (4, settings):
@@ -277,15 +280,11 @@ class ProtocolConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in ("test", "generate"):
             raise ValueError(f"mode must be 'test' or 'generate', got {self.mode!r}")
-        check_real("delta", self.delta)
-        check_real("gamma", self.gamma)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        check_between("delta", self.delta, 0, 1, "()")
         if 0.5 + (1.0 - self.delta) / 2.0 == 1.0:
             # the Wilson interval at 1 - delta would need the normal quantile of 1
             raise ValueError(f"delta must be at least about 1.7e-16, so that 1 - delta/2 is below 1, got {self.delta}")
-        if not 0.5 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0.5, 1], got {self.gamma}")
+        check_between("gamma", self.gamma, 0.5, 1)
         if self.input_weights is not None:
             _input_law(self.protocol, self.mode, self.input_weights)
             object.__setattr__(self, "input_weights", dict(self.input_weights))
@@ -339,6 +338,9 @@ class ConditionCheck(NamedTuple):
 class CertificationVerdict:
     """Pass/abort decision with per-condition evidence.
 
+    ``decision`` is "PASS", which needs every condition satisfied, or "ABORT",
+    which releases no bits; ``conditions`` is a tuple of ``ConditionCheck``
+    and ``notes`` a tuple of str.
     ``bits`` are the released bits, held packed and sealed (``PackedBits.drop``):
     0/1 values given in their place are checked and packed, and appending to
     the caller's ``PackedBits`` leaves the verdict's alone.  ``output_bits``
@@ -351,6 +353,14 @@ class CertificationVerdict:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.decision not in ("PASS", "ABORT"):
+            raise ValueError(f"decision must be 'PASS' or 'ABORT', got {self.decision!r}")
+        if not (isinstance(self.conditions, tuple) and all(isinstance(c, ConditionCheck) for c in self.conditions)):
+            raise ValueError(f"conditions must be a tuple of ConditionCheck, got {self.conditions!r}")
+        if self.decision == "PASS" and not all(c.satisfied for c in self.conditions):
+            raise ValueError("a PASS verdict's conditions must all be satisfied")
+        if not (isinstance(self.notes, tuple) and all(isinstance(note, str) for note in self.notes)):
+            raise ValueError(f"notes must be a tuple of str, got {self.notes!r}")
         bits = as_bits(self.bits)
         object.__setattr__(self, "bits", (bits if isinstance(bits, PackedBits) else PackedBits(bits)).drop())
         if self.decision == "ABORT" and self.bits.size:
@@ -378,11 +388,6 @@ def _band_check(
     satisfied = abs(rate - target) <= radius if two_sided else rate >= target - radius
     detail = {"count": hits, "trials": trials, "radius": radius, **detail}
     return ConditionCheck(name, rate, ci, target, satisfied, detail)
-
-
-def _check_config(config) -> None:
-    if not isinstance(config, ProtocolConfig):
-        raise ValueError(f"config must be a ProtocolConfig, got {config!r}")
 
 
 def _round_chunks(config: ProtocolConfig, devices: DevicePair) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -451,9 +456,8 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
     when every condition holds, releasing the Rand bits past Q's tested
     prefix still packed; otherwise it ABORTs and releases none.
     """
-    _check_config(config)
-    if not isinstance(devices, DevicePair):
-        raise DeviceArityMismatch(f"devices must be a DevicePair, got {devices!r}")
+    check_kind("config", config, ProtocolConfig)
+    check_kind("devices", devices, DevicePair, DeviceArityMismatch)
     if config.rounds < 1:
         raise InsufficientRounds("a run needs at least one round")
     n_settings = _BIN_OF[config.protocol].shape[1]
@@ -494,9 +498,9 @@ def certify(
     without Check rounds, or without a cell that P's conditions score,
     raises ``InsufficientRounds``.
     """
-    _check_config(config)
-    check_integer("odd_hits", odd_hits)
-    check_integer("test_len", test_len)
+    check_kind("config", config, ProtocolConfig)
+    check_count("odd_hits", odd_hits)
+    check_count("test_len", test_len)
     n_settings = _BIN_OF[config.protocol].shape[1]
     tally = np.asarray(tally)
     if tally.shape != (4, n_settings, 2) or not np.issubdtype(tally.dtype, np.integer) or np.any(tally < 0):

@@ -18,18 +18,27 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BadDimension, BadTarget, NonNormalizable
-from .stream import check_integer, check_real
+from .stream import check_between, check_integer, check_kind
 
 NORM_TOL = 1e-9       # state invariants
 _INPUT_NORM_TOL = 1e-6
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
+
+
+def _complex_array(name: str, value) -> np.ndarray:
+    """``value`` as a complex128 array; an array of anything but numbers raises ValueError naming ``name``."""
+    arr = np.asarray(value)
+    if not np.issubdtype(arr.dtype, np.number):
+        raise ValueError(f"{name} must be numbers, got {value!r}")
+    return arr.astype(np.complex128, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +48,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = _complex_array("amplitudes", self.amplitudes)
         if amps.ndim != 1 or amps.size not in (2, 4, 8):
             raise BadDimension(f"amplitude vector must have length 2, 4 or 8, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(np.float64))):
@@ -68,7 +77,7 @@ class Gate1Q:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        mat = _complex_array("matrix", self.matrix)
         if mat.shape != (2, 2):
             raise BadDimension(f"gate matrix must be 2x2, got {mat.shape}")
         if not np.allclose(mat.conj().T @ mat, np.eye(2), atol=NORM_TOL, rtol=0.0):
@@ -94,12 +103,16 @@ def make_state(amplitudes: Mapping[str, complex] | Sequence[complex]) -> PureSta
     Accepts either a mapping from basis-state bit labels (``"0"``, ``"101"``,
     ...) to amplitudes, or a flat sequence of 2**n amplitudes in big-endian
     order.  The input norm must already be within 1e-6 of 1; residual drift
-    is renormalized away, anything larger raises ``NonNormalizable``.
+    is renormalized away, anything larger raises ``NonNormalizable``.  Labels
+    that are not strings and amplitudes that are not numbers raise ValueError.
     """
+    check_kind("amplitudes", amplitudes, (Mapping, Sequence, np.ndarray))
     if isinstance(amplitudes, Mapping):
         if not amplitudes:
             raise BadDimension("empty amplitude mapping")
         labels = list(amplitudes)
+        for label in labels:
+            check_kind("each basis label of amplitudes", label, str)
         width = len(labels[0])
         if width not in (1, 2, 3):
             raise BadDimension(f"basis labels must have 1-3 bits, got {labels[0]!r}")
@@ -107,9 +120,10 @@ def make_state(amplitudes: Mapping[str, complex] | Sequence[complex]) -> PureSta
         for label, amp in amplitudes.items():
             if len(label) != width or any(c not in "01" for c in label):
                 raise BadDimension(f"bad basis label {label!r}")
-            vec[int(label, 2)] = complex(amp)
+            check_kind("each of amplitudes", amp, numbers.Number)
+            vec[int(label, 2)] = amp
     else:
-        vec = np.asarray(list(amplitudes), dtype=np.complex128)
+        vec = _complex_array("amplitudes", amplitudes)
         if vec.size not in (2, 4, 8):
             raise BadDimension(f"amplitude list must have length 2, 4 or 8, got {vec.size}")
     norm = float(np.linalg.norm(vec))
@@ -120,9 +134,8 @@ def make_state(amplitudes: Mapping[str, complex] | Sequence[complex]) -> PureSta
 
 def _check_args(state: PureState, target: int, name: str, operator, kind: type) -> None:
     """Check a call's state, its gate or basis (argument ``name``, of type ``kind``) and its target qubit."""
-    for arg, value, want in (("state", state, PureState), (name, operator, kind)):
-        if not isinstance(value, want):
-            raise ValueError(f"{arg} must be a {want.__name__}, got {value!r}")
+    check_kind("state", state, PureState)
+    check_kind(name, operator, kind)
     check_integer("target", target)
     if not 0 <= target < state.num_qubits:
         raise BadTarget(f"target {target} out of range for {state.num_qubits}-qubit state")
@@ -199,6 +212,7 @@ def outcome_distribution(state: PureState, basis: "QubitBasis", target: int) -> 
 
 def collapse(state: PureState, basis: "QubitBasis", target: int, outcome: int) -> tuple[float, PureState]:
     """Probability of the given outcome and the post-measurement state, building only that branch."""
+    check_integer("outcome", outcome)
     if outcome not in (0, 1):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     _check_args(state, target, "basis", basis, QubitBasis)
@@ -222,9 +236,7 @@ def measure(state: PureState, basis: "QubitBasis", target: int, randomness: floa
 
     Outcome 0 iff ``randomness < p0``; deterministic given its arguments.
     """
-    check_real("randomness", randomness)
-    if not 0.0 <= randomness < 1.0:
-        raise ValueError(f"randomness must lie in [0, 1), got {randomness}")
+    check_between("randomness", randomness, 0, 1, "[)")
     outcome = 0 if randomness < outcome_distribution(state, basis, target)[0] else 1
     prob, collapsed = collapse(state, basis, target, outcome)     # the drawn outcome has positive probability
     return MeasurementResult(outcome=outcome, probability=prob, collapsed=collapsed)
@@ -253,6 +265,8 @@ class QubitBasis:
     bras: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        check_kind("v0", self.v0, PureState)
+        check_kind("v1", self.v1, PureState)
         if self.v0.num_qubits != 1 or self.v1.num_qubits != 1:
             raise BadDimension("basis vectors must be single-qubit states")
         inner = abs(np.vdot(self.v0.amplitudes, self.v1.amplitudes))

@@ -8,9 +8,11 @@ blocks of the same ``CHUNK_ROUNDS`` bits.  ``as_bits``, ``bit_blocks`` and
 ``bit_counts`` read packed bits, 0/1 arrays and '0'/'1' text alike, and
 ``parse_bits`` is the one rule for that text.
 
-Round and trial counts are checked by ``check_count`` against ``MAX_ROUNDS``,
-the most an int64 tally can count.  This module imports nothing else from
-the package.
+The package's argument checks are written once, here: ``check_kind``,
+``check_integer``, ``check_real``, ``check_between`` and ``check_rng`` each
+raise an error whose message names the argument.  Round and trial counts are
+checked by ``check_count`` against ``MAX_ROUNDS``, the most an int64 tally
+can count.  This module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -36,6 +38,20 @@ def check_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
+def check_kind(name: str, value, kind: type | tuple[type, ...], error: type[Exception] = ValueError) -> None:
+    """Reject a value that is not an instance of ``kind``, a type or a tuple of types, with ``error``."""
+    if not isinstance(value, kind):
+        kinds = " or ".join(k.__name__ for k in kind) if isinstance(kind, tuple) else kind.__name__
+        raise error(f"{name} must be a {kinds}, got {value!r}")
+
+
+def check_between(name: str, value, low, high, ends: str = "[]") -> None:
+    """Reject a value that is not a real number from low to high, each end closed ("[", "]") or open ("(", ")")."""
+    check_real(name, value)
+    if not ((low <= value if ends[0] == "[" else low < value) and (value <= high if ends[1] == "]" else value < high)):
+        raise ValueError(f"{name} must lie in {ends[0]}{low}, {high}{ends[1]}, got {value}")
+
+
 def check_rng(rng) -> None:
     """Reject an rng that is not a ``numpy.random.Generator`` (a subclass is one)."""
     if not isinstance(rng, np.random.Generator):
@@ -45,8 +61,7 @@ def check_rng(rng) -> None:
 def check_count(name: str, value, low: int = 0) -> None:
     """Reject a round or trial count that is not an integer in [low, ``MAX_ROUNDS``]."""
     check_integer(name, value)
-    if not low <= value <= MAX_ROUNDS:
-        raise ValueError(f"{name} must lie in [{low}, {MAX_ROUNDS}], got {value}")
+    check_between(name, value, low, MAX_ROUNDS)
 
 
 def chunk_slices(n: int, size: int = CHUNK_ROUNDS) -> Iterator[slice]:
@@ -137,8 +152,10 @@ class PackedBits:
         """A sealed copy of these bits past the first n (none by default); an n past the end drops every bit.
 
         It shares the pieces past n when n is a multiple of ``CHUNK_ROUNDS``
-        and packs the bits past n anew otherwise.  A negative n raises ValueError.
+        and packs the bits past n anew otherwise.  A negative or non-integer n
+        raises ValueError.
         """
+        check_integer("n", n)
         if n < 0:
             raise ValueError(f"drop takes n >= 0 bits, got {n}")
         first, skip = divmod(min(n, self.size), CHUNK_ROUNDS)
@@ -163,9 +180,11 @@ class PackedBits:
         return self._counts
 
     def unpack(self, n: int | None = None) -> np.ndarray:
-        """The first n bits, all of them by default, as one exact-size uint8 array; n must lie in [0, size]."""
-        if n is not None and not 0 <= n <= self.size:
-            raise ValueError(f"unpack takes n in [0, {self.size}] bits, got {n}")
+        """The first n bits, an integer in [0, size] or all of them by default, as one exact-size uint8 array."""
+        if n is not None:
+            check_integer("n", n)
+            if not 0 <= n <= self.size:
+                raise ValueError(f"unpack takes n in [0, {self.size}] bits, got {n}")
         bits = np.empty(self.size if n is None else n, dtype=np.uint8)
         for start, block in zip(range(0, bits.size, CHUNK_ROUNDS), self.blocks()):
             bits[start : start + block.size] = block[: bits.size - start]

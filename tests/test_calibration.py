@@ -312,6 +312,20 @@ def test_exact_q_pass_probability_of_a_g2_strategy(rounds, want):
     assert exact == pytest.approx(want, rel=1e-3) and no_check == pytest.approx(0.5**rounds, rel=1e-9)
 
 
+def test_a_coin_shared_every_round_passes_q_at_least_one_minus_delta():
+    # mixed_perfect_even's per-round coin mixes the (even-win 1, odd-guess 0) and (1, 1) families into one
+    # memoryless pair at the honest point (1, 1/2), so delta bounds Q's PASS only for devices that share no
+    # randomness; 2 * 2^-n is the chance of a run without a Check or without a Rand round
+    pair = adversarial_devices("mixed_perfect_even")
+    short = []
+    for delta in (0.05, 1e-3, 1e-6):
+        for rounds in (20, 100, 200, 400, 1_000, 2_000, 10_000):
+            passed, _ = exact_q_pass_probability(ProtocolConfig("Q", rounds, seed=0, delta=delta), pair)
+            if passed < 1.0 - delta - 2.0 * 2.0**-rounds:
+                short.append((delta, rounds, passed))
+    assert not short, f"the shared-coin pair PASSes below 1 - delta - 2^(1-n) at (delta, rounds, PASS): {short}"
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="no condition checks that a Hoeffding band can exclude the cheat's value (band_can_reject), so short runs PASS",

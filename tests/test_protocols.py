@@ -179,6 +179,71 @@ WRONG_KIND_CALLS = {
     "outcome_distribution target": (lambda: qcore.outcome_distribution(qcore.KET_ZERO, qcore.PSI, "x"), "target"),
     "measurement_branches basis": (lambda: qcore.measurement_branches(qcore.KET_ZERO, None, 0), "basis"),
     "measure randomness": (lambda: qcore.measure(qcore.KET_ZERO, qcore.PSI, 0, "x"), "randomness"),
+    "make_state int": (lambda: qcore.make_state(5), "amplitudes"),
+    "make_state str": (lambda: qcore.make_state("x"), "amplitudes"),
+    "make_state str amplitude": (lambda: qcore.make_state({"0": "x"}), "amplitudes"),
+    "make_state int label": (lambda: qcore.make_state({0: 1}), "amplitudes"),
+    "PureState amplitudes": (lambda: qcore.PureState("x"), "amplitudes"),
+    "Gate1Q matrix": (lambda: qcore.Gate1Q("g", "x"), "matrix"),
+    "QubitBasis v0": (lambda: qcore.QubitBasis("b", 1, 2), "v0"),
+    "QubitBasis v1": (lambda: qcore.QubitBasis("b", qcore.KET_ZERO, 2), "v1"),
+    "collapse float outcome": (lambda: qcore.collapse(qcore.GHZ3, qcore.PSI, 0, 1.0), "outcome"),
+    "MeasureSpec outputs None": (lambda: MeasureSpec(qcore.PSI, outputs=None), "outputs"),
+    # a list field leaves the frozen record unhashable
+    "MeasureSpec outputs list": (lambda: MeasureSpec(qcore.PSI, outputs=[1, 0]), "outputs"),
+    # bools pass as 0 and 1 but index numpy arrays as masks
+    "MeasureSpec outputs bools": (lambda: MeasureSpec(qcore.PSI, outputs=(True, False)), "outputs"),
+    "ClassicalStrategy table bools": (lambda: ClassicalStrategy(GameId.CHSH, tables=((True, False), (0, 0))), "tables"),
+    "ClassicalStrategy table floats": (lambda: ClassicalStrategy(GameId.CHSH, tables=((0.0, 1.0), (0, 0))), "tables"),
+    "ClassicalStrategy tables list": (lambda: ClassicalStrategy(GameId.CHSH, tables=[[0, 0], [0, 0]]), "tables"),
+    "ClassicalStrategy tables int": (lambda: ClassicalStrategy(GameId.CHSH, tables=5), "tables"),
+    "ClassicalStrategy mixture int": (lambda: ClassicalStrategy(GameId.CHSH, mixture=5), "mixture"),
+    "ClassicalStrategy mixture entry": (lambda: ClassicalStrategy(GameId.CHSH, mixture=((1.0,),)), "mixture"),
+    # a bool input tuple read as a mask gave an empty distribution
+    "branch_distribution bool inputs": (lambda: games.branch_distribution(_CHSH, (True, False)), "inputs"),
+    "GameScore value": (lambda: games.GameScore("x", games.ScoreKind.AUGMENTED), "value"),
+    "GameScore kind": (lambda: games.GameScore(0.5, "x"), "kind"),
+    "RoundColumns inputs": (lambda: RoundColumns("x", "y"), "inputs"),
+    "RoundColumns outputs": (lambda: RoundColumns(np.zeros((1, 2), dtype=np.int8), "y"), "outputs"),
+    "DevicePair coin_per_round": (lambda: DevicePair(np.full((1, 4, 3), 0.5), coin_per_round="x"), "coin_per_round"),
+    "DevicePair caveat": (lambda: DevicePair(np.full((1, 4, 3), 0.5), caveat=5), "caveat"),
+    # a truthy string ran a per-round coin
+    "adversarial_devices coin_per_round": (
+        lambda: adversarial_devices("input_guesser", coin_per_round="no"), "coin_per_round"
+    ),
+    "CertificationVerdict conditions": (lambda: CertificationVerdict("ABORT", [], []), "conditions"),
+    "CertificationVerdict notes": (lambda: CertificationVerdict("ABORT", (), [], notes=5), "notes"),
+    # "n" alone is in the comparison errors these raised, so the rows name the check's own words
+    "PackedBits.drop str": (lambda: stream.PackedBits([1, 0]).drop("x"), "n must be an integer"),
+    "PackedBits.drop float": (lambda: stream.PackedBits([1, 0]).drop(1.5), "n must be an integer"),
+    "PackedBits.drop bool": (lambda: stream.PackedBits([1, 0]).drop(True), "n must be an integer"),
+    "PackedBits.unpack str": (lambda: stream.PackedBits([1, 0]).unpack("x"), "n must be an integer"),
+    "PackedBits.unpack bool": (lambda: stream.PackedBits([1, 0]).unpack(True), "n must be an integer"),
+    "randomness_battery significance": (
+        lambda: analysis.randomness_battery(np.zeros(1_000, dtype=np.uint8), significance="x"), "significance"
+    ),
+}
+
+# Public calls given one argument outside its range or set, or of a kind that failed with an unrelated error:
+# (call, the argument's name).  Each must raise a ValueError that names the argument.
+_UNSATISFIED = protocols.ConditionCheck("even_win", 0.0, (0.0, 0.0), 1.0, False, {})
+VALUE_ERROR_CALLS = {
+    # numpy read a bool index as a mask, and the run raised BadDimension for the state's shape
+    "collapse bool outcome": (lambda: qcore.collapse(qcore.GHZ3, qcore.PSI, 0, True), "outcome"),
+    "certify test_len": (lambda: protocols.certify(_Q_CONFIG, np.ones((4, 2, 2), dtype=np.int64), 0, -2), "test_len"),
+    "certify odd_hits": (lambda: protocols.certify(_Q_CONFIG, np.ones((4, 2, 2), dtype=np.int64), -1, 2), "odd_hits"),
+    # monobit passed on 1,000 zero bits at a significance of 0 or below, and every test fails above 1
+    "randomness_battery significance 0": (
+        lambda: analysis.randomness_battery(np.zeros(1_000, dtype=np.uint8), significance=0), "significance"
+    ),
+    "randomness_battery significance -1": (
+        lambda: analysis.randomness_battery(np.zeros(1_000, dtype=np.uint8), significance=-1), "significance"
+    ),
+    "randomness_battery significance 2": (
+        lambda: analysis.randomness_battery(np.zeros(1_000, dtype=np.uint8), significance=2), "significance"
+    ),
+    "CertificationVerdict decision": (lambda: CertificationVerdict("MAYBE", (), []), "decision"),
+    "CertificationVerdict PASS unsatisfied": (lambda: CertificationVerdict("PASS", (_UNSATISFIED,), []), "conditions"),
 }
 
 
@@ -190,6 +255,28 @@ def test_wrong_kind_arguments_raise_package_errors_or_name_the_argument(call):
     assert isinstance(err.value, DiqrngError) or argument in str(err.value), str(err.value)
     if call.startswith(("QuantumStrategy", "MeasureSpec")):
         assert isinstance(err.value, ArityMismatch)
+
+
+@pytest.mark.parametrize("call", list(VALUE_ERROR_CALLS))
+def test_values_out_of_range_raise_value_errors_that_name_them(call):
+    make, argument = VALUE_ERROR_CALLS[call]
+    with pytest.raises(ValueError) as err:
+        make()
+    assert argument in str(err.value), str(err.value)
+
+
+def test_strategy_records_built_as_documented_hash():
+    # their fields are tuples, so a frozen record hashes, and equal records hash alike
+    zeros, ones = list(enumerate_deterministic(GameId.CHSH))[:2]
+    records = [
+        MeasureSpec(qcore.PHI, gates=(qcore.H,), outputs=(1, 0)),
+        *_TAVAKOLI.measurement.values(),
+        zeros,
+        ClassicalStrategy(GameId.CHSH, tables=((0, 1), (1, 0))),
+        ClassicalStrategy(GameId.CHSH, mixture=((0.5, zeros), (0.5, ones))),
+    ]
+    assert [hash(copy.copy(record)) for record in records] == [hash(record) for record in records]
+    assert len(set(records)) == len(records)
 
 
 # The three readers of a caller's weight table, each with two of its valid keys: exact_score over CHSH's
