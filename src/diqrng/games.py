@@ -166,9 +166,8 @@ def _check_io(game: GameId, io: RoundIO) -> None:
             raise ArityMismatch(f"{game.value} expects {shape.inputs} inputs, got {len(io.inputs)}")
         if len(io.outputs) != shape.outputs:
             raise ArityMismatch(f"{game.value} expects {shape.outputs} outputs, got {len(io.outputs)}")
-    for v in io.inputs + io.outputs:
-        if v not in (0, 1):
-            raise ArityMismatch("inputs and outputs must be bits")
+    if not all(map(stream.is_bit, io.inputs + io.outputs)):
+        raise ArityMismatch("inputs and outputs must be bits")
 
 
 def winning_predicate(game: GameId, io: RoundIO) -> bool:
@@ -226,7 +225,7 @@ class MeasureSpec:
         stream.check_kind("basis", self.basis, QubitBasis, ArityMismatch)
         if not (isinstance(self.gates, tuple) and all(isinstance(g, Gate1Q) for g in self.gates)):
             raise ArityMismatch(f"gates must be a tuple of Gate1Q, got {self.gates!r}")
-        if not (isinstance(self.outputs, tuple) and all(map(_is_bit, self.outputs)) and self.outputs in ((0, 1), (1, 0))):
+        if not (isinstance(self.outputs, tuple) and all(map(stream.is_bit, self.outputs)) and self.outputs in ((0, 1), (1, 0))):
             raise ArityMismatch(f"outputs must be the tuple (0, 1) or (1, 0), got {self.outputs!r}")
 
 
@@ -239,6 +238,8 @@ class QuantumStrategy:
     ``preparation`` (input pair -> emitted qubit) plus a single measurement
     rule keyed by the measurement setting.
     """
+
+    __hash__ = None     # its rules and preparations are mappings, so not hashable
 
     game: GameId
     shared_state: PureState | None = None
@@ -265,11 +266,6 @@ class QuantumStrategy:
 def _maps(mapping, keys: tuple, kind: type) -> bool:
     """Whether ``mapping`` maps exactly ``keys`` to values of ``kind``."""
     return isinstance(mapping, Mapping) and set(mapping) == set(keys) and all(isinstance(v, kind) for v in mapping.values())
-
-
-def _is_bit(value) -> bool:
-    """Whether ``value`` is the integer 0 or 1; a bool is not, as numpy reads bools as a mask."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in _BITS
 
 
 def paper_strategy(game: GameId) -> QuantumStrategy:
@@ -368,7 +364,7 @@ class ClassicalStrategy:
                 raise ArityMismatch(
                     f"{self.game.value} strategy tables must have sizes {sizes}"
                 )
-            if not all(_is_bit(bit) for t in self.tables for bit in t):
+            if not all(stream.is_bit(bit) for t in self.tables for bit in t):
                 raise ArityMismatch("table entries must be bits")
         else:
             weights = {(k,): w for k, (w, _) in enumerate(self.mixture)}
@@ -523,7 +519,7 @@ def branch_distribution(strategy: Strategy, inputs: tuple[int, ...]) -> dict[tup
     """Exact output distribution of a strategy on fixed inputs, positive entries only."""
     n_inputs = _shape(_strategy_game(strategy)).inputs
     inputs = tuple(inputs)
-    if len(inputs) != n_inputs or not all(map(_is_bit, inputs)):
+    if len(inputs) != n_inputs or not all(map(stream.is_bit, inputs)):
         raise ArityMismatch(f"{inputs} are not {n_inputs} input bits")
     row = outcome_tensor(strategy)[inputs]
     return {tuple(o): float(row[tuple(o)]) for o in np.argwhere(row > 0).tolist()}
@@ -637,11 +633,11 @@ class RoundSampler:
     def sample(self, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:
         stream.check_rng(rng)
         inputs = tuple(inputs)
-        if inputs not in self._space:
+        if not all(map(stream.is_bit, inputs)) or inputs not in self._space:
             raise BadInput(f"{inputs} is not a valid {self.game.value} input")
         i = self._space.index(inputs)
         branch = int(np.count_nonzero(rng.random() >= self._threshold[:, i]))
-        return RoundIO(inputs, tuple(self._code_outputs[i * (len(self._threshold) + 1) + branch].tolist()))
+        return RoundIO(self._space[i], tuple(self._code_outputs[i * (len(self._threshold) + 1) + branch].tolist()))
 
     def tally(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n rounds drawn as ``sample_many`` draws them, counted as int64 on the axes of ``win_mask``."""

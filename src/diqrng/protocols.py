@@ -62,7 +62,7 @@ from .errors import BadDistribution, DeviceArityMismatch, InsufficientRounds, Un
 from .games import QUANTUM_WIN, ClassicalStrategy, GameId, MeasureSpec, outcome_tensor, paper_strategy, win_mask
 from .games import RoundColumns, read_only_view, read_weights
 from .stream import PackedBits, Scratch, add_integers, as_bits, check_between, check_count, check_integer, check_kind
-from .stream import draw_cells, draw_codes
+from .stream import CHUNK_ROUNDS, draw_cells, draw_codes
 
 A_STAR = QUANTUM_WIN
 
@@ -347,6 +347,8 @@ class CertificationVerdict:
     unpacks them on first read into a read-only uint8 array.
     """
 
+    __hash__ = None     # its bits are PackedBits, so not hashable
+
     decision: str
     conditions: tuple[ConditionCheck, ...]
     bits: PackedBits
@@ -473,9 +475,10 @@ def run_protocol(config: ProtocolConfig, devices: DevicePair) -> tuple[BinStore,
         bits.append(b[rand])
         if odd_test:
             odd_matches.append(odd_match[code][rand])
-    # Q's odd test spends the first test_len Rand rounds
+    # Q's odd test spends the first test_len Rand rounds, counted a block at a time
     test_len = math.ceil(config.gamma * odd_matches.size)
-    odd_hits = int(np.count_nonzero(odd_matches.unpack(test_len)))
+    starts = range(0, test_len, CHUNK_ROUNDS)
+    odd_hits = sum(int(np.count_nonzero(block[: test_len - start])) for start, block in zip(starts, odd_matches.blocks()))
 
     replay = functools.partial(_rand_view, config, devices, is_rand)
     bins = BinStore(config.protocol, counts.reshape(4, n_settings, 2), replay)

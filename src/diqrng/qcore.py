@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import BadDimension, BadTarget, NonNormalizable
-from .stream import check_between, check_integer, check_kind
+from .stream import check_between, check_integer, check_kind, is_bit
 
 NORM_TOL = 1e-9       # state invariants
 _INPUT_NORM_TOL = 1e-6
@@ -212,9 +212,8 @@ def outcome_distribution(state: PureState, basis: "QubitBasis", target: int) -> 
 
 def collapse(state: PureState, basis: "QubitBasis", target: int, outcome: int) -> tuple[float, PureState]:
     """Probability of the given outcome and the post-measurement state, building only that branch."""
-    check_integer("outcome", outcome)
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    if not is_bit(outcome):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     _check_args(state, target, "basis", basis, QubitBasis)
     residuals = _residuals(state, basis, target)
     prob = _branch_probabilities(residuals)[outcome]

@@ -10,7 +10,8 @@ blocks of the same ``CHUNK_ROUNDS`` bits.  ``as_bits``, ``bit_blocks`` and
 
 The package's argument checks are written once, here: ``check_kind``,
 ``check_integer``, ``check_real``, ``check_between`` and ``check_rng`` each
-raise an error whose message names the argument.  Round and trial counts are
+raise an error whose message names the argument, and ``is_bit`` is the one
+test of a bit that a caller hands the package.  Round and trial counts are
 checked by ``check_count`` against ``MAX_ROUNDS``, the most an int64 tally
 can count.  This module imports nothing else from the package.
 """
@@ -31,6 +32,11 @@ MAX_ROUNDS = int(np.iinfo(np.int64).max)    # the most rounds or trials an int64
 def check_integer(name: str, value) -> None:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def is_bit(value) -> bool:
+    """Whether ``value`` is the integer 0 or 1; a bool is not, as numpy reads bools as a mask."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in (0, 1)
 
 
 def check_real(name: str, value) -> None:

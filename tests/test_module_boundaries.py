@@ -15,6 +15,9 @@ to re-export).
 A ``@dataclass`` checks its fields in ``__post_init__``; a record that
 checks nothing is a ``NamedTuple``, whose class is built without generated
 code.
+
+A bit a caller hands the package is tested by ``stream.is_bit`` alone, so no
+other module compares a value with ``in`` against (0, 1) or ``_BITS``.
 """
 
 import ast
@@ -220,3 +223,33 @@ def test_dataclass_check_sees_each_decorator_form():
         "class D(NamedTuple):\n    x: int\n"
     )
     assert unchecked_dataclasses(tree) == ["A", "B"]
+
+
+def bit_tests(tree: ast.Module) -> list[str]:
+    """Each ``in`` or ``not in`` comparison against a tuple of the constants 0 and 1 or the name ``_BITS``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        for op, right in zip(node.ops, node.comparators):
+            bits = isinstance(right, ast.Tuple) and sorted(map(ast.unparse, right.elts)) == ["0", "1"]
+            if isinstance(op, (ast.In, ast.NotIn)) and (bits or isinstance(right, ast.Name) and right.id == "_BITS"):
+                found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "stream"])
+def test_only_stream_tests_for_a_bit(module):
+    assert bit_tests(parse(module)) == []
+
+
+def test_bit_test_check_sees_each_form():
+    tree = ast.parse(
+        "a = v in (0, 1)\n"
+        "b = v not in _BITS\n"
+        "c = 0 <= v and v in (1, 0)\n"
+        "d = v in ((0, 1), (1, 0)) or v == 1 or v in (0, 2)\n"
+        "for x in (0, 1):\n"
+        "    pass\n"
+    )
+    assert bit_tests(tree) == ["v in (0, 1)", "v not in _BITS", "v in (1, 0)"]

@@ -11,6 +11,7 @@ from diqrng import analysis, games, protocols, qcore, stream
 from diqrng.errors import (
     ArityMismatch,
     BadDistribution,
+    BadInput,
     DeviceArityMismatch,
     DiqrngError,
     InsufficientRounds,
@@ -201,6 +202,22 @@ WRONG_KIND_CALLS = {
     "ClassicalStrategy mixture entry": (lambda: ClassicalStrategy(GameId.CHSH, mixture=((1.0,),)), "mixture"),
     # a bool input tuple read as a mask gave an empty distribution
     "branch_distribution bool inputs": (lambda: games.branch_distribution(_CHSH, (True, False)), "inputs"),
+    # a float input failed with a TypeError from `&`, and a bool input was scored
+    "winning_predicate float input": (lambda: games.winning_predicate(GameId.CHSH, games.RoundIO((1.0, 1), (0, 1))), "io"),
+    "winning_predicate bool input": (lambda: games.winning_predicate(GameId.CHSH, games.RoundIO((True, 1), (0, 1))), "io"),
+    # bool and float inputs were sampled and echoed back in the round
+    "RoundSampler.sample bool inputs": (
+        lambda: games.RoundSampler(GameId.CHSH, _CHSH).sample((True, False), np.random.default_rng(0)), "inputs"
+    ),
+    "RoundSampler.sample float inputs": (
+        lambda: games.RoundSampler(GameId.CHSH, _CHSH).sample((1.0, 0.0), np.random.default_rng(0)), "inputs"
+    ),
+    "sample_round bool inputs": (
+        lambda: games.sample_round(GameId.CHSH, _CHSH, (True, False), np.random.default_rng(0)), "inputs"
+    ),
+    "sample_round float inputs": (
+        lambda: games.sample_round(GameId.CHSH, _CHSH, (1.0, 0.0), np.random.default_rng(0)), "inputs"
+    ),
     "GameScore value": (lambda: games.GameScore("x", games.ScoreKind.AUGMENTED), "value"),
     "GameScore kind": (lambda: games.GameScore(0.5, "x"), "kind"),
     "RoundColumns inputs": (lambda: RoundColumns("x", "y"), "inputs"),
@@ -263,6 +280,47 @@ def test_values_out_of_range_raise_value_errors_that_name_them(call):
     with pytest.raises(ValueError) as err:
         make()
     assert argument in str(err.value), str(err.value)
+
+
+# Each call that takes bits from its caller, given one value x in place of a bit, and the error it raises for a
+# value that is not the integer 0 or 1.  Every one of them tests it with ``stream.is_bit``.
+BIT_SITES = {
+    "winning_predicate": (lambda x: games.winning_predicate(GameId.CHSH, games.RoundIO((x, 0), (0, 1))), ArityMismatch),
+    "winning_predicate output": (
+        lambda x: games.winning_predicate(GameId.CHSH, games.RoundIO((0, 0), (x, 1))), ArityMismatch
+    ),
+    "RoundSampler.sample": (
+        lambda x: games.RoundSampler(GameId.CHSH, _CHSH).sample((x, 0), np.random.default_rng(0)), BadInput
+    ),
+    "sample_round": (lambda x: games.sample_round(GameId.CHSH, _CHSH, (x, 0), np.random.default_rng(0)), BadInput),
+    "branch_distribution": (lambda x: games.branch_distribution(_CHSH, (x, 0)), ArityMismatch),
+    "MeasureSpec outputs": (lambda x: MeasureSpec(qcore.PSI, outputs=(x, 0)), ArityMismatch),
+    "ClassicalStrategy tables": (lambda x: ClassicalStrategy(GameId.CHSH, tables=((x, 0), (0, 0))), ArityMismatch),
+    "collapse": (lambda x: qcore.collapse(qcore.KET_PLUS, qcore.COMPUTATIONAL, 0, x), ValueError),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, np.float64(0.0), 2, -1, "1", None])
+@pytest.mark.parametrize("site", list(BIT_SITES))
+def test_every_bit_site_refuses_what_is_not_an_integer_bit(site, value):
+    call, error = BIT_SITES[site]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("site", list(BIT_SITES))
+def test_every_bit_site_takes_a_numpy_integer_bit(site):
+    result = BIT_SITES[site][0](np.int64(1))
+    if isinstance(result, games.RoundIO):
+        # the sampled round holds plain ints, not the caller's values
+        assert result.inputs == (1, 0) and [type(v) for v in result.inputs + result.outputs] == [int] * 4
+
+
+@pytest.mark.parametrize("record", [paper_strategy(GameId.CHSH), CertificationVerdict("ABORT", (), [])])
+def test_records_with_unhashable_fields_are_declared_unhashable(record):
+    with pytest.raises(TypeError, match=f"unhashable type: '{type(record).__name__}'"):
+        hash(record)
+    assert record == copy.copy(record)
 
 
 def test_strategy_records_built_as_documented_hash():

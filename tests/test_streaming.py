@@ -297,8 +297,8 @@ def test_run_protocol_keeps_rand_bits_and_one_chunk(protocol, mode, traced_peak)
     pair = honest_devices(protocol)
     (bins, verdict), peak = traced_peak(lambda: run_protocol(config, pair))
     assert verdict.decision == "PASS"
-    # per Rand round: its bit and Q's odd-test match, packed, and Q's tested
-    # matches unpacked, so well under 3 bytes at once
+    # per Rand round: its bit and Q's odd-test match, packed, so well under
+    # 3 bytes at once
     n_rand = bins.counts()["rand"]
     assert peak <= 3 * n_rand + CHUNK_BYTES, f"{peak / config.rounds:.1f} B/round"
 
@@ -308,10 +308,9 @@ def test_rand_storage_grows_slowly_with_the_run(protocol, mode, bound, traced_sl
     """The traced peak grows by at most ``bound`` bytes per further Rand round.
 
     A run holds its Rand bits and Q's odd-test matches packed, 1/8 B each,
-    and unpacks only Q's tested matches, 1 B each.  P test has one Rand
-    round in six, so at these sizes its chunk work sets the peak and only
-    the packed bits grow it.  Per-chunk uint8 pieces joined at the end grow
-    the peak by about 1.01 (P test), 2.01 (Q test) and 1.66 B (P generate).
+    and counts Q's tested matches a block at a time.  At these sizes the
+    chunk work sets the peak and only the packed bits grow it, by about
+    0.14 (P test), 0.28 (Q test) and 0.13 B (P generate).
     """
     pair = honest_devices(protocol)
     run_protocol(ProtocolConfig(protocol, 1000, seed=5, mode=mode), pair)     # first-call allocations
@@ -321,6 +320,35 @@ def test_rand_storage_grows_slowly_with_the_run(protocol, mode, bound, traced_sl
         units=lambda result: result[0].counts()["rand"],
     )
     assert per_rand <= bound, f"{per_rand:.3f} B per Rand round"
+
+
+def test_q_counts_its_tested_matches_a_block_at_a_time(traced_slope):
+    """Past the chunk work, a Q test run's peak grows by its packed bits and matches, 1/4 B per Rand round.
+
+    The count of the tested matches after the loop must not unpack them all
+    at once: at 1 B per tested round that reads 0.44 B per further Rand
+    round from 1e6 to 1e7 rounds, where it sets the peak.
+    """
+    pair = honest_devices("Q")
+    run_protocol(ProtocolConfig("Q", 1000, seed=3), pair)     # first-call allocations
+    per_rand = traced_slope(
+        lambda n: run_protocol(ProtocolConfig("Q", n, seed=3), pair),
+        (1_000_000, 10_000_000),
+        units=lambda result: result[0].counts()["rand"],
+    )
+    assert per_rand <= 0.3, f"{per_rand:.3f} B per Rand round"
+
+
+@pytest.mark.parametrize("test_len", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_odd_hits_equal_a_recount_of_the_tested_rand_rounds(test_len):
+    pair = honest_devices("Q")
+    n_rand = run_protocol(ProtocolConfig("Q", 200_000, seed=9), pair)[0].counts()["rand"]
+    # gamma moves only the tested prefix, not the rounds drawn
+    bins, verdict = run_protocol(ProtocolConfig("Q", 200_000, seed=9, gamma=(test_len - 0.5) / n_rand), pair)
+    odd = next(c for c in verdict.conditions if c.name == "odd_guess_half")
+    rand = bins.rand
+    assert bins.counts()["rand"] == n_rand and odd.detail["trials"] == test_len
+    assert odd.detail["count"] == int(np.count_nonzero(rand.outputs[:test_len, 0] == rand.inputs[:test_len, 1]))
 
 
 @pytest.mark.parametrize("sizes", [(0,), (5, 0, 8, 13), (CHUNK, 7, CHUNK + 3)])
