@@ -151,23 +151,35 @@ def input_space(game: GameId) -> tuple[tuple[int, ...], ...]:
     return tuple(x for x in space if game is not GameId.PSEUDO_TELEPATHY3 or _EVEN_WEIGHT[x])
 
 
-def _check_io(game: GameId, io: RoundIO) -> None:
+def _bits(values) -> tuple[int, ...] | None:
+    """A caller's iterable of bits as a tuple of plain ints, or None if it is no iterable or holds a value that fails ``stream.is_bit``."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        return None
+    return tuple(map(int, values)) if all(map(stream.is_bit, values)) else None
+
+
+def _check_io(game: GameId, io: RoundIO) -> RoundIO:
+    """The round with its inputs and outputs read by ``_bits``; a round that does not fit the game raises ArityMismatch."""
     stream.check_kind("io", io, RoundIO, ArityMismatch)
+    inputs, outputs = _bits(io.inputs), _bits(io.outputs)
+    if inputs is None or outputs is None:
+        raise ArityMismatch("inputs and outputs must be bits")
     if game is GameId.PSEUDO_TELEPATHY3:
         # the parity predicate is n-agnostic; only the n = 3 strategies exist
-        if len(io.inputs) < 3 or len(io.outputs) != len(io.inputs):
+        if len(inputs) < 3 or len(outputs) != len(inputs):
             raise ArityMismatch(
                 f"{game.value} expects one output per player (>= 3), got "
-                f"{len(io.inputs)} inputs and {len(io.outputs)} outputs"
+                f"{len(inputs)} inputs and {len(outputs)} outputs"
             )
     else:
         shape = _shape(game)
-        if len(io.inputs) != shape.inputs:
-            raise ArityMismatch(f"{game.value} expects {shape.inputs} inputs, got {len(io.inputs)}")
-        if len(io.outputs) != shape.outputs:
-            raise ArityMismatch(f"{game.value} expects {shape.outputs} outputs, got {len(io.outputs)}")
-    if not all(map(stream.is_bit, io.inputs + io.outputs)):
-        raise ArityMismatch("inputs and outputs must be bits")
+        if len(inputs) != shape.inputs:
+            raise ArityMismatch(f"{game.value} expects {shape.inputs} inputs, got {len(inputs)}")
+        if len(outputs) != shape.outputs:
+            raise ArityMismatch(f"{game.value} expects {shape.outputs} outputs, got {len(outputs)}")
+    return RoundIO(inputs, outputs)
 
 
 def winning_predicate(game: GameId, io: RoundIO) -> bool:
@@ -178,7 +190,7 @@ def winning_predicate(game: GameId, io: RoundIO) -> bool:
     b == x1.  PSEUDO_TELEPATHY3 accepts only even-weight inputs here; the
     odd-weight extension lives in :func:`pt3_odd_extension_score`.
     """
-    _check_io(game, io)
+    io = _check_io(game, io)
     if game in (GameId.CHSH, GameId.CHSH1):
         x, y = io.inputs
         a, b = io.outputs
@@ -443,17 +455,11 @@ def _table_operands(game: GameId, tables: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _contract(game: GameId, operands: list[np.ndarray]) -> np.ndarray:
-    """Born weights of the contracted amplitudes, each input row divided by its sum.
-
-    Weights below ``qcore.PROB_SNAP`` are the residue of exact cancellations
-    and are cleared first, so deterministic outcomes stay exactly deterministic.
-    """
+    """The contracted amplitudes' Born probabilities by ``qcore.born_weights``, one distribution per input row."""
     shape = _shape(game)
     amplitudes = np.einsum(shape.contraction, *operands)
     amplitudes = amplitudes.reshape(operands[0].shape[:-3] + (2,) * (shape.inputs + shape.outputs))
-    probs = amplitudes.real ** 2 + amplitudes.imag ** 2
-    probs[probs < qcore.PROB_SNAP] = 0.0
-    return probs / probs.sum(axis=tuple(range(-shape.outputs, 0)), keepdims=True)
+    return qcore.born_weights(amplitudes.real ** 2 + amplitudes.imag ** 2, tuple(range(-shape.outputs, 0)))
 
 
 def outcome_tensor(strategy: Strategy) -> np.ndarray:
@@ -518,10 +524,10 @@ def mass_score(game: GameId, mass: np.ndarray) -> tuple[float, ...]:
 def branch_distribution(strategy: Strategy, inputs: tuple[int, ...]) -> dict[tuple[int, ...], float]:
     """Exact output distribution of a strategy on fixed inputs, positive entries only."""
     n_inputs = _shape(_strategy_game(strategy)).inputs
-    inputs = tuple(inputs)
-    if len(inputs) != n_inputs or not all(map(stream.is_bit, inputs)):
+    bits = _bits(inputs)
+    if bits is None or len(bits) != n_inputs:
         raise ArityMismatch(f"{inputs} are not {n_inputs} input bits")
-    row = outcome_tensor(strategy)[inputs]
+    row = outcome_tensor(strategy)[bits]
     return {tuple(o): float(row[tuple(o)]) for o in np.argwhere(row > 0).tolist()}
 
 
@@ -632,12 +638,12 @@ class RoundSampler:
 
     def sample(self, inputs: tuple[int, ...], rng: np.random.Generator) -> RoundIO:
         stream.check_rng(rng)
-        inputs = tuple(inputs)
-        if not all(map(stream.is_bit, inputs)) or inputs not in self._space:
+        bits = _bits(inputs)
+        if bits not in self._space:
             raise BadInput(f"{inputs} is not a valid {self.game.value} input")
-        i = self._space.index(inputs)
+        i = self._space.index(bits)
         branch = int(np.count_nonzero(rng.random() >= self._threshold[:, i]))
-        return RoundIO(self._space[i], tuple(self._code_outputs[i * (len(self._threshold) + 1) + branch].tolist()))
+        return RoundIO(bits, tuple(self._code_outputs[i * (len(self._threshold) + 1) + branch].tolist()))
 
     def tally(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n rounds drawn as ``sample_many`` draws them, counted as int64 on the axes of ``win_mask``."""

@@ -154,32 +154,30 @@ def apply_gate(state: PureState, gate: Gate1Q, target: int) -> PureState:
     return PureState(moved.reshape(2, 2**target, -1).transpose(1, 0, 2).reshape(-1))
 
 
-def _residuals(state: PureState, basis: "QubitBasis", target: int) -> np.ndarray:
-    """Contract the target qubit against both basis vectors at once.
-
-    Row i holds the unnormalized residual amplitudes after projecting the
-    target qubit onto basis vector i; for single-qubit states the rows are
-    the scalars <v_i|state>.
-    """
-    return basis.bras @ _target_first(state.amplitudes, target)
-
-
 PROB_SNAP = 1e-18
 # at <= 8 dimensions with O(1) amplitudes, any Born weight this small is the
-# floating-point residue of an exact cancellation; snapping keeps nominally
+# floating-point residue of an exact cancellation; clearing it keeps nominally
 # deterministic outcomes exactly deterministic
 
 
-def _branch_probabilities(residuals: np.ndarray) -> tuple[float, float]:
-    """Born probabilities of both residual rows, snapping residues to 0."""
-    p0, p1 = (float(row.real @ row.real + row.imag @ row.imag) for row in residuals)
-    total = p0 + p1
-    p0, p1 = p0 / total, p1 / total
-    if p0 < PROB_SNAP:
-        return 0.0, 1.0
-    if p1 < PROB_SNAP:
-        return 1.0, 0.0
-    return p0, p1
+def born_weights(weights: np.ndarray, axes: int | tuple[int, ...]) -> np.ndarray:
+    """Born probabilities from a nonnegative weight array: each weight below ``PROB_SNAP`` cleared, then divided by the sum over ``axes``."""
+    check_kind("weights", weights, np.ndarray)
+    weights = np.where(weights < PROB_SNAP, 0.0, weights)
+    return weights / weights.sum(axis=axes, keepdims=True)
+
+
+def _branches(state: PureState, basis: "QubitBasis", target: int) -> tuple[np.ndarray, tuple[float, float]]:
+    """Check a measurement's arguments, then contract the target qubit against both basis vectors at once.
+
+    Returns the residuals, whose row i holds the unnormalized amplitudes left
+    after projecting the target qubit onto basis vector i (for single-qubit
+    states the scalar <v_i|state>), and both outcomes' Born probabilities.
+    """
+    _check_args(state, target, "basis", basis, QubitBasis)
+    residuals = basis.bras @ _target_first(state.amplitudes, target)
+    weights = np.array([row.real @ row.real + row.imag @ row.imag for row in residuals])
+    return residuals, tuple(born_weights(weights, 0).tolist())
 
 
 def _collapsed(state: PureState, basis: "QubitBasis", residuals: np.ndarray, outcome: int) -> PureState:
@@ -198,28 +196,23 @@ def measurement_branches(
     measured qubit is removed from multi-qubit states; a single-qubit state
     collapses onto the measured basis vector.
     """
-    _check_args(state, target, "basis", basis, QubitBasis)
-    residuals = _residuals(state, basis, target)
-    probs = _branch_probabilities(residuals)
+    residuals, probs = _branches(state, basis, target)
     return tuple((p, _collapsed(state, basis, residuals, k) if p > 0.0 else None) for k, p in enumerate(probs))
 
 
 def outcome_distribution(state: PureState, basis: "QubitBasis", target: int) -> tuple[float, float]:
     """Exact Born probabilities of the two basis outcomes on the target qubit."""
-    _check_args(state, target, "basis", basis, QubitBasis)
-    return _branch_probabilities(_residuals(state, basis, target))
+    return _branches(state, basis, target)[1]
 
 
 def collapse(state: PureState, basis: "QubitBasis", target: int, outcome: int) -> tuple[float, PureState]:
     """Probability of the given outcome and the post-measurement state, building only that branch."""
     if not is_bit(outcome):
         raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
-    _check_args(state, target, "basis", basis, QubitBasis)
-    residuals = _residuals(state, basis, target)
-    prob = _branch_probabilities(residuals)[outcome]
-    if prob <= 0.0:
+    residuals, probs = _branches(state, basis, target)
+    if probs[outcome] <= 0.0:
         raise NonNormalizable(f"outcome {outcome} has zero probability")
-    return prob, _collapsed(state, basis, residuals, outcome)
+    return probs[outcome], _collapsed(state, basis, residuals, outcome)
 
 
 class MeasurementResult(NamedTuple):
@@ -236,9 +229,9 @@ def measure(state: PureState, basis: "QubitBasis", target: int, randomness: floa
     Outcome 0 iff ``randomness < p0``; deterministic given its arguments.
     """
     check_between("randomness", randomness, 0, 1, "[)")
-    outcome = 0 if randomness < outcome_distribution(state, basis, target)[0] else 1
-    prob, collapsed = collapse(state, basis, target, outcome)     # the drawn outcome has positive probability
-    return MeasurementResult(outcome=outcome, probability=prob, collapsed=collapsed)
+    residuals, probs = _branches(state, basis, target)
+    outcome = 0 if randomness < probs[0] else 1     # so the drawn outcome has positive probability
+    return MeasurementResult(outcome, probs[outcome], _collapsed(state, basis, residuals, outcome))
 
 
 def overlap(a: PureState, b: PureState) -> float:

@@ -185,15 +185,11 @@ class PackedBits:
             self._counts = count_bits(self.blocks())
         return self._counts
 
-    def unpack(self, n: int | None = None) -> np.ndarray:
-        """The first n bits, an integer in [0, size] or all of them by default, as one exact-size uint8 array."""
-        if n is not None:
-            check_integer("n", n)
-            if not 0 <= n <= self.size:
-                raise ValueError(f"unpack takes n in [0, {self.size}] bits, got {n}")
-        bits = np.empty(self.size if n is None else n, dtype=np.uint8)
+    def unpack(self) -> np.ndarray:
+        """All the bits as one exact-size uint8 array."""
+        bits = np.empty(self.size, dtype=np.uint8)
         for start, block in zip(range(0, bits.size, CHUNK_ROUNDS), self.blocks()):
-            bits[start : start + block.size] = block[: bits.size - start]
+            bits[start : start + block.size] = block
         return bits
 
     def __eq__(self, other: object) -> bool:

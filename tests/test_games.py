@@ -298,6 +298,16 @@ class TestExactScores:
             games.GameScore(1.5, ScoreKind.WIN_PROBABILITY)
 
 
+def parent_contract(game, operands):
+    """The outcome tensor as ``games`` built it before ``qcore.born_weights``: residues cleared in place, then divided."""
+    shape = games._shape(game)
+    amplitudes = np.einsum(shape.contraction, *operands)
+    amplitudes = amplitudes.reshape(operands[0].shape[:-3] + (2,) * (shape.inputs + shape.outputs))
+    probs = amplitudes.real ** 2 + amplitudes.imag ** 2
+    probs[probs < 1e-18] = 0.0
+    return probs / probs.sum(axis=tuple(range(-shape.outputs, 0)), keepdims=True)
+
+
 class TestOutcomeTensor:
     @pytest.mark.parametrize("game", list(GameId))
     def test_matches_qcore_measurement_cascade(self, game):
@@ -310,6 +320,27 @@ class TestOutcomeTensor:
             for outputs in itertools.product((0, 1), repeat=n_out):
                 assert abs(probs[inputs + outputs] - want.get(outputs, 0.0)) <= 1e-12
             assert probs[inputs].sum() == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("game", list(GameId))
+    def test_matches_the_parent_born_rule_bit_for_bit(self, game):
+        strategy = paper_strategy(game)
+        assert np.array_equal(outcome_tensor(strategy), parent_contract(game, games._quantum_operands(strategy)))
+        deterministic = list(enumerate_deterministic(game))
+        for strategy in deterministic:
+            want = parent_contract(game, games._table_operands(game, [np.array(t) for t in strategy.tables]))
+            assert np.array_equal(outcome_tensor(strategy), want)
+        # all of them as one batch, as the classical search contracts them
+        operands = games._table_operands(game, [np.array(t) for t in zip(*(s.tables for s in deterministic))])
+        assert np.array_equal(games._contract(game, operands), parent_contract(game, operands))
+
+    def test_a_residue_is_cleared_as_the_parent_cleared_it(self):
+        # H, then the Hadamard basis, reads |0> as outcome 0 up to a Born weight of about 5e-34 on outcome 1
+        spec = MeasureSpec(qcore.HADAMARD, gates=(qcore.H,))
+        prepared = {x: qcore.KET_ZERO for x in itertools.product((0, 1), repeat=2)}
+        strategy = QuantumStrategy(GameId.TAVAKOLI, preparation=prepared, measurement={0: spec, 1: spec})
+        probs = outcome_tensor(strategy)
+        assert np.array_equal(probs, parent_contract(GameId.TAVAKOLI, games._quantum_operands(strategy)))
+        assert np.array_equal(probs[..., 0], np.ones((2, 2, 2))) and not probs[..., 1].any()
 
     def test_gates_apply_first_to_last_and_outputs_relabel(self):
         # S then H is not H then S; a swapped relabelling flips every bit

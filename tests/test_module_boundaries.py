@@ -18,6 +18,9 @@ code.
 
 A bit a caller hands the package is tested by ``stream.is_bit`` alone, so no
 other module compares a value with ``in`` against (0, 1) or ``_BITS``.
+
+Born weights clear their residues by one rule, ``qcore.born_weights``, so no
+module but ``qcore`` reads ``PROB_SNAP``.
 """
 
 import ast
@@ -253,3 +256,29 @@ def test_bit_test_check_sees_each_form():
         "    pass\n"
     )
     assert bit_tests(tree) == ["v in (0, 1)", "v not in _BITS", "v in (1, 0)"]
+
+
+def snap_reads(tree: ast.Module) -> list[str]:
+    """Each import of ``PROB_SNAP`` and each read of it as a name or an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        imported = isinstance(node, ast.ImportFrom) and any(alias.name == "PROB_SNAP" for alias in node.names)
+        read = isinstance(node, ast.Name) and node.id == "PROB_SNAP" and isinstance(node.ctx, ast.Load)
+        if imported or read or isinstance(node, ast.Attribute) and node.attr == "PROB_SNAP":
+            found.append(ast.unparse(node))
+    return found
+
+
+@pytest.mark.parametrize("module", [m for m in [*MODULES, "__init__"] if m != "qcore"])
+def test_only_qcore_reads_the_residue_snap(module):
+    assert snap_reads(parse(module)) == []
+
+
+def test_snap_read_check_sees_each_form():
+    tree = ast.parse(
+        "from .qcore import PROB_SNAP as snap\n"
+        "a = w < qcore.PROB_SNAP\n"
+        "b = w < PROB_SNAP\n"
+        "PROB_SNAP = 'PROB_SNAP'\n"
+    )
+    assert snap_reads(tree) == ["from .qcore import PROB_SNAP as snap", "qcore.PROB_SNAP", "PROB_SNAP"]

@@ -234,8 +234,7 @@ WRONG_KIND_CALLS = {
     "PackedBits.drop str": (lambda: stream.PackedBits([1, 0]).drop("x"), "n must be an integer"),
     "PackedBits.drop float": (lambda: stream.PackedBits([1, 0]).drop(1.5), "n must be an integer"),
     "PackedBits.drop bool": (lambda: stream.PackedBits([1, 0]).drop(True), "n must be an integer"),
-    "PackedBits.unpack str": (lambda: stream.PackedBits([1, 0]).unpack("x"), "n must be an integer"),
-    "PackedBits.unpack bool": (lambda: stream.PackedBits([1, 0]).unpack(True), "n must be an integer"),
+    "born_weights weights": (lambda: qcore.born_weights([0.5, 0.5], 0), "weights"),
     "randomness_battery significance": (
         lambda: analysis.randomness_battery(np.zeros(1_000, dtype=np.uint8), significance="x"), "significance"
     ),
@@ -314,6 +313,40 @@ def test_every_bit_site_takes_a_numpy_integer_bit(site):
     if isinstance(result, games.RoundIO):
         # the sampled round holds plain ints, not the caller's values
         assert result.inputs == (1, 0) and [type(v) for v in result.inputs + result.outputs] == [int] * 4
+    if site.startswith("winning_predicate"):
+        assert type(result) is bool
+
+
+# Each call that takes a whole round's inputs (or outputs) from its caller, given a value x in their place, and the
+# error it raises when x is not an iterable of bits.  Each reads them with ``games._bits``.
+ROUND_SITES = {
+    "winning_predicate": (lambda x: games.winning_predicate(GameId.CHSH, games.RoundIO(x, (0, 1))), ArityMismatch),
+    "winning_predicate outputs": (
+        lambda x: games.winning_predicate(GameId.CHSH, games.RoundIO((0, 0), x)), ArityMismatch
+    ),
+    "RoundSampler.sample": (
+        lambda x: games.RoundSampler(GameId.CHSH, _CHSH).sample(x, np.random.default_rng(0)), BadInput
+    ),
+    "sample_round": (lambda x: games.sample_round(GameId.CHSH, _CHSH, x, np.random.default_rng(0)), BadInput),
+    "branch_distribution": (lambda x: games.branch_distribution(_CHSH, x), ArityMismatch),
+}
+
+
+@pytest.mark.parametrize("value", [5, None])
+@pytest.mark.parametrize("site", list(ROUND_SITES))
+def test_every_round_site_refuses_what_is_not_its_bits(site, value):
+    call, error = ROUND_SITES[site]
+    with pytest.raises(error):
+        call(value)
+
+
+@pytest.mark.parametrize("site", list(ROUND_SITES))
+def test_every_round_site_takes_a_list(site):
+    result = ROUND_SITES[site][0]([np.int64(1), 0])
+    if site.startswith("winning_predicate"):
+        assert type(result) is bool
+    elif isinstance(result, games.RoundIO):
+        assert result.inputs == (1, 0) and [type(v) for v in result.inputs] == [int] * 2
 
 
 @pytest.mark.parametrize("record", [paper_strategy(GameId.CHSH), CertificationVerdict("ABORT", (), [])])

@@ -298,3 +298,99 @@ class TestMeasure:
                 assert abs(marginal[0] - direct[0]) < 1e-12
                 assert abs(marginal[1] - direct[1]) < 1e-12
                 assert abs(marginal[0] - 0.5) < 1e-12
+
+
+def parent_branches(state, basis, target):
+    """Residuals and branch probabilities by the rule ``qcore`` had before ``born_weights``: normalise, then snap."""
+    residuals = basis.bras @ state.amplitudes.reshape(2**target, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+    p0, p1 = (float(row.real @ row.real + row.imag @ row.imag) for row in residuals)
+    total = p0 + p1
+    p0, p1 = p0 / total, p1 / total
+    if p0 < 1e-18:
+        return residuals, (0.0, 1.0)
+    if p1 < 1e-18:
+        return residuals, (1.0, 0.0)
+    return residuals, (p0, p1)
+
+
+def parent_collapsed(state, basis, residuals, outcome):
+    if state.num_qubits == 1:
+        return (basis.v0, basis.v1)[outcome].amplitudes
+    return residuals[outcome] / np.linalg.norm(residuals[outcome])
+
+
+def assert_parent_measurements(state, basis, target, randomness):
+    """Every measurement call on (state, basis, target) equals the parent's formulas bit for bit."""
+    residuals, probs = parent_branches(state, basis, target)
+    assert qcore.outcome_distribution(state, basis, target) == probs
+    for outcome, (prob, collapsed) in enumerate(qcore.measurement_branches(state, basis, target)):
+        assert prob == probs[outcome]
+        if prob == 0.0:
+            assert collapsed is None
+            with pytest.raises(NonNormalizable, match="zero probability"):
+                qcore.collapse(state, basis, target, outcome)
+            continue
+        want = parent_collapsed(state, basis, residuals, outcome)
+        assert np.array_equal(collapsed.amplitudes, want)
+        got_prob, got = qcore.collapse(state, basis, target, outcome)
+        assert got_prob == prob and np.array_equal(got.amplitudes, want)
+    outcome = 0 if randomness < probs[0] else 1
+    result = qcore.measure(state, basis, target, randomness)
+    assert result.outcome == outcome and result.probability == probs[outcome]
+    assert np.array_equal(result.collapsed.amplitudes, parent_collapsed(state, basis, residuals, outcome))
+
+
+def random_basis(rng) -> qcore.QubitBasis:
+    a, b = random_state(1, rng).amplitudes
+    return qcore.QubitBasis("random", qcore.PureState(np.array([a, b])), qcore.PureState(np.array([-b.conjugate(), a.conjugate()])))
+
+
+class TestBornRule:
+    def test_measurements_match_the_parent_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for k in range(600):
+            state = random_state(k % 3 + 1, rng)
+            for basis in [*NAMED_BASES, random_basis(rng)]:
+                for target in range(state.num_qubits):
+                    assert_parent_measurements(state, basis, target, float(rng.random()))
+
+    def test_snapped_branches_match_the_parent_formulas_bit_for_bit(self):
+        # each state and every state its branches leave, in every named basis and on every target
+        pending = [qcore.KET_ZERO, qcore.PureState(np.array([1.0, 1e-10])), qcore.BELL_PHI_PLUS, qcore.GHZ3]
+        seen = zero_branches = 0
+        while pending:
+            state = pending.pop()
+            seen += 1
+            for basis in NAMED_BASES:
+                for target in range(state.num_qubits):
+                    for randomness in (0.0, 0.5, 1 - 2**-53):
+                        assert_parent_measurements(state, basis, target, randomness)
+                    for prob, collapsed in qcore.measurement_branches(state, basis, target):
+                        zero_branches += prob == 0.0
+                        if collapsed is not None and collapsed.num_qubits > 1:
+                            pending.append(collapsed)
+        # |0> and 1e-10|1> + |0> (a weight of 1e-20, cleared) in the computational basis, and GHZ's branches
+        assert seen > 4 and zero_branches >= 2
+
+    @pytest.mark.parametrize("call", ["measurement_branches", "outcome_distribution", "collapse", "measure"])
+    def test_each_measurement_checks_and_contracts_once(self, call, monkeypatch):
+        # the argument check and the contraction of the state against the basis
+        counts = {"_check_args": 0, "_target_first": 0}
+
+        def counted(name, step):
+            def step_once(*args):
+                counts[name] += 1
+                return step(*args)
+            return step_once
+
+        for name in counts:
+            monkeypatch.setattr(qcore, name, counted(name, getattr(qcore, name)))
+        last = {"collapse": (0,), "measure": (0.5,)}.get(call, ())
+        getattr(qcore, call)(qcore.GHZ3, qcore.PSI, 1, *last)
+        assert counts == {"_check_args": 1, "_target_first": 1}
+
+    def test_born_weights_clears_residues_then_divides_along_axes(self):
+        weights = np.array([[0.5, 1e-19, 0.5], [2.0, 1.0, 1.0]])
+        got = qcore.born_weights(weights, 1)
+        assert np.array_equal(got, [[0.5, 0.0, 0.5], [0.5, 0.25, 0.25]]) and weights[0, 1] == 1e-19
+        assert np.array_equal(qcore.born_weights(weights, (0, 1)), np.where(weights < 1e-18, 0.0, weights) / 5.0)
